@@ -25,7 +25,7 @@ from .channels import (
     validate_channel,
 )
 from .config import load_config
-from .errors import ConfigError, GaussNormError, NotCPError, UncertaintyViolatedError
+from .errors import ConfigError, DomainError, GaussNormError, NotCPError, UncertaintyViolatedError
 from .states import GibbsFamily, char_function, gibbs_state, power_char_function, tr_rho_p, validate_state
 from .symplectic import check_psd_hermitian, standard_form, PSD_SLACK
 
@@ -151,6 +151,8 @@ def cmd_scaling(args) -> int:
 
 def cmd_oracle(args) -> int:
     tau, N, p = args.tau, args.N, args.p
+    if not (0.0 < tau <= 1.0):
+        raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
     space = standard_form(1)
     d = N + 0.5
@@ -172,17 +174,13 @@ def cmd_oracle(args) -> int:
     out_state = validate_state([0.0, 0.0], d_out * np.eye(2), space)
 
     def kraus_tr_power(n):
-        rho = fock.thermal_state_fock(N, n)
-        out = fock.apply_kraus(fock.attenuator_kraus(tau, n), rho)
-        return fock.tr_power_fock(out, p)
+        return fock.tr_power_fock(fock.attenuate(tau, fock.thermal_state_fock(N, n)), p)
 
     add("tr_rho_p after channel", tr_rho_p(out_state, p),
         fock.doubling_check(kraus_tr_power, n_max))
 
     def kraus_cov(n):
-        rho = fock.thermal_state_fock(N, n)
-        out = fock.apply_kraus(fock.attenuator_kraus(tau, n), rho)
-        _, cov = fock.covariance_from_fock(out)
+        _, cov = fock.covariance_from_fock(fock.attenuate(tau, fock.thermal_state_fock(N, n)))
         return cov
 
     oracle_cov = fock.doubling_check(kraus_cov, n_max)

@@ -6,6 +6,11 @@ the basis {|0>, ..., |n_max>}.  Every quantity computed here is independent
 of the covariance-matrix machinery, so agreement between the two is a real
 check, not a tautology.
 
+The attenuator is applied banded (:func:`attenuate`): its Kraus operator A_j
+lives on the j-th superdiagonal, so A_j rho A_j^dag is a scaled, shifted block
+of rho.  The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`)
+is kept as the reference the banded path is tested against.
+
 Truncation error is controlled by a doubling protocol: recompute the final
 scalar (or small array) at 2 * n_max and require agreement within ten times
 the tail bound; see :func:`doubling_check`.
@@ -31,6 +36,7 @@ from .errors import (
 TAIL_BOUND = 1e-12
 HERM_TOL = 1e-12
 EIG_CLAMP = 1e-15
+MAX_DEFAULT_N_MAX = 640
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,34 +96,59 @@ def thermal_state_fock(N: float, n_max: int, tail_bound: float = TAIL_BOUND) -> 
 
 
 def default_n_max(N: float) -> int:
-    """Cutoff heuristic: 80 covers N <= 1, 160 covers N <= 3 at the default tail bound."""
-    return 80 if N <= 1.0 else 160
+    """Cutoff heuristic at the default tail bound: 80 covers N <= 1, 160 covers N <= 3.
+
+    Above N = 3 it is the smallest n >= 160 with (n+1)(N+1) r^(n+1) <= TAIL_BOUND,
+    r = N/(N+1).  That bounds the neglected share of the mean photon number,
+    sum_{k>n} k p_k = (n+1+N) r^(n+1), which the covariance checks see; the
+    bare population tail r^(n+1) is too loose there.  The search stops at
+    MAX_DEFAULT_N_MAX (reached near N = 17), so a large N costs no more than a
+    doubling check at 1280; past it the tail guard or the doubling check
+    names the cutoff to pass.
+    """
+    if N <= 1.0:
+        return 80
+    if N <= 3.0:
+        return 160
+    r = N / (N + 1.0)
+    for n in range(160, MAX_DEFAULT_N_MAX):
+        if (n + 1) * (N + 1.0) * r ** (n + 1) <= TAIL_BOUND:
+            return n
+    return MAX_DEFAULT_N_MAX
 
 
-def assert_density_operator(rho: TruncatedOperator, tail_bound: float = TAIL_BOUND) -> None:
-    """Hermitian within 1e-12, trace within the tail bound of 1, eigenvalues >= -1e-12."""
+def _density_spectrum(rho: TruncatedOperator, tail_bound: float, vectors: bool = False):
+    """Eigenvalues (ascending) and, if asked, eigenvectors of a checked density operator.
+
+    Hermitian within 1e-12, trace within the tail bound of 1, eigenvalues >= -1e-12;
+    the one decomposition serves both the check and the caller.
+    """
     m = rho.matrix
     if np.linalg.norm(m - m.conj().T) > HERM_TOL * max(np.linalg.norm(m), 1e-300):
         raise NotDensityOperatorError("matrix is not Hermitian within 1e-12")
     if abs(np.trace(m).real - 1.0) > tail_bound:
         raise NotDensityOperatorError(f"trace {np.trace(m).real!r} deviates from 1 beyond the tail bound")
-    lam_min = float(np.linalg.eigvalsh(m).min())
-    if lam_min < -HERM_TOL:
-        raise NotDensityOperatorError(f"negative eigenvalue {lam_min:.3e}")
+    lam, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if lam[0] < -HERM_TOL:
+        raise NotDensityOperatorError(f"negative eigenvalue {float(lam[0]):.3e}")
+    return lam, u
+
+
+def assert_density_operator(rho: TruncatedOperator, tail_bound: float = TAIL_BOUND) -> None:
+    """Hermitian within 1e-12, trace within the tail bound of 1, eigenvalues >= -1e-12."""
+    _density_spectrum(rho, tail_bound)
 
 
 def tr_power_fock(rho: TruncatedOperator, p: float) -> float:
     """Tr rho^p by Hermitian diagonalization, tiny eigenvalues clamped to zero."""
-    assert_density_operator(rho)
-    lam = np.linalg.eigvalsh(rho.matrix)
+    lam, _ = _density_spectrum(rho, TAIL_BOUND)
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
     return float(np.sum(lam**p))
 
 
 def matrix_power_fock(rho: TruncatedOperator, p: float, normalize: bool = False) -> TruncatedOperator:
     """rho^p via Hermitian eigendecomposition; optionally normalized to unit trace."""
-    assert_density_operator(rho)
-    lam, u = np.linalg.eigh(rho.matrix)
+    lam, u = _density_spectrum(rho, TAIL_BOUND, vectors=True)
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
     powered = (u * lam**p) @ u.conj().T
     if normalize:
@@ -133,30 +164,43 @@ def char_function_fock(rho: TruncatedOperator, z, n_max: int) -> complex:
     return complex(np.trace(rho.matrix @ w.matrix))
 
 
-def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
-    """Binomial Kraus family of the attenuation channel K = sqrt(tau) I.
+def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
+    """Table amp[j, n] = <n-j| A_j |n> = sqrt(C(n, j)) tau^((n-j)/2) (1-tau)^(j/2).
 
-    <n-j| A_j |n> = sqrt(C(n, j)) tau^((n-j)/2) (1-tau)^(j/2); identically zero
-    operators (j >= 1 at tau = 1) are dropped.
+    A_j is the binomial Kraus operator of the attenuation channel K = sqrt(tau) I
+    that removes j photons; amp[j, n] = 0 for n < j, and for j >= 1 at tau = 1.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {tau}")
     dim = n_max + 1
-    ops = []
-    log_tau = math.log(tau)
-    log_one_minus = math.log1p(-tau) if tau < 1.0 else -math.inf
-    for j in range(dim):
-        mat = np.zeros((dim, dim), dtype=complex)
-        loss_term = j * log_one_minus if j > 0 else 0.0
-        for n in range(j, dim):
-            log_amp = 0.5 * (
-                gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-                + (n - j) * log_tau + loss_term
-            )
-            mat[n - j, n] = math.exp(log_amp) if np.isfinite(log_amp) else 0.0
-        if np.any(mat != 0.0):
-            ops.append(TruncatedOperator(n_max=n_max, matrix=mat))
-    return ops
+    log_fact = gammaln(np.arange(1.0, dim + 1))  # log m! for m = 0..n_max
+    j = np.arange(dim)[:, None]
+    kept = np.arange(dim)[None, :] - j
+    # j log(1 - tau), spelled out at tau = 1 so that 0 * (-inf) never forms
+    loss = np.full(dim, -math.inf)
+    loss[0] = 0.0
+    if tau < 1.0:
+        loss[1:] = np.arange(1, dim) * math.log1p(-tau)
+    log_amp = 0.5 * (
+        log_fact[None, :] - log_fact[j] - log_fact[np.maximum(kept, 0)]
+        + kept * math.log(tau) + loss[:, None]
+    )
+    return np.exp(np.where(kept >= 0, log_amp, -math.inf))
+
+
+def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
+    """Binomial Kraus family of the attenuation channel K = sqrt(tau) I, as dense matrices.
+
+    A_j carries row j of :func:`attenuator_amplitudes` on its j-th superdiagonal;
+    identically zero operators (j >= 1 at tau = 1) are dropped.  The reference
+    for :func:`attenuate`, which applies the same channel without forming them.
+    """
+    amp = attenuator_amplitudes(tau, n_max)
+    return [
+        TruncatedOperator(n_max=n_max, matrix=np.diag(row[j:].astype(complex), k=j))
+        for j, row in enumerate(amp)
+        if row.any()
+    ]
 
 
 def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> TruncatedOperator:
@@ -169,6 +213,23 @@ def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> Trunc
     return TruncatedOperator(n_max=rho.n_max, matrix=out)
 
 
+def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
+    """Attenuation channel K = sqrt(tau) I applied banded: sum_j A_j rho A_j^dag in O(n^3).
+
+    (A_j rho A_j^dag)[m, n] = amp[j, m+j] rho[m+j, n+j] amp[j, n+j], so each
+    term is rho's lower-right block scaled by an outer product and shifted up
+    and left by j.  Same channel as ``apply_kraus(attenuator_kraus(tau, n), rho)``.
+    """
+    amp = attenuator_amplitudes(tau, rho.n_max)
+    m = rho.matrix
+    dim = rho.n_max + 1
+    out = np.zeros_like(m)
+    for j in range(dim):
+        a = amp[j, j:]
+        out[: dim - j, : dim - j] += np.outer(a, a) * m[j:, j:]
+    return TruncatedOperator(n_max=rho.n_max, matrix=out)
+
+
 def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments: m_j = Tr rho R_j, alpha = Tr rho {R - m, R - m}/2.
 
@@ -177,12 +238,13 @@ def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray
     """
     assert_density_operator(rho)
     q, p = quadratures(rho.n_max)
-    mean = np.array([np.trace(rho.matrix @ q).real, np.trace(rho.matrix @ p).real])
+    rho_t = rho.matrix.T  # Tr(rho X) = sum(rho^T * X), no dense rho @ X product
+    mean = np.array([np.sum(rho_t * q).real, np.sum(rho_t * p).real])
     qc, pc = q - mean[0] * np.eye(rho.n_max + 1), p - mean[1] * np.eye(rho.n_max + 1)
     cov = np.empty((2, 2))
     for i, a in enumerate((qc, pc)):
         for k, b in enumerate((qc, pc)):
-            cov[i, k] = 0.5 * np.trace(rho.matrix @ (a @ b + b @ a)).real
+            cov[i, k] = 0.5 * np.sum(rho_t * (a @ b + b @ a)).real
     return mean, cov
 
 

@@ -149,7 +149,7 @@ def test_criterion_5_kraus_covariance_equivalence():
     for tau in (0.3, 0.5, 0.9):
         for N in (0.5, 1.0, 2.0):
             def build(n, tau=tau, N=N):
-                out = fock.apply_kraus(fock.attenuator_kraus(tau, n), fock.thermal_state_fock(N, n))
+                out = fock.attenuate(tau, fock.thermal_state_fock(N, n))
                 return fock.covariance_from_fock(out)[1]
             oracle_cov = fock.doubling_check(build, fock.default_n_max(N))
             expected = (tau * (N + 0.5) + (1.0 - tau) / 2.0) * np.eye(2)
@@ -170,8 +170,7 @@ def test_criterion_5_kraus_covariance_equivalence():
     mean0 = fock.doubling_check(lambda n: fock.covariance_from_fock(displaced(n))[0], 60)
     tau = 0.5
     mean1 = fock.doubling_check(
-        lambda n: fock.covariance_from_fock(
-            fock.apply_kraus(fock.attenuator_kraus(tau, n), displaced(n)))[0],
+        lambda n: fock.covariance_from_fock(fock.attenuate(tau, displaced(n)))[0],
         60,
     )
     mean_err = max(

@@ -188,3 +188,16 @@ class TestCmdOracle:
         assert main(["oracle", "--N", "1", "--p", "3", "--n-max", "80"]) == 0
         out = capsys.readouterr().out
         assert "0.142857" in out
+
+    @pytest.mark.parametrize("N", ["5", "6"])
+    def test_default_cutoff_above_n3(self, N, capsys):
+        # a flat 160 failed the doubling check at N = 5 and the tail check at N = 6
+        assert main(["oracle", "--N", N]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" yes") == 6 and "NO" not in out
+
+    @pytest.mark.parametrize("tau", ["0", "-0.5", "1.5", "nan", "inf"])
+    def test_invalid_tau_exit_one(self, tau, capsys):
+        assert main(["oracle", "--tau", tau, "--n-max", "80"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "transmissivity" in err

@@ -20,6 +20,8 @@ from gaussnorm.errors import (
 from gaussnorm.fock import (
     TruncatedOperator,
     apply_kraus,
+    attenuate,
+    attenuator_amplitudes,
     attenuator_kraus,
     char_function_fock,
     covariance_from_fock,
@@ -102,6 +104,12 @@ class TestThermalStateFock:
     def test_default_n_max(self):
         assert default_n_max(0.5) == 80
         assert default_n_max(3.0) == 160
+        # above N = 3 the cutoff grows with the photon-number-weighted tail
+        assert default_n_max(5.0) > 160
+        assert default_n_max(6.0) > default_n_max(5.0)
+        for N in (5.0, 6.0):
+            n, r = default_n_max(N), N / (N + 1.0)
+            assert (n + 1) * (N + 1.0) * r ** (n + 1) <= 1e-12 < n * (N + 1.0) * r**n
 
 
 class TestTrPowerFock:
@@ -116,9 +124,16 @@ class TestTrPowerFock:
         assert tr_power_fock(rho, 3.0) == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_not_density_operator_rejected(self):
-        bad = TruncatedOperator(n_max=2, matrix=np.diag([2.0, 0.0, 0.0]).astype(complex))
-        with pytest.raises(NotDensityOperatorError):
-            tr_power_fock(bad, 2.0)
+        for matrix in (
+            np.diag([2.0, 0.0, 0.0]),                                       # trace 2
+            np.array([[0.5, 0.1, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),  # not Hermitian
+            np.diag([1.5, -0.5, 0.0]),                                      # negative eigenvalue
+        ):
+            bad = TruncatedOperator(n_max=2, matrix=matrix.astype(complex))
+            with pytest.raises(NotDensityOperatorError):
+                tr_power_fock(bad, 2.0)
+            with pytest.raises(NotDensityOperatorError):
+                matrix_power_fock(bad, 2.0)
 
     def test_agreement_with_closed_form(self):
         # module invariant: <= 1e-8 absolute over N and p grids
@@ -166,11 +181,45 @@ class TestCharFunctionFock:
         assert oracle == pytest.approx(math.exp(-0.5 * 5.0 / 6.0), abs=1e-10)
 
 
+def displaced_thermal(N, w_vec, n_max):
+    wop = weyl_operator(w_vec, n_max).matrix
+    return TruncatedOperator(
+        n_max=n_max, matrix=wop @ thermal_state_fock(N, n_max).matrix @ wop.conj().T
+    )
+
+
 class TestAttenuatorKraus:
     def test_full_transmission_is_identity(self):
-        ops = attenuator_kraus(1.0, 20)
+        # tau = 1 must not form 0 * log(0) on the way
+        with np.errstate(all="raise"):
+            ops = attenuator_kraus(1.0, 20)
+            amp = attenuator_amplitudes(1.0, 20)
         assert len(ops) == 1
         np.testing.assert_allclose(ops[0].matrix, np.eye(21), atol=1e-14)
+        np.testing.assert_array_equal(amp[0], np.ones(21))
+        np.testing.assert_array_equal(amp[1:], 0.0)
+
+    def test_amplitude_completeness(self):
+        # sum_j A_j^dag A_j = I, read column by column from the amplitude table
+        for tau in (0.3, 0.5, 0.9, 1.0):
+            amp = attenuator_amplitudes(tau, 160)
+            np.testing.assert_allclose(np.sum(amp**2, axis=0), np.ones(161), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_max", [20, 40])
+    @pytest.mark.parametrize("tau", [0.3, 0.5, 0.9, 1.0])
+    def test_banded_matches_dense(self, n_max, tau):
+        rho = displaced_thermal(0.25, [0.8, -0.6], n_max)
+        dense = apply_kraus(attenuator_kraus(tau, n_max), rho)
+        banded = attenuate(tau, rho)
+        assert banded.n_max == n_max
+        np.testing.assert_allclose(banded.matrix, dense.matrix, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
+    def test_transmissivity_outside_domain_rejected(self, tau):
+        with pytest.raises(ValueError):
+            attenuate(tau, thermal_state_fock(0.0, 4))
+        with pytest.raises(ValueError):
+            attenuator_kraus(tau, 4)
 
     def test_completeness(self):
         n_max = 40
@@ -221,8 +270,7 @@ class TestCovarianceFromFock:
         for tau in (0.3, 0.5, 0.9):
             for N in (0.5, 1.0, 2.0):
                 def build(n, tau=tau, N=N):
-                    out = apply_kraus(attenuator_kraus(tau, n), thermal_state_fock(N, n))
-                    return covariance_from_fock(out)[1]
+                    return covariance_from_fock(attenuate(tau, thermal_state_fock(N, n)))[1]
                 cov = doubling_check(build, default_n_max(N))
                 expected = (tau * (N + 0.5) + (1.0 - tau) / 2.0) * np.eye(2)
                 assert np.max(np.abs(cov - expected)) <= 1e-8
