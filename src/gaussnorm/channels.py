@@ -29,8 +29,9 @@ from .errors import (
 from .states import (
     GaussianState,
     GibbsFamily,
+    _check_p,
+    _gibbs_sweep,
     _log_tr_rho_p,
-    gibbs_state,
     schatten_norm,
     validate_state,
 )
@@ -39,7 +40,6 @@ from .symplectic import (
     TOL_SYM,
     SymplecticSpace,
     check_psd_hermitian,
-    symplectic_spectrum,
 )
 
 TOL_DET = 1e-12        # |det K| at or below this counts as singular
@@ -61,13 +61,18 @@ class GaussianChannel:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Per-beta norm-power ratios against the theorem target |det K|^(1-p)."""
+    """Per-beta norm-power ratios against the theorem target |det K|^(1-p).
+
+    log_tr_in and log_tr_out are log Tr rho_beta^p and log Tr Phi[rho_beta]^p.
+    """
 
     betas: np.ndarray
     ratios: np.ndarray
     target: float
     relative_errors: np.ndarray
     fitted_exponents: tuple[float, float] | None
+    log_tr_in: np.ndarray
+    log_tr_out: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,20 +140,34 @@ def _abs_det_K(channel: GaussianChannel) -> float:
 def norm_pp(channel: GaussianChannel, p: float) -> float:
     """The p->p norm |det K|^(1/p - 1) for invertible K; p may be math.inf."""
     abs_det = _abs_det_K(channel)
-    if math.isinf(p):
+    _check_p(p, allow_inf=True)
+    if p == math.inf:
         return 1.0 / abs_det
-    if p < 1.0:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     return abs_det ** (1.0 / p - 1.0)
 
 
-def _check_overflow(state: GaussianState, cap: float) -> np.ndarray:
-    ds = symplectic_spectrum(state.cov, state.space)
+def _check_overflow(state: GaussianState, cap: float) -> GaussianState:
+    ds = state.spectrum
     if np.any(ds > cap):
         raise NumericalOverflowError(
             f"symplectic eigenvalue {ds.max():.3e} exceeds cap {cap:.1e}; shrink the beta range"
         )
-    return ds
+    return state
+
+
+def _check_betas(betas, descending: bool = False) -> np.ndarray:
+    """A non-empty 1-D grid of finite positive inverse temperatures, optionally strictly descending."""
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 1 or len(betas) == 0 or not np.all((betas > 0.0) & np.isfinite(betas)):
+        raise ValueError("betas must be a non-empty 1-D list of finite positive reals")
+    if descending and np.any(np.diff(betas) >= 0.0):
+        raise ValueError("betas must be strictly descending")
+    return betas
+
+
+def _gibbs_points(family: GibbsFamily, betas: np.ndarray, cap: float):
+    """Gibbs states along the grid, each checked against the overflow cap as it is reached."""
+    return (_check_overflow(rho, cap) for rho in _gibbs_sweep(family, betas))
 
 
 def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
@@ -170,19 +189,12 @@ def ratio_sequence(
     the two log-log slopes (input and output Tr powers vs beta) are fitted
     when the grid has at least three points.
     """
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 1 or len(betas) == 0 or np.any(betas <= 0.0):
-        raise ValueError("betas must be a non-empty list of positive reals")
-    if np.any(np.diff(betas) >= 0.0):
-        raise ValueError("betas must be strictly descending")
-    if math.isinf(p) or p < 1.0:
-        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p}")
+    betas = _check_betas(betas, descending=True)
+    _check_p(p)
     abs_det = _abs_det_K(channel)
     target = abs_det ** (1.0 - p)
     log_in, log_out, ratios = [], [], []
-    for beta in betas:
-        rho = gibbs_state(family, beta)
-        _check_overflow(rho, overflow_cap)
+    for rho in _gibbs_points(family, betas, overflow_cap):
         out = apply_channel(channel, rho)
         li = _log_tr_rho_p(rho, p)
         lo = _log_tr_rho_p(out, p)
@@ -191,12 +203,14 @@ def ratio_sequence(
         ratios.append(math.exp(lo - li))
     ratios = np.array(ratios)
     rel = np.abs(ratios / target - 1.0)
+    log_in, log_out = np.array(log_in), np.array(log_out)
     fitted = None
     if len(betas) >= 3:
         lb = np.log(betas)
-        fitted = (_loglog_fit(lb, np.array(log_in))[0], _loglog_fit(lb, np.array(log_out))[0])
+        fitted = (_loglog_fit(lb, log_in)[0], _loglog_fit(lb, log_out)[0])
     return ConvergenceReport(
-        betas=betas, ratios=ratios, target=target, relative_errors=rel, fitted_exponents=fitted
+        betas=betas, ratios=ratios, target=target, relative_errors=rel, fitted_exponents=fitted,
+        log_tr_in=log_in, log_tr_out=log_out,
     )
 
 
@@ -225,16 +239,11 @@ def upper_bound_check(
 
 def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
     """Fit log ||rho_beta||_p against log beta; the law is beta^(s (p-1)/p)."""
-    betas = np.asarray(betas, dtype=float)
-    if math.isinf(p) or p < 1.0:
-        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p}")
+    betas = _check_betas(betas)
+    _check_p(p)
     if betas.max() / betas.min() < 99.0:
         raise ValueError("beta grid must span at least two decades")
-    log_norms = []
-    for beta in betas:
-        rho = gibbs_state(family, beta)
-        _check_overflow(rho, D_OVERFLOW_CAP)
-        log_norms.append(_log_tr_rho_p(rho, p) / p)
+    log_norms = [_log_tr_rho_p(rho, p) / p for rho in _gibbs_points(family, betas, D_OVERFLOW_CAP)]
     slope, resid = _loglog_fit(np.log(betas), np.array(log_norms))
     expected = family.space.s * (p - 1.0) / p
     return ScalingFit(slope=slope, residual=resid, expected=expected)
@@ -255,14 +264,11 @@ def divergence_exponent(
     """
     if not (1.0 <= q < p):
         raise QNotLessThanPError(f"need 1 <= q < p, got q={q}, p={p}")
-    betas = np.asarray(betas, dtype=float)
-    if np.any(np.diff(betas) >= 0.0):
-        raise ValueError("betas must be strictly descending")
+    _check_p(p)
+    betas = _check_betas(betas, descending=True)
     _abs_det_K(channel)
     log_ratio = []
-    for beta in betas:
-        rho = gibbs_state(family, beta)
-        _check_overflow(rho, D_OVERFLOW_CAP)
+    for rho in _gibbs_points(family, betas, D_OVERFLOW_CAP):
         out = apply_channel(channel, rho)
         log_ratio.append(_log_tr_rho_p(out, q) / q - _log_tr_rho_p(rho, p) / p)
     log_ratio = np.array(log_ratio)

@@ -26,7 +26,7 @@ from .channels import (
 )
 from .config import load_config
 from .errors import ConfigError, DomainError, GaussNormError, NotCPError, UncertaintyViolatedError
-from .states import GibbsFamily, char_function, gibbs_state, power_char_function, tr_rho_p, validate_state
+from .states import GibbsFamily, char_function, power_char_function, tr_rho_p, validate_state
 from .symplectic import check_psd_hermitian, standard_form, PSD_SLACK
 
 CSV_HEADER = "beta,tr_in,tr_out,ratio,target,rel_error"
@@ -106,9 +106,10 @@ def cmd_converge(args) -> int:
     family = sweep.family(space) if sweep is not None else GibbsFamily(space, np.eye(space.dim))
     report = ratio_sequence(channel, family, p, betas)
     lines = [CSV_HEADER]
-    for beta, ratio, rel in zip(report.betas, report.ratios, report.relative_errors):
-        rho = gibbs_state(family, beta)
-        tr_in = tr_rho_p(rho, p)
+    for beta, log_in, ratio, rel in zip(
+        report.betas, report.log_tr_in, report.ratios, report.relative_errors
+    ):
+        tr_in = math.exp(log_in)
         tr_out = ratio * tr_in
         lines.append(",".join(_fmt(v) for v in (beta, tr_in, tr_out, ratio, report.target, rel)))
     out_path = args.out or (sweep.output_path if sweep else "report.csv")
@@ -154,6 +155,8 @@ def cmd_oracle(args) -> int:
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
+    if n_max < 1:
+        raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
     space = standard_form(1)
     d = N + 0.5
     state = validate_state([0.0, 0.0], d * np.eye(2), space)

@@ -92,9 +92,6 @@ class SweepSpec:
     def family(self, space: SymplecticSpace) -> GibbsFamily:
         return GibbsFamily(space=space, epsilon=self.epsilon_matrix(space.s))
 
-    def betas(self) -> np.ndarray:
-        return np.geomspace(self.beta_start, self.beta_stop, self.points)
-
 
 def _coerce(cls, data: dict, label: str):
     if not isinstance(data, dict):

@@ -31,8 +31,11 @@ class NotHermitianError(GaussNormError):
     """Matrix handed to a Hermitian routine is not Hermitian within tolerance."""
 
 
-class DomainError(GaussNormError):
-    """Scalar argument outside the admissible domain (d < 1/2 or p < 1)."""
+class DomainError(GaussNormError, ValueError):
+    """Scalar argument outside the admissible domain (d < 1/2, p < 1 or NaN).
+
+    Also a ValueError, so callers that catch ValueError for a bad argument keep working.
+    """
 
 
 # --- state / channel validation errors -----------------------------------

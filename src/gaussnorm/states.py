@@ -17,7 +17,9 @@ with covariance (Delta/2) cot(beta eps Delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +34,12 @@ from .symplectic import (
     PSD_SLACK,
     TOL_SPEC,
     TOL_SYM,
+    SpectralDecomposition,
     SymplecticSpace,
+    _imaginary_decomposition,
+    _scaled_cot,
     apply_spectral_function,
     check_psd_hermitian,
-    matrix_cot,
     symplectic_spectrum,
 )
 
@@ -52,16 +56,24 @@ class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Symplectic spectrum {d_j} of the covariance, computed on first use."""
+        return symplectic_spectrum(self.cov, self.space)
+
 
 @dataclass(frozen=True, eq=False)
 class GibbsFamily:
     """Family of Gibbs states of the quadratic Hamiltonian R epsilon R^T.
 
     epsilon must be real symmetric positive definite; checked on construction.
+    beta epsilon Delta shares one eigenbasis for every beta, so the family
+    decomposes epsilon Delta once and keeps the states of its last beta grid.
     """
 
     space: SymplecticSpace
     epsilon: np.ndarray
+    _last_sweep: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         eps = np.array(self.epsilon, dtype=float)
@@ -76,6 +88,18 @@ class GibbsFamily:
             raise SingularEpsilonError(f"epsilon must be positive definite, lambda_min={lam_min}")
         object.__setattr__(self, "epsilon", eps)
 
+    @cached_property
+    def decomposition(self) -> SpectralDecomposition:
+        """epsilon Delta = V Lambda V^-1 with imaginary spectrum +-i e_j, checked once."""
+        return _imaginary_decomposition(self.epsilon @ self.space.delta)
+
+
+def _check_p(p: float, allow_inf: bool = False) -> None:
+    """Reject exponents outside [1, inf) (or [1, inf] with ``allow_inf``), NaN included."""
+    if not (1.0 <= p < math.inf or (allow_inf and p == math.inf)):
+        upper = "inf]" if allow_inf else "inf)"
+        raise DomainError(f"exponent must lie in [1, {upper}, got {p}")
+
 
 @dataclass(frozen=True)
 class SpectralFunctions:
@@ -84,8 +108,7 @@ class SpectralFunctions:
     p: float
 
     def __post_init__(self):
-        if not (self.p >= 1.0) or math.isinf(self.p):
-            raise DomainError(f"exponent must satisfy 1 <= p < inf, got {self.p}")
+        _check_p(self.p)
 
     def f(self, d: float) -> float:
         return f_p(d, self.p)
@@ -126,8 +149,7 @@ def f_p(d: float, p: float) -> float:
 
     Saturates to float inf when the true value exceeds double range.
     """
-    if not (p >= 1.0) or math.isinf(p):
-        raise DomainError(f"exponent must satisfy 1 <= p < inf, got {p}")
+    _check_p(p)
     d = _checked_d(d)
     _, one_minus_rp = _power_terms(d, p)
     try:
@@ -143,8 +165,7 @@ def g_p(d: float, p: float) -> float:
     single-mode thermal state with symplectic eigenvalue d; g_p(1/2) = 1 by
     continuity and g_p(d) -> 1/p as d -> infinity.
     """
-    if not (p >= 1.0) or math.isinf(p):
-        raise DomainError(f"exponent must satisfy 1 <= p < inf, got {p}")
+    _check_p(p)
     d = _checked_d(d)
     rp, one_minus_rp = _power_terms(d, p)
     return (1.0 + rp) / (2.0 * d * one_minus_rp)
@@ -184,10 +205,8 @@ def char_function(state: GaussianState, z) -> complex:
 
 
 def _log_tr_rho_p(state: GaussianState, p: float) -> float:
-    if not (p >= 1.0) or math.isinf(p):
-        raise DomainError(f"exponent must satisfy 1 <= p < inf, got {p}")
-    ds = symplectic_spectrum(state.cov, state.space)
-    return -sum(_log_f_p(_checked_d(d), p) for d in ds)
+    _check_p(p)
+    return -sum(_log_f_p(_checked_d(d), p) for d in state.spectrum)
 
 
 def tr_rho_p(state: GaussianState, p: float) -> float:
@@ -197,9 +216,9 @@ def tr_rho_p(state: GaussianState, p: float) -> float:
 
 def schatten_norm(state: GaussianState, p: float) -> float:
     """(Tr rho^p)^(1/p) for finite p; the largest eigenvalue prod_j (d_j + 1/2)^-1 at p = inf."""
-    if math.isinf(p):
-        ds = symplectic_spectrum(state.cov, state.space)
-        return math.exp(-sum(math.log(d + 0.5) for d in ds))
+    _check_p(p, allow_inf=True)
+    if p == math.inf:
+        return math.exp(-sum(math.log(d + 0.5) for d in state.spectrum))
     return math.exp(_log_tr_rho_p(state, p) / p)
 
 
@@ -221,20 +240,42 @@ def power_char_function(state: GaussianState, p: float, z) -> complex:
 
 
 def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
-    """Gibbs state at inverse temperature beta: mean 0, alpha = (Delta/2) cot(beta eps Delta)."""
-    if beta <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
+    """Gibbs state at inverse temperature beta: mean 0, alpha = (Delta/2) cot(beta eps Delta).
+
+    cot(beta eps Delta) = V cot(beta Lambda) V^-1 on the family's one
+    decomposition of eps Delta; the pole, imaginary-residual and uncertainty
+    checks run at every beta.
+    """
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
     space = family.space
-    cot = matrix_cot(beta * family.epsilon @ space.delta)
+    cot = _scaled_cot(family.decomposition, beta)
     alpha = 0.5 * space.delta @ cot
     alpha = 0.5 * (alpha + alpha.T)
     return validate_state(np.zeros(space.dim), alpha, space)
 
 
+def _gibbs_sweep(family: GibbsFamily, betas: np.ndarray) -> Iterator[GaussianState]:
+    """Gibbs states along ``betas``, built lazily in order.
+
+    A grid walked to the end is kept on the family, replacing the previous
+    one, so a second estimator on the same grid rebuilds no state.
+    """
+    last = family._last_sweep
+    if last is not None and np.array_equal(last[0], betas):
+        yield from last[1]
+        return
+    states = []
+    for beta in betas:
+        states.append(gibbs_state(family, beta))
+        yield states[-1]
+    object.__setattr__(family, "_last_sweep", (np.array(betas, dtype=float), tuple(states)))
+
+
 def gibbs_asymptotic(family: GibbsFamily, beta: float) -> np.ndarray:
     """High-temperature comparator (2 beta epsilon)^-1 for the Gibbs covariance."""
-    if beta <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
     try:
         inv = np.linalg.inv(2.0 * beta * family.epsilon)
     except np.linalg.LinAlgError as exc:

@@ -58,11 +58,12 @@ class SymplecticSpace:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Right eigendecomposition A = V diag(eigenvalues) V^-1."""
+    """Right eigendecomposition A = V diag(eigenvalues) V^-1, V^-1 kept alongside V."""
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     condition_estimate: float
+    inverse_eigenvectors: np.ndarray
 
 
 def standard_form(s: int) -> SymplecticSpace:
@@ -87,34 +88,46 @@ def spectral_decomposition(a: np.ndarray, cond_cap: float = COND_CAP) -> Spectra
         raise NonDiagonalizableError(
             f"eigenvector condition estimate {cond:.3e} exceeds cap {cond_cap:.1e}"
         )
-    recon = v @ np.diag(w) @ np.linalg.inv(v)
+    v_inv = np.linalg.inv(v)
+    recon = (v * w) @ v_inv
     scale = np.linalg.norm(a)
     resid = np.linalg.norm(recon - a)
     if resid > TOL_RECONSTRUCT * max(scale, 1e-300):
         raise NonDiagonalizableError(
             f"reconstruction residual {resid:.3e} exceeds {TOL_RECONSTRUCT:.1e} * ||A||"
         )
-    return SpectralDecomposition(eigenvalues=w, right_eigenvectors=v, condition_estimate=cond)
+    return SpectralDecomposition(
+        eigenvalues=w, right_eigenvectors=v, condition_estimate=cond, inverse_eigenvectors=v_inv
+    )
 
 
 def apply_spectral_function(
-    a: np.ndarray,
+    a: np.ndarray | SpectralDecomposition,
     f: Callable[[complex], complex],
     cond_cap: float = COND_CAP,
     tol_imag: float = TOL_IMAG,
 ) -> np.ndarray:
     """Evaluate the matrix function f(A) = Re(V f(Lambda) V^-1) for real A.
 
-    The scalar ``f`` is applied to each eigenvalue; a non-finite value raises
-    SpectralPoleError.  The imaginary residual of V f(Lambda) V^-1 must stay
-    below ``tol_imag`` relative to the result norm, else ImagResidualError.
+    ``a`` is the matrix or an existing decomposition of it; a decomposition is
+    used as given (it was checked against its own cap) and ``cond_cap`` is
+    ignored.  The scalar ``f`` is applied to each eigenvalue; a non-finite
+    value raises SpectralPoleError.  The imaginary residual of
+    V f(Lambda) V^-1 must stay below ``tol_imag`` relative to the result norm,
+    else ImagResidualError.
     """
-    dec = spectral_decomposition(a, cond_cap=cond_cap)
+    dec = a if isinstance(a, SpectralDecomposition) else spectral_decomposition(a, cond_cap=cond_cap)
     fw = np.array([f(lam) for lam in dec.eigenvalues], dtype=complex)
+    return _spectral_matrix(dec, fw, tol_imag)
+
+
+def _spectral_matrix(
+    dec: SpectralDecomposition, fw: np.ndarray, tol_imag: float = TOL_IMAG
+) -> np.ndarray:
+    # Re(V diag(fw) V^-1) for the values fw of a scalar function on dec's spectrum
     if not np.all(np.isfinite(fw)):
         raise SpectralPoleError("scalar function returned a non-finite value on the spectrum")
-    v = dec.right_eigenvectors
-    m = v @ np.diag(fw) @ np.linalg.inv(v)
+    m = (dec.right_eigenvectors * fw) @ dec.inverse_eigenvectors
     scale = np.linalg.norm(m)
     if np.linalg.norm(m.imag) > tol_imag * scale:
         raise ImagResidualError(
@@ -133,15 +146,20 @@ def _check_spectrum_imaginary(w: np.ndarray, tol: float = TOL_SPEC) -> None:
         )
 
 
+def _imaginary_decomposition(a: np.ndarray) -> SpectralDecomposition:
+    # decomposition of a real matrix whose spectrum must be purely imaginary
+    dec = spectral_decomposition(np.asarray(a, dtype=float))
+    _check_spectrum_imaginary(dec.eigenvalues)
+    return dec
+
+
 def matrix_abs(a: np.ndarray) -> np.ndarray:
     """abs(A) for a real matrix with purely imaginary spectrum +-i d_j.
 
     Intended for A = Delta^-1 alpha with symmetric alpha; the result has the
     moduli d_j as eigenvalues on the same eigenvectors.
     """
-    dec = spectral_decomposition(np.asarray(a, dtype=float))
-    _check_spectrum_imaginary(dec.eigenvalues)
-    return apply_spectral_function(a, abs)
+    return apply_spectral_function(_imaginary_decomposition(a), abs)
 
 
 def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
@@ -166,24 +184,30 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
     return 0.5 * (mods[0::2] + mods[1::2])
 
 
-def _cot(z: complex) -> complex:
-    # cot has poles at real integer multiples of pi (z = 0 included); the
-    # tolerance sits below 1/(2 * overflow cap) so sweeps hit the cap first
+def _cot(z: np.ndarray) -> np.ndarray:
+    # elementwise; cot has poles at real integer multiples of pi (z = 0
+    # included); the tolerance sits below 1/(2 * overflow cap) so sweeps hit
+    # the cap first
     nearest = np.pi * np.round(z.real / np.pi)
-    if abs(z - nearest) < 1e-13:
-        raise SpectralPoleError(f"cot evaluated within 1e-13 of a pole at {nearest}")
+    near = np.abs(z - nearest) < 1e-13
+    if np.any(near):
+        raise SpectralPoleError(f"cot evaluated within 1e-13 of a pole at {nearest[near][0]}")
     return 1.0 / np.tan(z)
+
+
+def _scaled_cot(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    # cot(t A) = V cot(t Lambda) V^-1 from a decomposition of A with imaginary spectrum
+    return _spectral_matrix(dec, _cot(t * dec.eigenvalues))
 
 
 def matrix_cot(x: np.ndarray) -> np.ndarray:
     """cot(X) for a real matrix with purely imaginary spectrum.
 
-    On the spectrum +-i t this is -+i coth(t); the result is real.  Used for
-    X = beta epsilon Delta in Gibbs covariances.
+    On the spectrum +-i t this is -+i coth(t); the result is real.  Gibbs
+    covariances use the same kernel on one decomposition of epsilon Delta
+    per family (``GibbsFamily.decomposition``).
     """
-    dec = spectral_decomposition(np.asarray(x, dtype=float))
-    _check_spectrum_imaginary(dec.eigenvalues)
-    return apply_spectral_function(x, _cot)
+    return _scaled_cot(_imaginary_decomposition(x), 1.0)
 
 
 def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:

@@ -1,10 +1,12 @@
 """Gaussian channel validation, covariance action, norms and sweep estimators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import gaussnorm
 from gaussnorm import (
     GibbsFamily,
     apply_channel,
@@ -16,11 +18,13 @@ from gaussnorm import (
     scaling_exponent,
     schatten_norm,
     standard_form,
+    tr_rho_p,
     upper_bound_check,
     validate_channel,
     validate_state,
 )
 from gaussnorm.errors import (
+    DomainError,
     NotCPError,
     NumericalOverflowError,
     QNotLessThanPError,
@@ -159,6 +163,11 @@ class TestNormPP:
         with pytest.raises(SingularKError):
             norm_pp(channel, 2.0)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf, 0.5])
+    def test_bad_exponent_rejected(self, p):
+        with pytest.raises(DomainError):
+            norm_pp(attenuator(0.5), p)
+
 
 class TestRatioSequence:
     def test_identity_channel_all_ones(self):
@@ -205,6 +214,22 @@ class TestRatioSequence:
         family = GibbsFamily(standard_form(1), np.eye(2))
         with pytest.raises(ValueError):
             ratio_sequence(attenuator(0.5), family, 2.0, [1e-5, 1e-3])
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+    def test_bad_exponent_rejected(self, p):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        with pytest.raises(DomainError):
+            ratio_sequence(attenuator(0.5), family, p, [1e-2, 1e-3])
+
+    def test_log_traces_reported(self):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        betas = [1e-2, 1e-3, 1e-4]
+        report = ratio_sequence(attenuator(0.5), family, 2.0, betas)
+        for beta, log_in, log_out, ratio in zip(
+            betas, report.log_tr_in, report.log_tr_out, report.ratios
+        ):
+            assert log_in == pytest.approx(math.log(tr_rho_p(gibbs_state(family, beta), 2.0)), rel=1e-13)
+            assert math.exp(log_out - log_in) == ratio
 
 
 class TestUpperBoundCheck:
@@ -264,6 +289,16 @@ class TestScalingExponent:
         with pytest.raises(ValueError):
             scaling_exponent(family, 2.0, np.geomspace(1e-2, 1e-3, 5))
 
+    def test_negative_beta_rejected_as_such(self):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        with pytest.raises(ValueError, match="positive"):
+            scaling_exponent(family, 2.0, [1e-1, 1e-3, -1e-5])
+
+    def test_nan_exponent_rejected(self):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        with pytest.raises(DomainError):
+            scaling_exponent(family, math.nan, np.geomspace(1e-1, 1e-5, 17))
+
 
 class TestDivergenceExponent:
     def test_attenuator_q1_p2(self):
@@ -284,6 +319,73 @@ class TestDivergenceExponent:
         family = GibbsFamily(standard_form(1), np.eye(2))
         with pytest.raises(QNotLessThanPError):
             divergence_exponent(attenuator(0.5), family, 2.0, 2.0, [1e-2, 1e-3])
+
+    @pytest.mark.parametrize("betas", [
+        [[1e-1, 1e-2], [1e-3, 1e-4]],   # 2-D
+        [],                             # empty
+        [1e-1, 1e-3, -1e-5],            # not positive
+        [math.inf, 1e-3],               # not finite
+        [1e-1, math.nan],
+    ])
+    def test_bad_grid_rejected(self, betas):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        with pytest.raises(ValueError, match="betas must be a non-empty 1-D list"):
+            divergence_exponent(attenuator(0.5), family, 1.0, 2.0, betas)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every gaussnorm namespace that binds it; return the call counter."""
+    original = getattr(module, name)
+    counter = {"calls": 0}
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for key, ns in list(sys.modules.items()):
+        if key == "gaussnorm" or key.startswith("gaussnorm."):
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, counted)
+    return counter
+
+
+class TestOncePerFamilyPipeline:
+    def test_one_decomposition_per_family_one_spectrum_per_state(self, monkeypatch):
+        counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
+            (gaussnorm.symplectic, "spectral_decomposition"),
+            (gaussnorm.symplectic, "symplectic_spectrum"),
+            (gaussnorm.states, "validate_state"),
+            (gaussnorm.states, "gibbs_state"),
+        )}
+        space = standard_form(2)
+        family = GibbsFamily(space, np.diag([1.0, 1.0, 1.7, 1.7]))
+        channel = attenuator(0.5, s=2)
+        betas = np.geomspace(1e-1, 1e-5, 17)
+        ratio_sequence(channel, family, 2.0, betas)
+        scaling_exponent(family, 2.0, betas)
+        divergence_exponent(channel, family, 1.0, 2.0, betas)
+        assert counts["spectral_decomposition"]["calls"] == 1
+        assert counts["gibbs_state"]["calls"] == 17
+        # 17 Gibbs states, 17 outputs from ratio_sequence, 17 from divergence_exponent
+        assert counts["validate_state"]["calls"] == 3 * 17
+        assert counts["symplectic_spectrum"]["calls"] == 3 * 17
+
+    def test_memo_keeps_only_the_last_grid(self):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        grid_a = np.geomspace(1e-1, 1e-5, 9)
+        grid_b = np.geomspace(2e-1, 1e-4, 9)
+        scaling_exponent(family, 2.0, grid_a)
+        fit_b = scaling_exponent(family, 2.0, grid_b)
+        np.testing.assert_array_equal(family._last_sweep[0], grid_b)
+        fresh = scaling_exponent(GibbsFamily(standard_form(1), np.eye(2)), 2.0, grid_b)
+        assert fit_b == fresh
+
+    def test_failed_sweep_not_kept(self):
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        with pytest.raises(NumericalOverflowError):
+            ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 4e-13])
+        assert family._last_sweep is None
 
 
 class TestDeterminantScaling:

@@ -3,11 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from gaussnorm import standard_form
 from gaussnorm.cli import CSV_HEADER, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
 from gaussnorm.errors import ConfigError
+from gaussnorm.sampling import random_symplectic
 
 
 def attenuator_spec(tau=0.5, mu_scale=None):
@@ -145,6 +148,25 @@ class TestCmdConverge:
             assert values[3] == pytest.approx(1.0, rel=1e-12)
             assert values[4] == 1.0
 
+    def test_tr_in_matches_gibbs_spectrum(self, tmp_path):
+        # Gibbs spectrum coth(beta e_j)/2, and 1/f_p(coth(x)/2) = (2 sinh x)^p / (2 sinh(p x))
+        e, p = np.array([0.7, 1.9]), 1.5
+        s_mat = random_symplectic(np.random.default_rng(11), standard_form(2), scale=0.3)
+        eps = s_mat.T @ np.diag(np.repeat(e, 2)) @ s_mat
+        spec = ChannelSpec(s=2, K=(0.8 * np.eye(4)).ravel().tolist(), l=[0.0] * 4,
+                           mu=(0.18 * np.eye(4)).ravel().tolist())
+        out = tmp_path / "two.csv"
+        cfg = write_config(tmp_path / "two.json", spec,
+                           SweepSpec(epsilon=(0.5 * (eps + eps.T)).ravel().tolist(), p=p))
+        assert main(["converge", cfg, "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 17
+        for beta, tr_in, tr_out, ratio, *_ in rows:
+            x = beta * e
+            expected = float(np.prod((2.0 * np.sinh(x)) ** p / (2.0 * np.sinh(p * x))))
+            assert tr_in == pytest.approx(expected, rel=1e-9)
+            assert tr_out == ratio * tr_in
+
     def test_csv_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "att.json", attenuator_spec(),
                            SweepSpec(p=2.0, points=7))
@@ -195,6 +217,12 @@ class TestCmdOracle:
         assert main(["oracle", "--N", N]) == 0
         out = capsys.readouterr().out
         assert out.count(" yes") == 6 and "NO" not in out
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_invalid_cutoff_exit_one(self, n_max, capsys):
+        assert main(["oracle", "--n-max", n_max, "--N", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cutoff" in err
 
     @pytest.mark.parametrize("tau", ["0", "-0.5", "1.5", "nan", "inf"])
     def test_invalid_tau_exit_one(self, tau, capsys):

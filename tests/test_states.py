@@ -16,6 +16,7 @@ from gaussnorm import (
     g_p,
     gibbs_asymptotic,
     gibbs_state,
+    matrix_cot,
     power_char_function,
     power_cov,
     schatten_norm,
@@ -31,7 +32,7 @@ from gaussnorm.errors import (
     SingularEpsilonError,
     UncertaintyViolatedError,
 )
-from gaussnorm.sampling import random_covariance, random_spd, random_state
+from gaussnorm.sampling import random_covariance, random_spd, random_state, random_symplectic
 from gaussnorm.states import _power_terms
 
 
@@ -162,6 +163,17 @@ class TestSpectralFunctionScalars:
             f_p(1.0, 0.5)
         with pytest.raises(DomainError):
             SpectralFunctions(p=0.9)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5])
+    def test_bad_exponent_rejected_everywhere(self, p):
+        state = thermal_state(1.5)
+        for call in (lambda: f_p(1.0, p), lambda: g_p(1.0, p), lambda: SpectralFunctions(p=p),
+                     lambda: tr_rho_p(state, p)):
+            with pytest.raises(DomainError):
+                call()
+        if p != math.inf:
+            with pytest.raises(DomainError):
+                schatten_norm(state, p)
 
     def test_spectral_functions_wrapper(self):
         sf = SpectralFunctions(p=2.0)
@@ -359,5 +371,48 @@ class TestGibbs:
 
     def test_bad_beta_rejected(self):
         family = GibbsFamily(standard_form(1), np.eye(2))
-        with pytest.raises(ValueError):
-            gibbs_state(family, 0.0)
+        for beta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                gibbs_state(family, beta)
+            with pytest.raises(ValueError):
+                gibbs_asymptotic(family, beta)
+
+
+def williamson_epsilon(rng, e):
+    """Hamiltonian matrix S^T diag(e_1, e_1, e_2, e_2, ...) S with symplectic spectrum e."""
+    space = standard_form(len(e))
+    s_mat = random_symplectic(rng, space, scale=0.3 / math.sqrt(space.s))
+    eps = s_mat.T @ np.diag(np.repeat(e, 2)) @ s_mat
+    return 0.5 * (eps + eps.T)
+
+
+class TestGibbsFamilyPipeline:
+    @pytest.mark.parametrize("s", [1, 4, 16, 40])
+    def test_family_path_matches_direct_cot(self, s):
+        # one decomposition of eps Delta per family against one of beta eps Delta per beta
+        rng = np.random.default_rng(300 + s)
+        e = rng.uniform(0.5, 2.0, size=s)
+        if s > 1:
+            e[1] = e[0] * (1.0 + 1e-9)  # near-degenerate pair
+        space = standard_form(s)
+        family = GibbsFamily(space, williamson_epsilon(rng, e))
+        for beta in (1e-5, 1e-3, 1e-1, 1.0):
+            direct = 0.5 * space.delta @ matrix_cot(beta * family.epsilon @ space.delta)
+            direct = 0.5 * (direct + direct.T)
+            got = gibbs_state(family, beta)
+            assert np.linalg.norm(got.cov - direct) <= 1e-12 * np.linalg.norm(direct)
+            np.testing.assert_allclose(got.spectrum, np.sort(0.5 / np.tanh(beta * e)), rtol=1e-9)
+
+    def test_decomposition_cached_per_family(self):
+        family = GibbsFamily(standard_form(2), np.eye(4))
+        dec = family.decomposition
+        assert family.decomposition is dec
+        np.testing.assert_allclose(
+            dec.right_eigenvectors @ dec.inverse_eigenvectors, np.eye(4), atol=1e-14
+        )
+        np.testing.assert_allclose(np.sort(np.abs(dec.eigenvalues)), np.ones(4), rtol=1e-14)
+
+    def test_spectrum_cached_per_state(self):
+        state = validate_state(np.zeros(2), 1.5 * np.eye(2), standard_form(1))
+        assert state.spectrum is state.spectrum
+        np.testing.assert_allclose(state.spectrum, [1.5], rtol=1e-14)
