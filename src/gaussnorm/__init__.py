@@ -23,7 +23,6 @@ from .config import ChannelSpec, SweepSpec, load_config, parse_config, serialize
 from .states import (
     GaussianState,
     GibbsFamily,
-    SpectralFunctions,
     char_function,
     f_p,
     g_p,
@@ -58,7 +57,6 @@ __all__ = [
     "GibbsFamily",
     "ScalingFit",
     "SpectralDecomposition",
-    "SpectralFunctions",
     "SweepSpec",
     "SymplecticSpace",
     "apply_channel",

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NotCPError,
-    NotSymmetricError,
     NumericalOverflowError,
     QNotLessThanPError,
     SingularKError,
@@ -35,12 +34,7 @@ from .states import (
     schatten_norm,
     validate_state,
 )
-from .symplectic import (
-    PSD_SLACK,
-    TOL_SYM,
-    SymplecticSpace,
-    check_psd_hermitian,
-)
+from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
 
 TOL_DET = 1e-12        # |det K| at or below this counts as singular
 D_OVERFLOW_CAP = 1e12  # largest symplectic eigenvalue allowed in sweeps
@@ -70,7 +64,6 @@ class ConvergenceReport:
     ratios: np.ndarray
     target: float
     relative_errors: np.ndarray
-    fitted_exponents: tuple[float, float] | None
     log_tr_in: np.ndarray
     log_tr_out: np.ndarray
 
@@ -94,8 +87,18 @@ class DivergenceFit:
     verdict: str  # "diverges" or "bounded"
 
 
+def cp_branches(K: np.ndarray, mu: np.ndarray, space: SymplecticSpace) -> list[tuple[bool, float]]:
+    """(ok, lambda_min) of mu +- (i/2)(Delta - K^T Delta K) >= 0, + branch first.
+
+    K and mu are 2s x 2s float arrays; K must be finite, mu finite and symmetric.
+    """
+    check_finite(K, "K", np.linalg.norm(K))
+    check_symmetric(mu, "mu")
+    return check_psd_branches(mu, space.delta - K.T @ space.delta @ K)
+
+
 def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
-    """Check dimensions, symmetry of mu, and complete positivity; build the channel."""
+    """Check dimensions, finiteness, symmetry of mu, and complete positivity; build the channel."""
     K = np.array(K, dtype=float)
     l = np.array(l, dtype=float).reshape(-1)
     mu = np.array(mu, dtype=float)
@@ -104,18 +107,14 @@ def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
         raise DimensionMismatchError(
             f"expected K and mu ({n}, {n}) and l ({n},); got {K.shape}, {mu.shape}, {l.shape}"
         )
-    if np.linalg.norm(mu - mu.T) > TOL_SYM * max(np.linalg.norm(mu), 1e-300):
-        raise NotSymmetricError("mu is not symmetric within tolerance")
-    d_form = space.delta - K.T @ space.delta @ K
-    for sign in (+1.0, -1.0):
-        h = mu + sign * 0.5j * d_form
-        ok, lam_min = check_psd_hermitian(h, tol=PSD_SLACK * np.linalg.norm(h))
+    check_finite(l, "l", sum(l.tolist()))
+    for sign, (ok, lam_min) in zip((1, -1), cp_branches(K, mu, space)):
         if not ok:
             raise NotCPError(
                 f"complete positivity fails on the {'+' if sign > 0 else '-'} branch: "
                 f"lambda_min = {lam_min:.6e}",
                 lambda_min=lam_min,
-                sign=int(sign),
+                sign=sign,
             )
     return GaussianChannel(space=space, K=K, l=l, mu=mu)
 
@@ -185,9 +184,7 @@ def ratio_sequence(
 ) -> ConvergenceReport:
     """Tr Phi[rho_beta]^p / Tr rho_beta^p along a descending beta grid.
 
-    The target is |det K|^(1-p); relative errors are reported per point, and
-    the two log-log slopes (input and output Tr powers vs beta) are fitted
-    when the grid has at least three points.
+    The target is |det K|^(1-p); relative errors are reported per point.
     """
     betas = _check_betas(betas, descending=True)
     _check_p(p)
@@ -203,14 +200,9 @@ def ratio_sequence(
         ratios.append(math.exp(lo - li))
     ratios = np.array(ratios)
     rel = np.abs(ratios / target - 1.0)
-    log_in, log_out = np.array(log_in), np.array(log_out)
-    fitted = None
-    if len(betas) >= 3:
-        lb = np.log(betas)
-        fitted = (_loglog_fit(lb, log_in)[0], _loglog_fit(lb, log_out)[0])
     return ConvergenceReport(
-        betas=betas, ratios=ratios, target=target, relative_errors=rel, fitted_exponents=fitted,
-        log_tr_in=log_in, log_tr_out=log_out,
+        betas=betas, ratios=ratios, target=target, relative_errors=rel,
+        log_tr_in=np.array(log_in), log_tr_out=np.array(log_out),
     )
 
 

@@ -9,6 +9,7 @@ Exit codes are a stable contract: 0 success, 1 domain or validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -18,16 +19,18 @@ import numpy as np
 
 from . import fock
 from .channels import (
+    apply_channel,
+    cp_branches,
     divergence_exponent,
     norm_pp,
     ratio_sequence,
     scaling_exponent,
     validate_channel,
 )
-from .config import load_config
+from .config import SweepSpec, load_config
 from .errors import ConfigError, DomainError, GaussNormError, NotCPError, UncertaintyViolatedError
-from .states import GibbsFamily, char_function, power_char_function, tr_rho_p, validate_state
-from .symplectic import check_psd_hermitian, standard_form, PSD_SLACK
+from .states import char_function, power_char_function, tr_rho_p, validate_state
+from .symplectic import standard_form
 
 CSV_HEADER = "beta,tr_in,tr_out,ratio,target,rel_error"
 
@@ -56,14 +59,9 @@ def cmd_check(args) -> int:
     spec, sweep = load_config(args.config)
     space = spec.space()
     name = spec.name or args.config
-    n = space.dim
-    K = np.array(spec.K).reshape(n, n)
-    mu = np.array(spec.mu).reshape(n, n)
-    d_form = space.delta - K.T @ space.delta @ K
+    K, _, mu = spec.matrices()
     status = EXIT_OK
-    for sign, label in ((+1.0, "+"), (-1.0, "-")):
-        h = mu + sign * 0.5j * d_form
-        ok, lam_min = check_psd_hermitian(h, tol=PSD_SLACK * np.linalg.norm(h))
+    for label, (ok, lam_min) in zip("+-", cp_branches(K, mu, space)):
         print(f"{name}: CP branch {label}: lambda_min = {_fmt(lam_min)} -> {'ok' if ok else 'VIOLATED'}")
         if not ok:
             status = EXIT_INVALID
@@ -86,25 +84,21 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _sweep_params(args, sweep):
-    beta_start = args.beta_start if args.beta_start is not None else (sweep.beta_start if sweep else 1e-1)
-    beta_stop = args.beta_stop if args.beta_stop is not None else (sweep.beta_stop if sweep else 1e-5)
-    points = args.points if args.points is not None else (sweep.points if sweep else 17)
-    if not (beta_start > beta_stop > 0.0) or points < 3:
-        raise ConfigError("need beta_start > beta_stop > 0 and points >= 3")
-    return np.geomspace(beta_start, beta_stop, points)
+def _resolve_sweep(args, sweep: SweepSpec | None) -> tuple[SweepSpec, np.ndarray]:
+    """The config's sweep (or the defaults) with the given options applied, and its beta grid."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SweepSpec)
+             if getattr(args, f.name, None) is not None}
+    if "p" in given:
+        given["p"] = _parse_p(given["p"])
+    sweep = dataclasses.replace(sweep or SweepSpec(), **given)
+    return sweep, np.geomspace(sweep.beta_start, sweep.beta_stop, sweep.points)
 
 
 def cmd_converge(args) -> int:
     spec, sweep = load_config(args.config)
     channel = spec.to_channel()
-    space = spec.space()
-    p = _parse_p(args.p) if args.p is not None else (sweep.p if sweep else 2.0)
-    if math.isinf(p):
-        raise ConfigError("converge requires finite p")
-    betas = _sweep_params(args, sweep)
-    family = sweep.family(space) if sweep is not None else GibbsFamily(space, np.eye(space.dim))
-    report = ratio_sequence(channel, family, p, betas)
+    sweep, betas = _resolve_sweep(args, sweep)
+    report = ratio_sequence(channel, sweep.family(spec.space()), sweep.p, betas)
     lines = [CSV_HEADER]
     for beta, log_in, ratio, rel in zip(
         report.betas, report.log_tr_in, report.ratios, report.relative_errors
@@ -112,9 +106,8 @@ def cmd_converge(args) -> int:
         tr_in = math.exp(log_in)
         tr_out = ratio * tr_in
         lines.append(",".join(_fmt(v) for v in (beta, tr_in, tr_out, ratio, report.target, rel)))
-    out_path = args.out or (sweep.output_path if sweep else "report.csv")
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    print(f"wrote {len(report.betas)} rows to {out_path} (target {_fmt(report.target)}, "
+    _atomic_write(sweep.output_path, "\n".join(lines) + "\n")
+    print(f"wrote {len(report.betas)} rows to {sweep.output_path} (target {_fmt(report.target)}, "
           f"final rel_error {_fmt(report.relative_errors[-1])})")
     return EXIT_OK
 
@@ -132,20 +125,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 def cmd_scaling(args) -> int:
     spec, sweep = load_config(args.config)
-    space = spec.space()
-    p = _parse_p(args.p) if args.p is not None else (sweep.p if sweep else 2.0)
-    if math.isinf(p):
-        raise ConfigError("scaling requires finite p")
-    betas = _sweep_params(args, sweep)
-    family = sweep.family(space) if sweep is not None else GibbsFamily(space, np.eye(space.dim))
+    sweep, betas = _resolve_sweep(args, sweep)
+    p, family = sweep.p, sweep.family(spec.space())
     fit = scaling_exponent(family, p, betas)
     print(f"scaling p={p}: fitted = {_fmt(fit.slope)} expected = {_fmt(fit.expected)} "
           f"residual = {_fmt(fit.residual)}")
-    q = args.q if args.q is not None else (sweep.q if sweep else None)
-    if q is not None:
-        channel = spec.to_channel()
-        dfit = divergence_exponent(channel, family, float(q), p, betas)
-        print(f"divergence q={float(q)} p={p}: fitted = {_fmt(dfit.slope)} "
+    if sweep.q is not None:
+        q = float(sweep.q)
+        dfit = divergence_exponent(spec.to_channel(), family, q, p, betas)
+        print(f"divergence q={q} p={p}: fitted = {_fmt(dfit.slope)} "
               f"expected = {_fmt(dfit.expected)} verdict = {dfit.verdict}")
     return EXIT_OK
 
@@ -173,8 +161,7 @@ def cmd_oracle(args) -> int:
     add("tr_rho_p", tr_rho_p(state, p),
         fock.doubling_check(lambda n: fock.tr_power_fock(fock.thermal_state_fock(N, n), p), n_max))
 
-    d_out = tau * d + (1.0 - tau) / 2.0
-    out_state = validate_state([0.0, 0.0], d_out * np.eye(2), space)
+    out_state = apply_channel(channel, state)
 
     def kraus_tr_power(n):
         return fock.tr_power_fock(fock.attenuate(tau, fock.thermal_state_fock(N, n)), p)
@@ -187,10 +174,10 @@ def cmd_oracle(args) -> int:
         return cov
 
     oracle_cov = fock.doubling_check(kraus_cov, n_max)
-    add("output symplectic eigenvalue", d_out, math.sqrt(np.linalg.det(oracle_cov)))
+    add("output symplectic eigenvalue", float(out_state.spectrum[0]),
+        math.sqrt(np.linalg.det(oracle_cov)))
 
-    closed_cov = channel.K.T @ state.cov @ channel.K + channel.mu
-    add("output covariance entries", 0.0, float(np.max(np.abs(oracle_cov - closed_cov))))
+    add("output covariance entries", 0.0, float(np.max(np.abs(oracle_cov - out_state.cov))))
 
     z = (1.0, 0.0)
     add("char function at z=(1,0)", char_function(state, z),
@@ -240,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--beta-start", type=float, default=None)
     p_conv.add_argument("--beta-stop", type=float, default=None)
     p_conv.add_argument("--points", type=int, default=None)
-    p_conv.add_argument("--out", default=None)
+    p_conv.add_argument("--out", dest="output_path", default=None)
     p_conv.set_defaults(func=cmd_converge)
 
     p_scal = sub.add_parser("scaling", help="fit ||rho_beta||_p scaling exponents")

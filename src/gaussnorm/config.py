@@ -20,6 +20,7 @@ validation failures surface later through validate_channel (exit code 1).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,19 +52,26 @@ class ChannelSpec:
     def space(self) -> SymplecticSpace:
         return standard_form(self.s)
 
-    def to_channel(self) -> GaussianChannel:
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K, l and mu as float arrays of shapes (2s, 2s), (2s,) and (2s, 2s)."""
         n = 2 * self.s
-        return validate_channel(
+        return (
             np.array(self.K, dtype=float).reshape(n, n),
             np.array(self.l, dtype=float),
             np.array(self.mu, dtype=float).reshape(n, n),
-            self.space(),
         )
+
+    def to_channel(self) -> GaussianChannel:
+        return validate_channel(*self.matrices(), self.space())
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Beta-sweep parameters: Gibbs family, exponents, grid, and output path."""
+    """Beta-sweep parameters: Gibbs family, exponents, grid, and output path.
+
+    The only source of the CLI's sweep defaults and checks; command-line
+    values replace fields through ``dataclasses.replace``.
+    """
 
     epsilon: list[float] = field(default_factory=list)  # empty means identity
     p: float = 2.0
@@ -74,6 +82,8 @@ class SweepSpec:
     output_path: str = "report.csv"
 
     def __post_init__(self):
+        if not 1.0 <= self.p < math.inf:
+            raise ConfigError(f"sweep exponent p must lie in [1, inf), got {self.p}")
         if not (self.beta_start > self.beta_stop > 0.0):
             raise ConfigError(
                 f"need beta_start > beta_stop > 0, got {self.beta_start}, {self.beta_stop}"

@@ -32,7 +32,7 @@ class NotHermitianError(GaussNormError):
 
 
 class DomainError(GaussNormError, ValueError):
-    """Scalar argument outside the admissible domain (d < 1/2, p < 1 or NaN).
+    """Argument outside its admissible domain: d < 1/2, p < 1, NaN or inf entries.
 
     Also a ValueError, so callers that catch ValueError for a bad argument keep working.
     """

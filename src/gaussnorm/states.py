@@ -26,20 +26,19 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    NotSymmetricError,
     SingularEpsilonError,
     UncertaintyViolatedError,
 )
 from .symplectic import (
-    PSD_SLACK,
     TOL_SPEC,
-    TOL_SYM,
     SpectralDecomposition,
     SymplecticSpace,
     _imaginary_decomposition,
     _scaled_cot,
     apply_spectral_function,
-    check_psd_hermitian,
+    check_finite,
+    check_psd_branches,
+    check_symmetric,
     symplectic_spectrum,
 )
 
@@ -81,8 +80,7 @@ class GibbsFamily:
             raise DimensionMismatchError(
                 f"epsilon shape {eps.shape} does not match 2s = {self.space.dim}"
             )
-        if np.linalg.norm(eps - eps.T) > TOL_SYM * max(np.linalg.norm(eps), 1e-300):
-            raise NotSymmetricError("epsilon must be symmetric")
+        check_symmetric(eps, "epsilon")
         lam_min = float(np.linalg.eigvalsh(0.5 * (eps + eps.T)).min())
         if lam_min <= 0.0:
             raise SingularEpsilonError(f"epsilon must be positive definite, lambda_min={lam_min}")
@@ -101,26 +99,10 @@ def _check_p(p: float, allow_inf: bool = False) -> None:
         raise DomainError(f"exponent must lie in [1, {upper}, got {p}")
 
 
-@dataclass(frozen=True)
-class SpectralFunctions:
-    """The scalar functions f_p and g_p at a fixed exponent p >= 1."""
-
-    p: float
-
-    def __post_init__(self):
-        _check_p(self.p)
-
-    def f(self, d: float) -> float:
-        return f_p(d, self.p)
-
-    def g(self, d: float) -> float:
-        return g_p(d, self.p)
-
-
 def _checked_d(d: float) -> float:
     # absolute slack TOL_SPEC * max(1, d) mirrors the spectrum tolerance
-    if d < 0.5 - TOL_SPEC * max(1.0, abs(d)):
-        raise DomainError(f"symplectic eigenvalue must be >= 1/2, got {d}")
+    if not math.isfinite(d) or d < 0.5 - TOL_SPEC * max(1.0, abs(d)):
+        raise DomainError(f"symplectic eigenvalue must be finite and >= 1/2, got {d}")
     return max(float(d), 0.5)
 
 
@@ -174,9 +156,9 @@ def g_p(d: float, p: float) -> float:
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Checks alpha + (i/2) Delta >= 0 and, as a numerical self-check, the
-    transposed branch alpha - (i/2) Delta >= 0; a violation reports its
-    lambda_min on the exception.
+    Refuses non-finite entries, then checks alpha + (i/2) Delta >= 0 and, as
+    a numerical self-check, the transposed branch alpha - (i/2) Delta >= 0;
+    a violation reports its lambda_min on the exception.
     """
     mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.array(cov, dtype=float)
@@ -185,11 +167,9 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
         raise DimensionMismatchError(
             f"expected mean ({n},) and cov ({n}, {n}), got {mean.shape} and {cov.shape}"
         )
-    if np.linalg.norm(cov - cov.T) > TOL_SYM * max(np.linalg.norm(cov), 1e-300):
-        raise NotSymmetricError("covariance matrix is not symmetric within tolerance")
-    for sign in (+1.0, -1.0):
-        h = cov + sign * 0.5j * space.delta
-        ok, lam_min = check_psd_hermitian(h, tol=PSD_SLACK * np.linalg.norm(h))
+    check_finite(mean, "mean", sum(mean.tolist()))
+    check_symmetric(cov, "covariance matrix")
+    for ok, lam_min in check_psd_branches(cov, space.delta):
         if not ok:
             raise UncertaintyViolatedError(
                 f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",

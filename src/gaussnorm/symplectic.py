@@ -14,12 +14,14 @@ Matrix norms in tolerance checks are Frobenius norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     ImagResidualError,
     NonDiagonalizableError,
     NotHermitianError,
@@ -170,9 +172,7 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (space.dim, space.dim):
         raise ValueError(f"expected shape {(space.dim, space.dim)}, got {alpha.shape}")
-    scale = np.linalg.norm(alpha)
-    if np.linalg.norm(alpha - alpha.T) > TOL_SYM * max(scale, 1e-300):
-        raise NotSymmetricError("covariance matrix is not symmetric within tolerance")
+    check_symmetric(alpha, "covariance matrix")
     w = np.linalg.eigvals(space.delta_inv @ alpha)
     _check_spectrum_imaginary(w)
     mods = np.sort(np.abs(w))
@@ -208,6 +208,37 @@ def matrix_cot(x: np.ndarray) -> np.ndarray:
     per family (``GibbsFamily.decomposition``).
     """
     return _scaled_cot(_imaginary_decomposition(x), 1.0)
+
+
+def check_finite(x: np.ndarray, what: str, total: float) -> None:
+    """Refuse NaN or inf entries in ``x``, given a sum or norm ``total`` of them.
+
+    A finite total proves every entry finite; only a non-finite one (finite
+    entries can overflow too) costs an elementwise test.
+    """
+    if not math.isfinite(total) and not np.isfinite(x).all():
+        raise DomainError(f"{what} must be finite")
+
+
+def check_symmetric(x: np.ndarray, what: str) -> None:
+    """Refuse a real matrix with non-finite entries or not symmetric within TOL_SYM."""
+    scale = np.linalg.norm(x)
+    check_finite(x, what, scale)
+    if np.linalg.norm(x - x.T) > TOL_SYM * max(scale, 1e-300):
+        raise NotSymmetricError(f"{what} is not symmetric within tolerance")
+
+
+def check_psd_branches(x: np.ndarray, f: np.ndarray) -> list[tuple[bool, float]]:
+    """(ok, lambda_min) of X + (i/2) F >= 0 and of X - (i/2) F >= 0, in that order.
+
+    For real symmetric X and antisymmetric F the branches are complex
+    conjugates; both are checked, each with slack PSD_SLACK * ||X +- (i/2) F||.
+    """
+    branches = []
+    for sign in (+1.0, -1.0):
+        h = x + sign * 0.5j * f
+        branches.append(check_psd_hermitian(h, tol=PSD_SLACK * np.linalg.norm(h)))
+    return branches
 
 
 def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:

@@ -23,6 +23,7 @@ from gaussnorm import (
     validate_channel,
     validate_state,
 )
+from gaussnorm.channels import cp_branches
 from gaussnorm.errors import (
     DomainError,
     NotCPError,
@@ -59,13 +60,10 @@ class TestValidateChannel:
 
     def test_attenuator_saturates_cp(self):
         # eigenvalues of mu +- (i/2)(1-tau) Delta are {0, 1-tau}
-        from gaussnorm import check_psd_hermitian
-
         channel = attenuator(0.5)
-        space = channel.space
-        d_form = space.delta - channel.K.T @ space.delta @ channel.K
-        for sign in (+1.0, -1.0):
-            ok, lam = check_psd_hermitian(channel.mu + sign * 0.5j * d_form, tol=1e-10)
+        branches = cp_branches(channel.K, channel.mu, channel.space)
+        assert len(branches) == 2
+        for ok, lam in branches:
             assert ok
             assert lam == pytest.approx(0.0, abs=1e-12)
 
@@ -76,6 +74,16 @@ class TestValidateChannel:
                 math.sqrt(0.5) * np.eye(2), np.zeros(2), 0.1 * np.eye(2), space
             )
         assert err.value.lambda_min == pytest.approx(-0.15, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["K", "l", "mu"])
+    def test_non_finite_rejected_by_name(self, name, bad):
+        space = standard_form(1)
+        args = {"K": math.sqrt(0.5) * np.eye(2), "l": np.zeros(2), "mu": 0.25 * np.eye(2)}
+        args[name] = np.array(args[name])
+        args[name].flat[-1] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            validate_channel(args["K"], args["l"], args["mu"], space)
 
     def test_random_channels_construct(self):
         rng = np.random.default_rng(71)

@@ -59,6 +59,19 @@ class TestConfigRoundTrip:
             SweepSpec(beta_start=1e-5, beta_stop=1e-1)
         with pytest.raises(ConfigError):
             SweepSpec(points=2)
+        for p in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=r"exponent p must lie in \[1, inf\)"):
+                SweepSpec(p=p)
+
+    @pytest.mark.parametrize("command", ["check", "norm", "converge", "scaling"])
+    def test_sweep_exponent_below_one_exit_two(self, command, tmp_path, capsys):
+        # the same refusal as --p 0.5, for every command that reads the config
+        doc = json.loads(serialize_config(attenuator_spec(), SweepSpec()))
+        doc["sweep"]["p"] = 0.5
+        path = tmp_path / "p05.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert "exponent p must lie in [1, inf)" in capsys.readouterr().err
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,6 +103,20 @@ class TestCmdCheck:
 
     def test_unreadable_config_exit_two(self, tmp_path):
         assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+    def test_asymmetric_mu_named(self, tmp_path, capsys):
+        spec = attenuator_spec()
+        spec = ChannelSpec(s=1, K=spec.K, l=spec.l, mu=[0.25, 0.1, 0.0, 0.25])
+        assert main(["check", write_config(tmp_path / "asym.json", spec)]) == 1
+        assert "mu is not symmetric within tolerance" in capsys.readouterr().err
+
+    def test_non_finite_k_named(self, tmp_path, capsys):
+        doc = json.loads(serialize_config(attenuator_spec()))
+        doc["channel"]["K"][0] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        assert "K must be finite" in capsys.readouterr().err
 
 
 class TestCmdNorm:

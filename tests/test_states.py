@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gaussnorm import (
     GaussianState,
     GibbsFamily,
-    SpectralFunctions,
     char_function,
     f_p,
     g_p,
@@ -74,6 +73,22 @@ class TestValidateState:
         space = standard_form(1)
         with pytest.raises(NotSymmetricError):
             validate_state([0, 0], np.array([[1.0, 0.2], [0.1, 1.0]]), space)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        space = standard_form(1)
+        with pytest.raises(DomainError, match="^mean must be finite"):
+            validate_state([0.0, bad], np.eye(2), space)
+        with pytest.raises(DomainError, match="^covariance matrix must be finite"):
+            validate_state([0.0, 0.0], np.array([[1.0, 0.0], [0.0, bad]]), space)
+        with pytest.raises(DomainError, match="^covariance matrix must be finite"):
+            symplectic_spectrum(np.array([[bad, 0.0], [0.0, 1.0]]), space)
+
+    def test_large_finite_entries_accepted(self):
+        # the Frobenius norm and the mean's sum overflow; the entries do not
+        with np.errstate(over="ignore"):
+            state = validate_state([1e308, 1e308], 1e200 * np.eye(2), standard_form(1))
+        assert state.cov[0, 0] == 1e200 and state.mean[0] == 1e308
 
 
 class TestCharFunction:
@@ -162,23 +177,21 @@ class TestSpectralFunctionScalars:
         with pytest.raises(DomainError):
             f_p(1.0, 0.5)
         with pytest.raises(DomainError):
-            SpectralFunctions(p=0.9)
+            g_p(1.0, 0.9)
+        for d in (math.nan, math.inf, -math.inf):
+            for fn in (f_p, g_p):
+                with pytest.raises(DomainError, match="finite and >= 1/2"):
+                    fn(d, 2.0)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5])
     def test_bad_exponent_rejected_everywhere(self, p):
         state = thermal_state(1.5)
-        for call in (lambda: f_p(1.0, p), lambda: g_p(1.0, p), lambda: SpectralFunctions(p=p),
-                     lambda: tr_rho_p(state, p)):
+        for call in (lambda: f_p(1.0, p), lambda: g_p(1.0, p), lambda: tr_rho_p(state, p)):
             with pytest.raises(DomainError):
                 call()
         if p != math.inf:
             with pytest.raises(DomainError):
                 schatten_norm(state, p)
-
-    def test_spectral_functions_wrapper(self):
-        sf = SpectralFunctions(p=2.0)
-        assert sf.f(3.0) == f_p(3.0, 2.0)
-        assert sf.g(1.5) == g_p(1.5, 2.0)
 
     def test_power_terms_consistency(self):
         # both branches agree near the r = 1/2 crossover (d = 1.5)
@@ -368,6 +381,11 @@ class TestGibbs:
             GibbsFamily(space, np.diag([1.0, 0.0]))
         with pytest.raises(NotSymmetricError):
             GibbsFamily(space, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, bad):
+        with pytest.raises(DomainError, match="^epsilon must be finite"):
+            GibbsFamily(standard_form(1), np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_bad_beta_rejected(self):
         family = GibbsFamily(standard_form(1), np.eye(2))
