@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -142,6 +143,8 @@ def cmd_oracle(args) -> int:
     tau, N, p = args.tau, args.N, args.p
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
+    if not (math.isfinite(N) and N >= 0.0):
+        raise DomainError(f"mean photon number must be finite and >= 0, got {N}")
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
     if n_max < 1:
         raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
@@ -163,17 +166,15 @@ def cmd_oracle(args) -> int:
 
     out_state = apply_channel(channel, state)
 
-    def kraus_tr_power(n):
-        return fock.tr_power_fock(fock.attenuate(tau, fock.thermal_state_fock(N, n)), p)
+    @functools.cache
+    def attenuated(n):
+        # one output state per cutoff, shared by the trace and the covariance rows
+        return fock.attenuate(tau, fock.thermal_state_fock(N, n))
 
     add("tr_rho_p after channel", tr_rho_p(out_state, p),
-        fock.doubling_check(kraus_tr_power, n_max))
+        fock.doubling_check(lambda n: fock.tr_power_fock(attenuated(n), p), n_max))
 
-    def kraus_cov(n):
-        _, cov = fock.covariance_from_fock(fock.attenuate(tau, fock.thermal_state_fock(N, n)))
-        return cov
-
-    oracle_cov = fock.doubling_check(kraus_cov, n_max)
+    oracle_cov = fock.doubling_check(lambda n: fock.covariance_from_fock(attenuated(n))[1], n_max)
     add("output symplectic eigenvalue", float(out_state.spectrum[0]),
         math.sqrt(np.linalg.det(oracle_cov)))
 

@@ -3,8 +3,15 @@
 Brute-force counterpart of the closed forms: states, Weyl operators, Schatten
 powers and the attenuator channel are realized as dense complex matrices on
 the basis {|0>, ..., |n_max>}.  Every quantity computed here is independent
-of the covariance-matrix machinery, so agreement between the two is a real
-check, not a tautology.
+of the covariance-matrix machinery (nothing is imported from ``states``,
+``channels`` or ``symplectic``), so agreement between the two is a real check,
+not a tautology.
+
+Weyl operators are filled from their exact Fock matrix elements, associated
+Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), one
+diagonal at a time by a three-term recurrence (:func:`weyl_operator`).
+Moments are read from rho's diagonals 0, +-1 and +-2, where the truncated
+ladder products live (:func:`covariance_from_fock`).
 
 The attenuator is applied banded (:func:`attenuate`): its Kraus operator A_j
 lives on the j-th superdiagonal, so A_j rho A_j^dag is a scaled, shifted block
@@ -23,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import (
     DimensionMismatchError,
@@ -37,6 +42,7 @@ TAIL_BOUND = 1e-12
 HERM_TOL = 1e-12
 EIG_CLAMP = 1e-15
 MAX_DEFAULT_N_MAX = 640
+MAX_WEYL_R = 1400.0  # e^(-r/2) stays a normal double
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,15 +72,52 @@ def quadratures(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def weyl_operator(z, n_max: int) -> TruncatedOperator:
-    """exp(i (x q + y p)) for z = (x, y); unitary up to truncation error.
+def _log_factorials(dim: int) -> np.ndarray:
+    """log m! for m = 0, ..., dim - 1."""
+    return np.array([math.lgamma(m + 1.0) for m in range(dim)])
 
-    The matrix is exact only well below the cutoff; certify convergence of any
-    derived scalar with :func:`doubling_check`.
+
+def weyl_operator(z, n_max: int) -> TruncatedOperator:
+    """exp(i (x q + y p)) for z = (x, y): the displacement D(alpha), alpha = (-y + i x)/sqrt(2).
+
+    Exact matrix elements, truncated: with r = |alpha|^2,
+    <n+k|D|n> = alpha^k e^(-r/2) sqrt(n!/(n+k)!) L_n^(k)(r) and
+    <n|D|n+k> = (-alpha*)^k e^(-r/2) sqrt(n!/(n+k)!) L_n^(k)(r).
+    Each diagonal k runs the normalised Laguerre recurrence in n from
+    e^(-r/2) |alpha|^k / sqrt(k!); the phases are applied afterwards.  The
+    truncated matrix is unitary only well below the cutoff; certify
+    convergence of any derived scalar with :func:`doubling_check`.  A
+    non-finite z, or r > MAX_WEYL_R where e^(-r/2) leaves the normal
+    double range, raises ValueError.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     x, y = np.asarray(z, dtype=float).reshape(2)
-    q, p = quadratures(n_max)
-    return TruncatedOperator(n_max=n_max, matrix=expm(1j * (x * q + y * p)))
+    dim = n_max + 1
+    alpha = complex(-y, x) / math.sqrt(2.0)
+    modulus = abs(alpha)
+    r = modulus * modulus  # inf, not OverflowError, for a huge z
+    if not r <= MAX_WEYL_R:
+        raise ValueError(f"|alpha|^2 = (x^2 + y^2)/2 must be finite and <= {MAX_WEYL_R}, got {r}")
+    if r == 0.0:
+        return TruncatedOperator(n_max=n_max, matrix=np.eye(dim, dtype=complex))
+    k = np.arange(dim, dtype=float)
+    # g[n, k] = e^(-r/2) |alpha|^k sqrt(n!/(n+k)!) L_n^(k)(r), filled for n + k <= n_max;
+    # at n = 0 the g[n - 1] term carries the factor sqrt(0)
+    g = np.zeros((dim, dim))
+    g[0] = np.exp(-0.5 * r + k * math.log(modulus) - 0.5 * _log_factorials(dim))
+    for n in range(n_max):
+        kk = k[: n_max - n]
+        g[n + 1, : n_max - n] = (
+            (2 * n + 1 + kk - r) * g[n, : n_max - n] - np.sqrt(n * (n + kk)) * g[n - 1, : n_max - n]
+        ) / np.sqrt((n + 1) * (n + 1 + kk))
+    # phase[n_max + d] multiplies the elements with row - column = d
+    d = np.arange(-n_max, dim)
+    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * d)
+    phase[:n_max][d[:n_max] % 2 == 1] *= -1.0  # (-alpha*)^k = (-1)^k (alpha/|alpha|)^-k |alpha|^k
+    row, col = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    matrix = g[np.minimum(row, col), np.abs(row - col)] * phase[n_max + row - col]
+    return TruncatedOperator(n_max=n_max, matrix=matrix)
 
 
 def thermal_state_fock(N: float, n_max: int, tail_bound: float = TAIL_BOUND) -> TruncatedOperator:
@@ -161,7 +204,7 @@ def char_function_fock(rho: TruncatedOperator, z, n_max: int) -> complex:
     if rho.n_max != n_max:
         raise DimensionMismatchError(f"rho lives at n_max={rho.n_max}, requested {n_max}")
     w = weyl_operator(z, n_max)
-    return complex(np.trace(rho.matrix @ w.matrix))
+    return complex(np.sum(rho.matrix.T * w.matrix))  # Tr(rho W), no dense product
 
 
 def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
@@ -173,7 +216,7 @@ def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {tau}")
     dim = n_max + 1
-    log_fact = gammaln(np.arange(1.0, dim + 1))  # log m! for m = 0..n_max
+    log_fact = _log_factorials(dim)
     j = np.arange(dim)[:, None]
     kept = np.arange(dim)[None, :] - j
     # j log(1 - tau), spelled out at tau = 1 so that 0 * (-inf) never forms
@@ -233,18 +276,30 @@ def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
 def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments: m_j = Tr rho R_j, alpha = Tr rho {R - m, R - m}/2.
 
-    Subject to truncation error near the cutoff; certify with
-    :func:`doubling_check` on a builder that regenerates rho at 2 n_max.
+    q = (a + a^dag)/sqrt(2) and p = i (a^dag - a)/sqrt(2) with the truncated
+    ladder matrices, so every product the moments need lives on diagonals
+    0, +-1, +-2 (a a^dag carries 0 in its last entry) and only those diagonals
+    of rho are read.  Subject to truncation error near the cutoff; certify
+    with :func:`doubling_check` on a builder that regenerates rho at 2 n_max.
     """
     assert_density_operator(rho)
-    q, p = quadratures(rho.n_max)
-    rho_t = rho.matrix.T  # Tr(rho X) = sum(rho^T * X), no dense rho @ X product
-    mean = np.array([np.sum(rho_t * q).real, np.sum(rho_t * p).real])
-    qc, pc = q - mean[0] * np.eye(rho.n_max + 1), p - mean[1] * np.eye(rho.n_max + 1)
-    cov = np.empty((2, 2))
-    for i, a in enumerate((qc, pc)):
-        for k, b in enumerate((qc, pc)):
-            cov[i, k] = 0.5 * np.sum(rho_t * (a @ b + b @ a)).real
+    m = rho.matrix
+    n = np.arange(1.0, rho.n_max + 1)
+    # Tr(rho X) = sum_ij rho[i, j] X[j, i]; a has sqrt(n) at [n-1, n], a a at [n-2, n]
+    a = np.diagonal(m, -1) @ np.sqrt(n)
+    a_dag = np.diagonal(m, 1) @ np.sqrt(n)
+    root_pairs = np.sqrt(n[1:] * n[:-1])
+    aa = np.diagonal(m, -2) @ root_pairs
+    aa_dag = np.diagonal(m, 2) @ root_pairs
+    # diagonal of a a^dag + a^dag a: 2n + 1 below the cutoff, n_max at it
+    sym = np.diagonal(m) @ np.append(2.0 * np.arange(rho.n_max) + 1.0, rho.n_max)
+    mean = np.array([(a + a_dag).real, (1j * (a_dag - a)).real]) / math.sqrt(2.0)
+    # Tr rho (R_i R_k + R_k R_i)/2, then centre: the identity carries Tr rho, not 1
+    raw = 0.5 * np.array([
+        [(sym + aa + aa_dag).real, (1j * (aa_dag - aa)).real],
+        [(1j * (aa_dag - aa)).real, (sym - aa - aa_dag).real],
+    ])
+    cov = raw - (2.0 - np.trace(m).real) * np.outer(mean, mean)
     return mean, cov
 
 

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * matrix functions are evaluated through one complex eigendecomposition
   kernel with a conditioning cap and an explicit real-projection guard.
 
-Matrix norms in tolerance checks are Frobenius norms.
+Matrix norms in tolerance checks are Frobenius norms, except the PSD slack,
+which scales with the largest entry so that it cannot overflow.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ TOL_SPEC = 1e-8        # relative, spectrum checks (imaginary pairing, d >= 1/2 
 TOL_IMAG = 1e-9        # relative, imaginary residual of real-projected matrix functions
 TOL_RECONSTRUCT = 1e-7  # relative, eigendecomposition reconstruction residual
 COND_CAP = 1e8         # eigenvector conditioning cap
-PSD_SLACK = 1e-10      # relative PSD slack: lambda_min >= -PSD_SLACK * ||H||
+PSD_SLACK = 1e-10      # relative PSD slack: lambda_min >= -PSD_SLACK * max |H_ij|
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +233,14 @@ def check_psd_branches(x: np.ndarray, f: np.ndarray) -> list[tuple[bool, float]]
     """(ok, lambda_min) of X + (i/2) F >= 0 and of X - (i/2) F >= 0, in that order.
 
     For real symmetric X and antisymmetric F the branches are complex
-    conjugates; both are checked, each with slack PSD_SLACK * ||X +- (i/2) F||.
+    conjugates; both are checked, each with slack PSD_SLACK * max |H_ij|.  The
+    largest entry, unlike a norm summed over entries, cannot overflow for
+    finite X and F, so the slack stays finite.
     """
     branches = []
     for sign in (+1.0, -1.0):
         h = x + sign * 0.5j * f
-        branches.append(check_psd_hermitian(h, tol=PSD_SLACK * np.linalg.norm(h)))
+        branches.append(check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max()))
     return branches
 
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussnorm import standard_form
+import gaussnorm
+from gaussnorm import fock, standard_form
 from gaussnorm.cli import CSV_HEADER, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
 from gaussnorm.errors import ConfigError
@@ -256,3 +261,32 @@ class TestCmdOracle:
         assert main(["oracle", "--tau", tau, "--n-max", "80"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "transmissivity" in err
+
+    @pytest.mark.parametrize("N", ["-1", "nan", "inf"])
+    def test_invalid_photon_number_exit_one(self, N, capsys):
+        assert main(["oracle", "--N", N]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: mean photon number must be finite and >= 0, got {float(N)}\n"
+        assert captured.out == ""
+
+    def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
+        cutoffs = []
+        attenuate = fock.attenuate
+
+        def counted(tau, rho):
+            cutoffs.append(rho.n_max)
+            return attenuate(tau, rho)
+
+        monkeypatch.setattr(fock, "attenuate", counted)
+        assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
+        assert capsys.readouterr().out.count(" yes") == 6
+        assert cutoffs == [40, 80]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(gaussnorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gaussnorm.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from gaussnorm import (
     char_function,
@@ -62,7 +64,40 @@ class TestLadderOperators:
 class TestWeylOperator:
     def test_zero_displacement_is_identity(self):
         w = weyl_operator([0.0, 0.0], 20)
-        np.testing.assert_allclose(w.matrix, np.eye(21), atol=1e-14)
+        np.testing.assert_array_equal(w.matrix, np.eye(21))
+
+    @pytest.mark.parametrize("z", [(1.0, 0.0), (0.7, -0.3), (2.0, 2.0)])
+    @pytest.mark.parametrize("n_max", [80, 160])
+    def test_weyl_matches_expm_interior(self, n_max, z):
+        # reference: the matrix exponential of the truncated generator, exact
+        # only away from the cutoff
+        q, p = quadratures(n_max)
+        dense = expm(1j * (z[0] * q + z[1] * p))
+        keep = n_max // 2
+        w = weyl_operator(z, n_max).matrix
+        np.testing.assert_allclose(w[:keep, :keep], dense[:keep, :keep], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("z", [(1.0, 0.0), (0.7, -0.3), (2.0, 2.0), (-1.5, 0.4)])
+    def test_weyl_matches_laguerre(self, z):
+        # <m|D|n> = alpha^(m-n) e^(-r/2) sqrt(n!/m!) L_n^(m-n)(r) for m >= n,
+        # (-alpha*)^(n-m) with m and n swapped above the diagonal
+        n_max = 60
+        alpha = complex(-z[1], z[0]) / math.sqrt(2.0)
+        r = abs(alpha) ** 2
+        m, n = np.meshgrid(np.arange(n_max + 1), np.arange(n_max + 1), indexing="ij")
+        low, high = np.minimum(m, n), np.maximum(m, n)
+        k = high - low
+        modulus = np.exp(-0.5 * r + 0.5 * (gammaln(low + 1.0) - gammaln(high + 1.0)))
+        factor = np.where(m >= n, alpha**k, (-alpha.conjugate()) ** k)
+        expected = factor * modulus * eval_genlaguerre(low, k, r)
+        got = weyl_operator(z, n_max).matrix
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("z", [(60.0, 0.0), (1e200, 0.0), (math.nan, 0.0), (0.0, math.inf)])
+    def test_unrepresentable_displacement_rejected(self, z):
+        # e^(-|alpha|^2/2) would underflow to a silent zero matrix, or be NaN
+        with pytest.raises(ValueError, match="alpha"):
+            weyl_operator(z, 10)
 
     def test_vacuum_expectation_matches_char_function(self):
         vac = thermal_gaussian(0.0)
@@ -295,6 +330,24 @@ class TestCovarianceFromFock:
             60,
         )
         np.testing.assert_allclose(mean_out, math.sqrt(tau) * expected_mean, atol=1e-8)
+
+
+    @pytest.mark.parametrize("which", ["displaced thermal", "attenuated"])
+    def test_banded_moments_match_dense(self, which):
+        # reference: Tr rho (R_i - m_i)(R_k - m_k) + (k <-> i) from dense products
+        n_max = 40
+        rho = displaced_thermal(0.25, [0.8, -0.6], n_max)
+        if which == "attenuated":
+            rho = attenuate(0.3, rho)
+        q, p = quadratures(n_max)
+        rho_t = rho.matrix.T
+        mean = np.array([np.sum(rho_t * q).real, np.sum(rho_t * p).real])
+        centred = (q - mean[0] * np.eye(n_max + 1), p - mean[1] * np.eye(n_max + 1))
+        dense = np.array([[0.5 * np.sum(rho_t * (a @ b + b @ a)).real for b in centred]
+                          for a in centred])
+        got_mean, got_cov = covariance_from_fock(rho)
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got_cov, dense, rtol=0, atol=1e-14)
 
 
 class TestDoublingCheck:

@@ -90,6 +90,12 @@ class TestValidateState:
             state = validate_state([1e308, 1e308], 1e200 * np.eye(2), standard_form(1))
         assert state.cov[0, 0] == 1e200 and state.mean[0] == 1e308
 
+    def test_overflowing_norm_keeps_psd_slack_finite(self):
+        # ||cov +- (i/2) Delta|| overflows; a slack scaled by it would pass any matrix
+        with np.errstate(over="ignore"), pytest.raises(UncertaintyViolatedError) as err:
+            validate_state([0.0, 0.0], np.diag([1e200, -1e200]), standard_form(1))
+        assert err.value.lambda_min == -1e200
+
 
 class TestCharFunction:
     def test_vacuum_gaussian(self):
