@@ -23,10 +23,6 @@ class SpectrumNotImaginaryError(GaussNormError):
     """Spectrum expected to be purely imaginary (+-i d) is not."""
 
 
-class PairingFailureError(GaussNormError):
-    """Eigenvalue moduli do not occur in +- pairs within tolerance."""
-
-
 class NotHermitianError(GaussNormError):
     """Matrix handed to a Hermitian routine is not Hermitian within tolerance."""
 

@@ -156,9 +156,11 @@ def g_p(d: float, p: float) -> float:
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Refuses non-finite entries, then checks alpha + (i/2) Delta >= 0 and, as
-    a numerical self-check, the transposed branch alpha - (i/2) Delta >= 0;
-    a violation reports its lambda_min on the exception.
+    Refuses non-finite entries, then reads the state's spectrum once: for
+    alpha > 0, alpha + (i/2) Delta >= 0 exactly when d_min >= 1/2.  Only at
+    the boundary (d_min within TOL_SPEC of 1/2, or no Cholesky factor) do the
+    branches alpha +- (i/2) Delta >= 0 run and decide; a violation reports
+    its lambda_min on the exception.
     """
     mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.array(cov, dtype=float)
@@ -169,13 +171,19 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
         )
     check_finite(mean, "mean", sum(mean.tolist()))
     check_symmetric(cov, "covariance matrix")
-    for ok, lam_min in check_psd_branches(cov, space.delta):
-        if not ok:
-            raise UncertaintyViolatedError(
-                f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
-                lambda_min=lam_min,
-            )
-    return GaussianState(space=space, mean=mean, cov=cov)
+    state = GaussianState(space=space, mean=mean, cov=cov)
+    try:
+        d_min = float(state.spectrum[0])
+    except DomainError:  # not positive definite; finiteness was refused above
+        d_min = math.nan
+    if not d_min >= 0.5 + TOL_SPEC * d_min:
+        for ok, lam_min in check_psd_branches(cov, space.delta):
+            if not ok:
+                raise UncertaintyViolatedError(
+                    f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
+                    lambda_min=lam_min,
+                )
+    return state
 
 
 def char_function(state: GaussianState, z) -> complex:

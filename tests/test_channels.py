@@ -363,6 +363,7 @@ class TestOncePerFamilyPipeline:
         counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
             (gaussnorm.symplectic, "spectral_decomposition"),
             (gaussnorm.symplectic, "symplectic_spectrum"),
+            (gaussnorm.symplectic, "check_psd_hermitian"),
             (gaussnorm.states, "validate_state"),
             (gaussnorm.states, "gibbs_state"),
         )}
@@ -378,6 +379,8 @@ class TestOncePerFamilyPipeline:
         # 17 Gibbs states, 17 outputs from ratio_sequence, 17 from divergence_exponent
         assert counts["validate_state"]["calls"] == 3 * 17
         assert counts["symplectic_spectrum"]["calls"] == 3 * 17
+        # only the attenuator's two CP branches; every state is decided by its spectrum
+        assert counts["check_psd_hermitian"]["calls"] == 2
 
     def test_memo_keeps_only_the_last_grid(self):
         family = GibbsFamily(standard_form(1), np.eye(2))

@@ -33,6 +33,7 @@ from gaussnorm.errors import (
 )
 from gaussnorm.sampling import random_covariance, random_spd, random_state, random_symplectic
 from gaussnorm.states import _power_terms
+from gaussnorm.symplectic import check_psd_branches
 
 
 def thermal_state(d, s=1):
@@ -73,6 +74,9 @@ class TestValidateState:
         space = standard_form(1)
         with pytest.raises(NotSymmetricError):
             validate_state([0, 0], np.array([[1.0, 0.2], [0.1, 1.0]]), space)
+        # ||cov|| overflows; a tolerance scaled by it would pass any asymmetry
+        with pytest.raises(NotSymmetricError):
+            validate_state([0, 0], np.array([[1e200, 1e200], [0.0, 1e200]]), space)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_by_name(self, bad):
@@ -83,6 +87,42 @@ class TestValidateState:
             validate_state([0.0, 0.0], np.array([[1.0, 0.0], [0.0, bad]]), space)
         with pytest.raises(DomainError, match="^covariance matrix must be finite"):
             symplectic_spectrum(np.array([[bad, 0.0], [0.0, 1.0]]), space)
+
+    def test_squeezed_state_spectrum_not_refused(self):
+        # condition number 4.3e10: Delta^-1 alpha's nonsymmetric eigenvalues
+        # carry real parts beyond TOL_SPEC, the Hermitian route does not
+        rng = np.random.default_rng(0)
+        space = standard_form(4)
+        for _ in range(6):
+            alpha, planted = random_covariance(rng, space, scale=3.0)
+        state = validate_state(np.zeros(8), alpha, space)
+        np.testing.assert_allclose(state.spectrum, planted, rtol=1e-6)
+        assert tr_rho_p(state, 2.0) == pytest.approx(1.0 / np.prod(2.0 * planted), rel=1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from([0.3, 1.0, 2.0, 3.0]),
+        st.sampled_from([0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6, 1e8, -1e8]),
+    )
+    def test_uncertainty_verdict_matches_psd_branches(self, seed, s, scale, k):
+        # d_min = 1/2 + k eps straddles the spectrum fast path's TOL_SPEC margin
+        rng = np.random.default_rng(seed)
+        space = standard_form(s)
+        d = np.sort(rng.uniform(0.5, 5.0, size=s))
+        d[0] = 0.5 + k * np.finfo(float).eps
+        s_mat = random_symplectic(rng, space, scale=scale)
+        alpha = s_mat.T @ np.diag(np.repeat(d, 2)) @ s_mat
+        alpha = 0.5 * (alpha + alpha.T)
+        branches = check_psd_branches(alpha, space.delta)
+        try:
+            validate_state(np.zeros(2 * s), alpha, space)
+        except UncertaintyViolatedError as err:
+            failing = [lam for ok, lam in branches if not ok]
+            assert failing and err.lambda_min == failing[0]
+        else:
+            assert all(ok for ok, _ in branches)
 
     def test_large_finite_entries_accepted(self):
         # the Frobenius norm and the mean's sum overflow; the entries do not
@@ -420,12 +460,15 @@ class TestGibbsFamilyPipeline:
             e[1] = e[0] * (1.0 + 1e-9)  # near-degenerate pair
         space = standard_form(s)
         family = GibbsFamily(space, williamson_epsilon(rng, e))
+        # eps Delta has eigenvalues +-i e_j; the input spectrum is coth(beta e_j)/2
+        lam = family.decomposition.eigenvalues
+        e_dec = lam.imag[lam.imag > 0]
         for beta in (1e-5, 1e-3, 1e-1, 1.0):
             direct = 0.5 * space.delta @ matrix_cot(beta * family.epsilon @ space.delta)
             direct = 0.5 * (direct + direct.T)
             got = gibbs_state(family, beta)
             assert np.linalg.norm(got.cov - direct) <= 1e-12 * np.linalg.norm(direct)
-            np.testing.assert_allclose(got.spectrum, np.sort(0.5 / np.tanh(beta * e)), rtol=1e-9)
+            np.testing.assert_allclose(got.spectrum, np.sort(0.5 / np.tanh(beta * e_dec)), rtol=1e-12)
 
     def test_decomposition_cached_per_family(self):
         family = GibbsFamily(standard_form(2), np.eye(4))

@@ -14,6 +14,7 @@ from gaussnorm import (
     symplectic_spectrum,
 )
 from gaussnorm.errors import (
+    DomainError,
     ImagResidualError,
     NonDiagonalizableError,
     NotHermitianError,
@@ -167,6 +168,14 @@ class TestSymplecticSpectrum:
                 got = symplectic_spectrum(0.5 * (conj + conj.T), space)
                 np.testing.assert_allclose(got, base, rtol=10 * TOL_SPEC)
 
+    def test_spectrum_refuses_non_positive_definite(self):
+        # Delta^-1 (-alpha) has the same moduli as Delta^-1 alpha; only a
+        # positive definite alpha is a covariance with a symplectic spectrum
+        space = standard_form(1)
+        for alpha in (-0.5 * np.eye(2), np.diag([1.0, -1.0]), np.diag([1e200, -1e200])):
+            with pytest.raises(DomainError, match="positive definite"):
+                symplectic_spectrum(alpha, space)
+
 
 class TestMatrixCot:
     def test_scalar_reduction(self):
@@ -236,6 +245,9 @@ class TestCheckPsdHermitian:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             check_psd_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]), tol=0.0)
+        # ||H|| overflows; a tolerance scaled by it would pass any matrix
+        with pytest.raises(NotHermitianError):
+            check_psd_hermitian(np.array([[1e200, 1e200], [0.0, 1e200]], dtype=complex), tol=0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6))
