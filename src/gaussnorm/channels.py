@@ -36,7 +36,6 @@ from .states import (
 )
 from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
 
-TOL_DET = 1e-12        # |det K| at or below this counts as singular
 D_OVERFLOW_CAP = 1e12  # largest symplectic eigenvalue allowed in sweeps
 
 
@@ -130,9 +129,14 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
 
 
 def _abs_det_K(channel: GaussianChannel) -> float:
-    det = channel.det_K()
-    if abs(det) <= TOL_DET:
+    # numpy's rank tolerance is relative to the largest singular value: no absolute scale
+    with np.errstate(over="ignore", under="ignore"):
+        det = channel.det_K()
+    if np.linalg.matrix_rank(channel.K) < channel.space.dim:
         raise SingularKError(f"theorem requires invertible K; |det K| = {abs(det):.3e}")
+    if not 0.0 < abs(det) < math.inf:
+        log_det = np.linalg.slogdet(channel.K)[1]
+        raise NumericalOverflowError(f"|det K| is outside the double range: log|det K| = {log_det:.6g}")
     return abs(det)
 
 

@@ -70,7 +70,7 @@ class SingularEpsilonError(GaussNormError):
 
 
 class NumericalOverflowError(GaussNormError):
-    """Symplectic eigenvalues exceeded the configured overflow cap."""
+    """A value left the double range, or symplectic eigenvalues exceeded the overflow cap."""
 
 
 class QNotLessThanPError(GaussNormError):

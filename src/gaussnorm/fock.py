@@ -16,7 +16,8 @@ ladder products live (:func:`covariance_from_fock`).
 The attenuator is applied banded (:func:`attenuate`): its Kraus operator A_j
 lives on the j-th superdiagonal, so A_j rho A_j^dag is a scaled, shifted block
 of rho.  The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`)
-is kept as the reference the banded path is tested against.
+is the reference the banded path is tested against.  It stays in the package
+only while ``perfbench`` traces both names; the other dense references live in the tests.
 
 Truncation error is controlled by a doubling protocol: recompute the final
 scalar (or small array) at 2 * n_max and require agreement within ten times
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,24 +54,10 @@ class TruncatedOperator:
     n_max: int
     matrix: np.ndarray
 
-
-def ladder_operators(n_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Annihilation and creation matrices; a|n> = sqrt(n)|n-1>, truncated."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
-    return (
-        TruncatedOperator(n_max=n_max, matrix=a),
-        TruncatedOperator(n_max=n_max, matrix=a.conj().T),
-    )
-
-
-def quadratures(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """q = (a + a^dag)/sqrt(2), p = i (a^dag - a)/sqrt(2); [q, p] = i below the cutoff."""
-    a, a_dag = ladder_operators(n_max)
-    q = (a.matrix + a_dag.matrix) / math.sqrt(2.0)
-    p = 1j * (a_dag.matrix - a.matrix) / math.sqrt(2.0)
-    return q, p
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, ascending, after the density check; computed on first use."""
+        return _density_spectrum(self)[0]
 
 
 def _log_factorials(dim: int) -> np.ndarray:
@@ -160,16 +148,16 @@ def default_n_max(N: float) -> int:
     return MAX_DEFAULT_N_MAX
 
 
-def _density_spectrum(rho: TruncatedOperator, tail_bound: float, vectors: bool = False):
+def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
     """Eigenvalues (ascending) and, if asked, eigenvectors of a checked density operator.
 
-    Hermitian within 1e-12, trace within the tail bound of 1, eigenvalues >= -1e-12;
+    Hermitian within 1e-12, trace within TAIL_BOUND of 1, eigenvalues >= -1e-12;
     the one decomposition serves both the check and the caller.
     """
     m = rho.matrix
     if np.linalg.norm(m - m.conj().T) > HERM_TOL * max(np.linalg.norm(m), 1e-300):
         raise NotDensityOperatorError("matrix is not Hermitian within 1e-12")
-    if abs(np.trace(m).real - 1.0) > tail_bound:
+    if abs(np.trace(m).real - 1.0) > TAIL_BOUND:
         raise NotDensityOperatorError(f"trace {np.trace(m).real!r} deviates from 1 beyond the tail bound")
     lam, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     if lam[0] < -HERM_TOL:
@@ -177,21 +165,15 @@ def _density_spectrum(rho: TruncatedOperator, tail_bound: float, vectors: bool =
     return lam, u
 
 
-def assert_density_operator(rho: TruncatedOperator, tail_bound: float = TAIL_BOUND) -> None:
-    """Hermitian within 1e-12, trace within the tail bound of 1, eigenvalues >= -1e-12."""
-    _density_spectrum(rho, tail_bound)
-
-
 def tr_power_fock(rho: TruncatedOperator, p: float) -> float:
-    """Tr rho^p by Hermitian diagonalization, tiny eigenvalues clamped to zero."""
-    lam, _ = _density_spectrum(rho, TAIL_BOUND)
-    lam = np.where(lam < EIG_CLAMP, 0.0, lam)
+    """Tr rho^p from rho's checked spectrum, tiny eigenvalues clamped to zero."""
+    lam = np.where(rho.spectrum < EIG_CLAMP, 0.0, rho.spectrum)
     return float(np.sum(lam**p))
 
 
 def matrix_power_fock(rho: TruncatedOperator, p: float, normalize: bool = False) -> TruncatedOperator:
     """rho^p via Hermitian eigendecomposition; optionally normalized to unit trace."""
-    lam, u = _density_spectrum(rho, TAIL_BOUND, vectors=True)
+    lam, u = _density_spectrum(rho, vectors=True)
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
     powered = (u * lam**p) @ u.conj().T
     if normalize:
@@ -281,8 +263,9 @@ def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray
     0, +-1, +-2 (a a^dag carries 0 in its last entry) and only those diagonals
     of rho are read.  Subject to truncation error near the cutoff; certify
     with :func:`doubling_check` on a builder that regenerates rho at 2 n_max.
+    rho must pass the density check (:attr:`TruncatedOperator.spectrum`).
     """
-    assert_density_operator(rho)
+    rho.spectrum  # the density check; tr_power_fock reuses the cached eigenvalues
     m = rho.matrix
     n = np.arange(1.0, rho.n_max + 1)
     # Tr(rho X) = sum_ij rho[i, j] X[j, i]; a has sqrt(n) at [n-1, n], a a at [n-2, n]

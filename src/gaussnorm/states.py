@@ -156,11 +156,11 @@ def g_p(d: float, p: float) -> float:
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Refuses non-finite entries, then reads the state's spectrum once: for
-    alpha > 0, alpha + (i/2) Delta >= 0 exactly when d_min >= 1/2.  Only at
-    the boundary (d_min within TOL_SPEC of 1/2, or no Cholesky factor) do the
-    branches alpha +- (i/2) Delta >= 0 run and decide; a violation reports
-    its lambda_min on the exception.
+    Refuses non-finite entries (the spectrum refuses those of cov), then reads
+    the state's spectrum once: for alpha > 0, alpha + (i/2) Delta >= 0 exactly
+    when d_min >= 1/2.  Only at the boundary (d_min within TOL_SPEC of 1/2, or
+    no Cholesky factor) do the branches alpha +- (i/2) Delta >= 0 run and
+    decide; a violation reports its lambda_min on the exception.
     """
     mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.array(cov, dtype=float)
@@ -170,11 +170,12 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
             f"expected mean ({n},) and cov ({n}, {n}), got {mean.shape} and {cov.shape}"
         )
     check_finite(mean, "mean", sum(mean.tolist()))
-    check_symmetric(cov, "covariance matrix")
     state = GaussianState(space=space, mean=mean, cov=cov)
     try:
         d_min = float(state.spectrum[0])
-    except DomainError:  # not positive definite; finiteness was refused above
+    except DomainError:
+        # a non-finite covariance is refused as such, never taken for a failed Cholesky
+        check_finite(cov, "covariance matrix", float(abs(cov).max()))
         d_min = math.nan
     if not d_min >= 0.5 + TOL_SPEC * d_min:
         for ok, lam_min in check_psd_branches(cov, space.delta):

@@ -1,22 +1,30 @@
-"""Random generators for valid covariances, states and channels.
+"""Test helpers: random valid states and channels, dense Fock references.
 
-Used by the test and acceptance suites; the constructions mirror the
-structure of the objects they sample:
+Imported by the suites as ``from sampling import ...``; not part of the
+installed package, so its scipy use (``expm``) is a test dependency only.
+The generators mirror the structure of what they sample:
 
 * symplectic matrices as exp(Delta G) with symmetric G;
 * covariances in Williamson form S^T diag(d_1, d_1, ..., d_s, d_s) S;
 * channels with K = Q1 diag(sigma) Q2 rescaled to a target |det K| and
   mu = c I + (PSD noise), c just above the complete-positivity threshold.
+
+The ladder and quadrature matrices are the dense operators the banded Fock
+code (moments from five diagonals, Weyl operators from Laguerre elements)
+is checked against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
-from .channels import GaussianChannel, validate_channel
-from .states import GaussianState, validate_state
-from .symplectic import SymplecticSpace
+from gaussnorm.channels import GaussianChannel, validate_channel
+from gaussnorm.fock import TruncatedOperator
+from gaussnorm.states import GaussianState, validate_state
+from gaussnorm.symplectic import SymplecticSpace
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -113,3 +121,22 @@ def random_channel(
         mu = mu + noise_scale * (w @ w.T) / space.dim
     l = shift_scale * rng.standard_normal(space.dim)
     return validate_channel(k, l, 0.5 * (mu + mu.T), space)
+
+
+def ladder_operators(n_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
+    """Annihilation and creation matrices; a|n> = sqrt(n)|n-1>, truncated."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
+    return (
+        TruncatedOperator(n_max=n_max, matrix=a),
+        TruncatedOperator(n_max=n_max, matrix=a.conj().T),
+    )
+
+
+def quadratures(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """q = (a + a^dag)/sqrt(2), p = i (a^dag - a)/sqrt(2); [q, p] = i below the cutoff."""
+    a, a_dag = ladder_operators(n_max)
+    q = (a.matrix + a_dag.matrix) / math.sqrt(2.0)
+    p = 1j * (a_dag.matrix - a.matrix) / math.sqrt(2.0)
+    return q, p

@@ -27,7 +27,7 @@ from gaussnorm import (
     validate_state,
 )
 from gaussnorm import fock
-from gaussnorm.sampling import random_channel, random_spd, random_state
+from sampling import random_channel, random_spd, random_state
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

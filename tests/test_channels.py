@@ -31,7 +31,7 @@ from gaussnorm.errors import (
     QNotLessThanPError,
     SingularKError,
 )
-from gaussnorm.sampling import random_channel, random_state
+from sampling import random_channel, random_state
 
 
 def attenuator(tau, s=1):
@@ -168,7 +168,17 @@ class TestNormPP:
         channel = validate_channel(
             np.diag([1.0, 0.0]), np.zeros(2), np.eye(2), space
         )
-        with pytest.raises(SingularKError):
+        with pytest.raises(SingularKError, match="requires invertible K"):
+            norm_pp(channel, 2.0)
+
+    def test_determinant_overflow_refused(self):
+        # s = 200 amplifier: |det K| = 40^200 overflows a double, and the norm
+        # exp(-(1/2) log|det K|) ~ 1e-160 must not come back as 0.0
+        s = 200
+        channel = validate_channel(
+            math.sqrt(40.0) * np.eye(2 * s), np.zeros(2 * s), 20.0 * np.eye(2 * s), standard_form(s)
+        )
+        with pytest.raises(NumericalOverflowError, match=r"log\|det K\| = 737\.7"):
             norm_pp(channel, 2.0)
 
     @pytest.mark.parametrize("p", [math.nan, -math.inf, 0.5])
@@ -217,6 +227,18 @@ class TestRatioSequence:
             ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 4e-13])
         with pytest.raises(NumericalOverflowError):
             ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 1e-7], overflow_cap=1e6)
+
+    def test_tiny_determinant_not_singular(self):
+        # s = 40, 50% attenuator: |det K| = 2^-40 = 9.1e-13, condition number 1
+        s = 40
+        channel = attenuator(0.5, s=s)
+        family = GibbsFamily(standard_form(s), np.eye(2 * s))
+        betas = np.array([1e-3, 1e-4, 1e-5])
+        report = ratio_sequence(channel, family, 2.0, betas)
+        assert report.target == pytest.approx(2.0**40, rel=1e-12)
+        # per mode f_2(d)/f_2(d') = d / (d/2 + 1/4), d = coth(beta)/2: the chain above, to the s-th power
+        d = 0.5 / np.tanh(betas)
+        np.testing.assert_allclose(report.ratios / report.target, (d / (d + 0.5)) ** s, rtol=1e-10)
 
     def test_requires_descending_betas(self):
         family = GibbsFamily(standard_form(1), np.eye(2))
@@ -364,6 +386,7 @@ class TestOncePerFamilyPipeline:
             (gaussnorm.symplectic, "spectral_decomposition"),
             (gaussnorm.symplectic, "symplectic_spectrum"),
             (gaussnorm.symplectic, "check_psd_hermitian"),
+            (gaussnorm.symplectic, "check_symmetric"),
             (gaussnorm.states, "validate_state"),
             (gaussnorm.states, "gibbs_state"),
         )}
@@ -379,6 +402,8 @@ class TestOncePerFamilyPipeline:
         # 17 Gibbs states, 17 outputs from ratio_sequence, 17 from divergence_exponent
         assert counts["validate_state"]["calls"] == 3 * 17
         assert counts["symplectic_spectrum"]["calls"] == 3 * 17
+        # one symmetry and finiteness test per state, plus epsilon's and the channel's mu
+        assert counts["check_symmetric"]["calls"] == 3 * 17 + 2
         # only the attenuator's two CP branches; every state is decided by its spectrum
         assert counts["check_psd_hermitian"]["calls"] == 2
 

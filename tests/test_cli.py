@@ -15,7 +15,7 @@ from gaussnorm import fock, standard_form
 from gaussnorm.cli import CSV_HEADER, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
 from gaussnorm.errors import ConfigError
-from gaussnorm.sampling import random_symplectic
+from sampling import random_symplectic
 
 
 def attenuator_spec(tau=0.5, mu_scale=None):
@@ -114,6 +114,28 @@ class TestCmdCheck:
         spec = ChannelSpec(s=1, K=spec.K, l=spec.l, mu=[0.25, 0.1, 0.0, 0.25])
         assert main(["check", write_config(tmp_path / "asym.json", spec)]) == 1
         assert "mu is not symmetric within tolerance" in capsys.readouterr().err
+
+    def test_cp_check_runs_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        cp_branches = gaussnorm.channels.cp_branches
+
+        def counted(*args):
+            calls.append(1)
+            return cp_branches(*args)
+
+        monkeypatch.setattr(gaussnorm.cli, "cp_branches", counted)
+        monkeypatch.setattr(gaussnorm.channels, "cp_branches", counted)
+        assert main(["check", write_config(tmp_path / "a.json", attenuator_spec())]) == 0
+        assert "channel valid" in capsys.readouterr().out and len(calls) == 1
+        # a NaN shift is still refused by name, after both branch lines
+        doc = json.loads(serialize_config(attenuator_spec()))
+        doc["channel"]["l"][1] = math.nan
+        path = tmp_path / "nan_l.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("-> ok") == 2 and "channel valid" not in captured.out
+        assert captured.err == "error: l must be finite\n" and len(calls) == 2
 
     def test_non_finite_k_named(self, tmp_path, capsys):
         doc = json.loads(serialize_config(attenuator_spec()))
@@ -270,23 +292,35 @@ class TestCmdOracle:
         assert captured.out == ""
 
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
-        cutoffs = []
-        attenuate = fock.attenuate
+        cutoffs, sizes = [], []
+        attenuate, eigvalsh = fock.attenuate, np.linalg.eigvalsh
 
         def counted(tau, rho):
             cutoffs.append(rho.n_max)
             return attenuate(tau, rho)
 
+        def counted_eigvalsh(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(fock, "attenuate", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.count(" yes") == 6
         assert cutoffs == [40, 80]
+        # one eigvalsh per Fock state and cutoff: the thermal input's (tr_rho_p row) and
+        # the attenuated state's, shared by its trace row and its covariance density check
+        assert sorted(n for n in sizes if n > 2) == [41, 41, 81, 81]
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # the CLI alone, then every module of the installed package
     src = str(Path(gaussnorm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, gaussnorm.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    walk = ("for m in pkgutil.walk_packages(gaussnorm.__path__, 'gaussnorm.'): "
+            "importlib.import_module(m.name)")
+    for load in ("import gaussnorm.cli", walk):
+        code = f"import importlib, pkgutil, sys, gaussnorm\n{load}\nprint('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "False"

@@ -29,13 +29,12 @@ from gaussnorm.fock import (
     covariance_from_fock,
     default_n_max,
     doubling_check,
-    ladder_operators,
     matrix_power_fock,
-    quadratures,
     thermal_state_fock,
     tr_power_fock,
     weyl_operator,
 )
+from sampling import ladder_operators, quadratures
 
 
 def thermal_gaussian(N, s=1):
@@ -169,6 +168,8 @@ class TestTrPowerFock:
                 tr_power_fock(bad, 2.0)
             with pytest.raises(NotDensityOperatorError):
                 matrix_power_fock(bad, 2.0)
+            with pytest.raises(NotDensityOperatorError):
+                covariance_from_fock(bad)
 
     def test_agreement_with_closed_form(self):
         # module invariant: <= 1e-8 absolute over N and p grids

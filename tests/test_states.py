@@ -31,7 +31,7 @@ from gaussnorm.errors import (
     SingularEpsilonError,
     UncertaintyViolatedError,
 )
-from gaussnorm.sampling import random_covariance, random_spd, random_state, random_symplectic
+from sampling import random_covariance, random_spd, random_state, random_symplectic
 from gaussnorm.states import _power_terms
 from gaussnorm.symplectic import check_psd_branches
 

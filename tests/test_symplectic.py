@@ -21,7 +21,7 @@ from gaussnorm.errors import (
     SpectralPoleError,
     SpectrumNotImaginaryError,
 )
-from gaussnorm.sampling import random_covariance, random_spd, random_symplectic
+from sampling import random_covariance, random_spd, random_symplectic
 from gaussnorm.symplectic import TOL_RECONSTRUCT, TOL_SPEC, TOL_SYM
 
 
