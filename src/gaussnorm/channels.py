@@ -29,9 +29,9 @@ from .states import (
     GaussianState,
     GibbsFamily,
     _check_p,
-    _gibbs_sweep,
+    _log_schatten_norm,
     _log_tr_rho_p,
-    schatten_norm,
+    gibbs_state,
     validate_state,
 )
 from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
@@ -149,13 +149,14 @@ def norm_pp(channel: GaussianChannel, p: float) -> float:
     return abs_det ** (1.0 / p - 1.0)
 
 
-def _check_overflow(state: GaussianState, cap: float) -> GaussianState:
-    ds = state.spectrum
+def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray, cap: float) -> np.ndarray:
+    """Gibbs spectra coth(beta e_j)/2, one row per beta, refused above the overflow cap."""
+    ds = 0.5 / np.tanh(np.outer(betas, family.spectrum))
     if np.any(ds > cap):
         raise NumericalOverflowError(
             f"symplectic eigenvalue {ds.max():.3e} exceeds cap {cap:.1e}; shrink the beta range"
         )
-    return state
+    return ds
 
 
 def _check_betas(betas, descending: bool = False) -> np.ndarray:
@@ -166,11 +167,6 @@ def _check_betas(betas, descending: bool = False) -> np.ndarray:
     if descending and np.any(np.diff(betas) >= 0.0):
         raise ValueError("betas must be strictly descending")
     return betas
-
-
-def _gibbs_points(family: GibbsFamily, betas: np.ndarray, cap: float):
-    """Gibbs states along the grid, each checked against the overflow cap as it is reached."""
-    return (_check_overflow(rho, cap) for rho in _gibbs_sweep(family, betas))
 
 
 def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
@@ -188,17 +184,25 @@ def ratio_sequence(
 ) -> ConvergenceReport:
     """Tr Phi[rho_beta]^p / Tr rho_beta^p along a descending beta grid.
 
-    The target is |det K|^(1-p); relative errors are reported per point.
+    The target is |det K|^(1-p), refused with NumericalOverflowError outside
+    the double range; relative errors are reported per point.
     """
     betas = _check_betas(betas, descending=True)
     _check_p(p)
     abs_det = _abs_det_K(channel)
-    target = abs_det ** (1.0 - p)
+    try:
+        target = abs_det ** (1.0 - p)
+    except OverflowError:
+        target = math.inf
+    if not np.finfo(float).tiny <= target < math.inf:
+        raise NumericalOverflowError(f"target |det K|^(1-p) is outside the double range: "
+                                     f"(1-p) log|det K| = {(1.0 - p) * math.log(abs_det):.6g}")
+    _gibbs_spectra(family, betas, overflow_cap)
     log_in, log_out, ratios = [], [], []
-    for rho in _gibbs_points(family, betas, overflow_cap):
+    for rho in (gibbs_state(family, beta) for beta in betas):
         out = apply_channel(channel, rho)
-        li = _log_tr_rho_p(rho, p)
-        lo = _log_tr_rho_p(out, p)
+        li = _log_tr_rho_p(rho.spectrum, p)
+        lo = _log_tr_rho_p(out.spectrum, p)
         log_in.append(li)
         log_out.append(lo)
         ratios.append(math.exp(lo - li))
@@ -220,13 +224,14 @@ def upper_bound_check(
 
     Returns the per-state verdicts and the worst margin
     min_i (1 + slack - ||Phi[rho_i]||_p / (norm * ||rho_i||_p)); nonnegative
-    margins mean the bound held.
+    margins mean the bound held.  Ratios come from log norms, so norms may underflow.
     """
-    bound = norm_pp(channel, p)
+    log_bound = math.log(norm_pp(channel, p))
     oks, worst = [], np.inf
     for state in states:
         out = apply_channel(channel, state)
-        ratio = schatten_norm(out, p) / (bound * schatten_norm(state, p))
+        log_ratio = _log_schatten_norm(out.spectrum, p) - _log_schatten_norm(state.spectrum, p)
+        ratio = math.exp(log_ratio - log_bound)
         margin = 1.0 + slack - ratio
         worst = min(worst, margin)
         oks.append(ratio <= 1.0 + slack)
@@ -234,12 +239,15 @@ def upper_bound_check(
 
 
 def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
-    """Fit log ||rho_beta||_p against log beta; the law is beta^(s (p-1)/p)."""
+    """Fit log ||rho_beta||_p against log beta; the law is beta^(s (p-1)/p).
+
+    Reads the Gibbs spectra coth(beta e_j)/2 from the family; builds no state.
+    """
     betas = _check_betas(betas)
     _check_p(p)
     if betas.max() / betas.min() < 99.0:
         raise ValueError("beta grid must span at least two decades")
-    log_norms = [_log_tr_rho_p(rho, p) / p for rho in _gibbs_points(family, betas, D_OVERFLOW_CAP)]
+    log_norms = [_log_tr_rho_p(ds, p) / p for ds in _gibbs_spectra(family, betas, D_OVERFLOW_CAP)]
     slope, resid = _loglog_fit(np.log(betas), np.array(log_norms))
     expected = family.space.s * (p - 1.0) / p
     return ScalingFit(slope=slope, residual=resid, expected=expected)
@@ -263,10 +271,11 @@ def divergence_exponent(
     _check_p(p)
     betas = _check_betas(betas, descending=True)
     _abs_det_K(channel)
+    _gibbs_spectra(family, betas, D_OVERFLOW_CAP)
     log_ratio = []
-    for rho in _gibbs_points(family, betas, D_OVERFLOW_CAP):
+    for rho in (gibbs_state(family, beta) for beta in betas):
         out = apply_channel(channel, rho)
-        log_ratio.append(_log_tr_rho_p(out, q) / q - _log_tr_rho_p(rho, p) / p)
+        log_ratio.append(_log_tr_rho_p(out.spectrum, q) / q - _log_tr_rho_p(rho.spectrum, p) / p)
     log_ratio = np.array(log_ratio)
     slope, resid = _loglog_fit(np.log(betas), log_ratio)
     expected = family.space.s * (1.0 / p - 1.0 / q)

@@ -12,8 +12,8 @@ One file holds one channel spec and, optionally, one sweep spec:
                   "points": 17, "output_path": "report.csv"}
     }
 
-Matrices are row-major flat lists so the files stay diffable.  Parsing errors
-and length mismatches raise ConfigError (CLI exit code 2); physics-level
+Matrices are row-major flat lists of numbers so the files stay diffable.  Parse,
+length and value-type errors raise ConfigError (CLI exit code 2); physics-level
 validation failures surface later through validate_channel (exit code 1).
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,6 +30,12 @@ from .channels import GaussianChannel, validate_channel
 from .errors import ConfigError
 from .states import GibbsFamily
 from .symplectic import SymplecticSpace, standard_form
+
+
+def _all_of(kind, values) -> bool:
+    # bool is a number to Python, but true is neither a count nor a matrix entry;
+    # one test per distinct type, since a matrix holds thousands of entries
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
 
 
 @dataclass(frozen=True)
@@ -42,12 +49,14 @@ class ChannelSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ConfigError(f"mode count must be >= 1, got {self.s}")
+        if not (_all_of(numbers.Integral, [self.s]) and self.s >= 1):
+            raise ConfigError(f"mode count s must be an integer >= 1, got {self.s!r}")
         n = 2 * self.s
         for label, values, want in (("K", self.K, n * n), ("l", self.l, n), ("mu", self.mu, n * n)):
             if len(values) != want:
                 raise ConfigError(f"{label} must have {want} entries for s={self.s}, got {len(values)}")
+            if not _all_of(numbers.Real, values):
+                raise ConfigError(f"{label} entries must be numbers")
 
     def space(self) -> SymplecticSpace:
         return standard_form(self.s)
@@ -88,8 +97,10 @@ class SweepSpec:
             raise ConfigError(
                 f"need beta_start > beta_stop > 0, got {self.beta_start}, {self.beta_stop}"
             )
-        if self.points < 3:
-            raise ConfigError(f"need at least 3 sweep points, got {self.points}")
+        if not (_all_of(numbers.Integral, [self.points]) and self.points >= 3):
+            raise ConfigError(f"sweep points must be an integer >= 3, got {self.points!r}")
+        if not _all_of(numbers.Real, self.epsilon or ()):  # null means identity
+            raise ConfigError("epsilon entries must be numbers")
 
     def epsilon_matrix(self, s: int) -> np.ndarray:
         n = 2 * s

@@ -12,12 +12,13 @@ turn the symplectic spectrum {d_j} of alpha into Tr rho^p = prod_j 1/f_p(d_j)
 and into the covariance alpha g_p(abs(Delta^-1 alpha)) of the normalized
 power state.  Gibbs states of quadratic Hamiltonians R eps R^T are Gaussian
 with covariance (Delta/2) cot(beta eps Delta).
+Both covariances are read from the Williamson basis of a positive definite
+x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,11 +32,8 @@ from .errors import (
 )
 from .symplectic import (
     TOL_SPEC,
-    SpectralDecomposition,
     SymplecticSpace,
-    _imaginary_decomposition,
-    _scaled_cot,
-    apply_spectral_function,
+    _williamson_form,
     check_finite,
     check_psd_branches,
     check_symmetric,
@@ -65,14 +63,15 @@ class GaussianState:
 class GibbsFamily:
     """Family of Gibbs states of the quadratic Hamiltonian R epsilon R^T.
 
-    epsilon must be real symmetric positive definite; checked on construction.
-    beta epsilon Delta shares one eigenbasis for every beta, so the family
-    decomposes epsilon Delta once and keeps the states of its last beta grid.
+    epsilon must be real symmetric positive definite; checked on construction,
+    where its Williamson basis is built once for every beta: ``eigenvalues``
+    lam = +-e_j ascending, and ``basis`` W = L^-T U with W^H epsilon W = I.
     """
 
     space: SymplecticSpace
     epsilon: np.ndarray
-    _last_sweep: tuple | None = field(default=None, init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         eps = np.array(self.epsilon, dtype=float)
@@ -81,15 +80,16 @@ class GibbsFamily:
                 f"epsilon shape {eps.shape} does not match 2s = {self.space.dim}"
             )
         check_symmetric(eps, "epsilon")
-        lam_min = float(np.linalg.eigvalsh(0.5 * (eps + eps.T)).min())
-        if lam_min <= 0.0:
-            raise SingularEpsilonError(f"epsilon must be positive definite, lambda_min={lam_min}")
+        chol, h = _williamson_form(eps, self.space, SingularEpsilonError, "epsilon")
+        lam, u = np.linalg.eigh(h)
         object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "basis", np.linalg.solve(chol.T, u))
 
-    @cached_property
-    def decomposition(self) -> SpectralDecomposition:
-        """epsilon Delta = V Lambda V^-1 with imaginary spectrum +-i e_j, checked once."""
-        return _imaginary_decomposition(self.epsilon @ self.space.delta)
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Symplectic spectrum {e_j} of epsilon, ascending: the positive eigenvalues."""
+        return self.eigenvalues[self.space.s:]
 
 
 def _check_p(p: float, allow_inf: bool = False) -> None:
@@ -193,30 +193,35 @@ def char_function(state: GaussianState, z) -> complex:
     return complex(np.exp(1j * state.mean @ z - 0.5 * z @ state.cov @ z))
 
 
-def _log_tr_rho_p(state: GaussianState, p: float) -> float:
+def _log_tr_rho_p(spectrum: np.ndarray, p: float) -> float:
     _check_p(p)
-    return -sum(_log_f_p(_checked_d(d), p) for d in state.spectrum)
+    return -sum(_log_f_p(_checked_d(d), p) for d in spectrum)
+
+
+def _log_schatten_norm(spectrum: np.ndarray, p: float) -> float:
+    _check_p(p, allow_inf=True)
+    if p == math.inf:
+        return -sum(math.log(d + 0.5) for d in spectrum)
+    return _log_tr_rho_p(spectrum, p) / p
 
 
 def tr_rho_p(state: GaussianState, p: float) -> float:
     """Tr rho^p = prod_j 1/f_p(d_j) over the symplectic spectrum, independent of the mean."""
-    return math.exp(_log_tr_rho_p(state, p))
+    return math.exp(_log_tr_rho_p(state.spectrum, p))
 
 
 def schatten_norm(state: GaussianState, p: float) -> float:
     """(Tr rho^p)^(1/p) for finite p; the largest eigenvalue prod_j (d_j + 1/2)^-1 at p = inf."""
-    _check_p(p, allow_inf=True)
-    if p == math.inf:
-        return math.exp(-sum(math.log(d + 0.5) for d in state.spectrum))
-    return math.exp(_log_tr_rho_p(state, p) / p)
+    return math.exp(_log_schatten_norm(state.spectrum, p))
 
 
 def power_cov(state: GaussianState, p: float) -> np.ndarray:
-    """Covariance alpha g_p(abs(Delta^-1 alpha)) of the normalized p-th power state."""
-    a = state.space.delta_inv @ state.cov
-    g_mat = apply_spectral_function(a, lambda lam: g_p(abs(lam), p))
-    ag = state.cov @ g_mat
-    return 0.5 * (ag + ag.T)
+    """Covariance alpha g_p(abs(Delta^-1 alpha)) = L Re(U diag(g_p(|lam|)) U^H) L^T
+    of the normalized p-th power state, from one eigensolve of its Williamson form."""
+    chol, h = _williamson_form(state.cov, state.space, DomainError, "covariance matrix")
+    lam, u = np.linalg.eigh(h)
+    m = chol @ ((u * [g_p(abs(x), p) for x in lam]) @ u.conj().T).real @ chol.T
+    return 0.5 * (m + m.T)
 
 
 def power_char_function(state: GaussianState, p: float, z) -> complex:
@@ -231,34 +236,14 @@ def power_char_function(state: GaussianState, p: float, z) -> complex:
 def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
     """Gibbs state at inverse temperature beta: mean 0, alpha = (Delta/2) cot(beta eps Delta).
 
-    cot(beta eps Delta) = V cot(beta Lambda) V^-1 on the family's one
-    decomposition of eps Delta; the pole, imaginary-residual and uncertainty
-    checks run at every beta.
+    alpha = Re(W diag(lam coth(beta lam)/2) W^H) on the family's Williamson
+    basis, one product per beta; validate_state runs at every beta.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
-    space = family.space
-    cot = _scaled_cot(family.decomposition, beta)
-    alpha = 0.5 * space.delta @ cot
-    alpha = 0.5 * (alpha + alpha.T)
-    return validate_state(np.zeros(space.dim), alpha, space)
-
-
-def _gibbs_sweep(family: GibbsFamily, betas: np.ndarray) -> Iterator[GaussianState]:
-    """Gibbs states along ``betas``, built lazily in order.
-
-    A grid walked to the end is kept on the family, replacing the previous
-    one, so a second estimator on the same grid rebuilds no state.
-    """
-    last = family._last_sweep
-    if last is not None and np.array_equal(last[0], betas):
-        yield from last[1]
-        return
-    states = []
-    for beta in betas:
-        states.append(gibbs_state(family, beta))
-        yield states[-1]
-    object.__setattr__(family, "_last_sweep", (np.array(betas, dtype=float), tuple(states)))
+    lam, w = family.eigenvalues, family.basis
+    alpha = ((w * (0.5 * lam / np.tanh(beta * lam))) @ w.conj().T).real
+    return validate_state(np.zeros(family.space.dim), 0.5 * (alpha + alpha.T), family.space)
 
 
 def gibbs_asymptotic(family: GibbsFamily, beta: float) -> np.ndarray:

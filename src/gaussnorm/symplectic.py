@@ -1,4 +1,4 @@
-"""Symplectic-space conventions and eigendecomposition-based matrix kernels.
+"""Symplectic-space conventions, the Williamson basis and matrix-function kernels.
 
 Conventions used throughout the package:
 
@@ -6,10 +6,12 @@ Conventions used throughout the package:
   block-diagonal Delta = diag([[0, 1], [-1, 0]], ...) with Delta^2 = -I and
   det Delta = 1;
 * [q, p] = i, vacuum covariance (1/2) I, symplectic eigenvalues d_j >= 1/2;
-* matrix functions are evaluated through one complex eigendecomposition
-  kernel with a conditioning cap and an explicit real-projection guard;
-* the symplectic spectrum of alpha = L L^T > 0 (Cholesky) comes from one
-  Hermitian eigensolve: i L^T Delta^-1 L has eigenvalues +-d_j (Williamson).
+* a symmetric positive definite x = L L^T (Cholesky), covariance or Gibbs
+  Hamiltonian, has the Hermitian Williamson form i L^T Delta^-1 L with
+  eigenvalues +-d_j; spectra, Gibbs states and power states are read from it;
+* general matrix functions (matrix_abs, matrix_cot) go through a complex
+  eigendecomposition kernel with a conditioning cap and a real-projection
+  guard; they are the independent reference for the Williamson path.
 
 Symmetry, Hermiticity and PSD tolerances scale with max |x_ij|, which, unlike
 a norm summed over entries, cannot overflow for finite x.
@@ -17,6 +19,7 @@ a norm summed over entries, cannot overflow for finite x.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -119,13 +122,6 @@ def apply_spectral_function(
     """
     dec = a if isinstance(a, SpectralDecomposition) else spectral_decomposition(a, cond_cap=cond_cap)
     fw = np.array([f(lam) for lam in dec.eigenvalues], dtype=complex)
-    return _spectral_matrix(dec, fw, tol_imag)
-
-
-def _spectral_matrix(
-    dec: SpectralDecomposition, fw: np.ndarray, tol_imag: float = TOL_IMAG
-) -> np.ndarray:
-    # Re(V diag(fw) V^-1) for the values fw of a scalar function on dec's spectrum
     if not np.all(np.isfinite(fw)):
         raise SpectralPoleError("scalar function returned a non-finite value on the spectrum")
     m = (dec.right_eigenvectors * fw) @ dec.inverse_eigenvectors
@@ -160,49 +156,46 @@ def matrix_abs(a: np.ndarray) -> np.ndarray:
     return apply_spectral_function(_imaginary_decomposition(a), abs)
 
 
+def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: str) -> tuple:
+    # (L, H): x = L L^T (Cholesky) and Hermitian H = i L^T Delta^-1 L, with eigenvalues
+    # +-d_j, the symplectic spectrum of x; a failed Cholesky raises ``error`` naming ``what``
+    try:
+        chol = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} must be positive definite") from exc
+    return chol, 1j * (chol.T @ space.delta_inv @ chol)
+
+
 def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     """Symplectic spectrum {d_j} of a positive definite covariance, ascending.
 
-    Each +-d_j pair of i L^T Delta^-1 L (alpha = L L^T) is averaged into one
+    Each +-d_j pair of the Williamson form's eigenvalues is averaged into one
     d_j.  A failed Cholesky factorization raises DomainError.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (space.dim, space.dim):
         raise ValueError(f"expected shape {(space.dim, space.dim)}, got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
-    try:
-        chol = np.linalg.cholesky(alpha)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("covariance matrix must be positive definite") from exc
-    w = np.linalg.eigvalsh(1j * (chol.T @ space.delta_inv @ chol))
-    s = space.s
-    return 0.5 * (w[s:] - w[s - 1::-1])
+    w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
+    return 0.5 * (w[space.s:] - w[space.s - 1::-1])
 
 
-def _cot(z: np.ndarray) -> np.ndarray:
-    # elementwise; cot has poles at real integer multiples of pi (z = 0
-    # included); the tolerance sits below 1/(2 * overflow cap) so sweeps hit
-    # the cap first
-    nearest = np.pi * np.round(z.real / np.pi)
-    near = np.abs(z - nearest) < 1e-13
-    if np.any(near):
-        raise SpectralPoleError(f"cot evaluated within 1e-13 of a pole at {nearest[near][0]}")
-    return 1.0 / np.tan(z)
-
-
-def _scaled_cot(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    # cot(t A) = V cot(t Lambda) V^-1 from a decomposition of A with imaginary spectrum
-    return _spectral_matrix(dec, _cot(t * dec.eigenvalues))
+def _cot(z: complex) -> complex:
+    # cot has poles at real integer multiples of pi (z = 0 included)
+    nearest = math.pi * round(z.real / math.pi)
+    if abs(z - nearest) < 1e-13:
+        raise SpectralPoleError(f"cot evaluated within 1e-13 of a pole at {nearest}")
+    return 1.0 / cmath.tan(z)
 
 
 def matrix_cot(x: np.ndarray) -> np.ndarray:
     """cot(X) for a real matrix with purely imaginary spectrum.
 
-    On the spectrum +-i t this is -+i coth(t); the result is real.  Gibbs
-    covariances use the same kernel on one decomposition of epsilon Delta
-    per family (``GibbsFamily.decomposition``).
+    On the spectrum +-i t this is -+i coth(t); the result is real.  The
+    Gibbs covariance (Delta/2) cot(beta eps Delta) it gives is the reference
+    for ``gibbs_state``, which reads it from the family's Williamson basis.
     """
-    return _scaled_cot(_imaginary_decomposition(x), 1.0)
+    return apply_spectral_function(_imaginary_decomposition(x), _cot)
 
 
 def check_finite(x: np.ndarray, what: str, total: float) -> None:

@@ -228,6 +228,13 @@ class TestRatioSequence:
         with pytest.raises(NumericalOverflowError):
             ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 1e-7], overflow_cap=1e6)
 
+    def test_target_overflow_refused(self):
+        # s = 40, 50% attenuator at p = 30: |det K|^(1-p) = 2^1160 is beyond a double
+        s = 40
+        family = GibbsFamily(standard_form(s), np.eye(2 * s))
+        with pytest.raises(NumericalOverflowError, match=r"\(1-p\) log\|det K\| = 804\.0"):
+            ratio_sequence(attenuator(0.5, s=s), family, 30.0, [1e-3, 1e-4, 1e-5])
+
     def test_tiny_determinant_not_singular(self):
         # s = 40, 50% attenuator: |det K| = 2^-40 = 9.1e-13, condition number 1
         s = 40
@@ -269,6 +276,14 @@ class TestUpperBoundCheck:
         oks, worst = upper_bound_check(identity_channel(), states, 2.0)
         assert all(oks)
         assert worst == pytest.approx(1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_norms_below_double_range(self, p):
+        # s = 300 thermal state, d = 200.5: both Schatten norms underflow to 0,
+        # their ratio is exactly 1
+        oks, worst = upper_bound_check(identity_channel(s=300), [thermal_state(200.5, s=300)], p)
+        assert oks == [True]
+        assert worst == pytest.approx(1e-10, abs=1e-14)
 
     def test_vacuum_through_attenuator(self):
         oks, _ = upper_bound_check(attenuator(0.5), [thermal_state(0.5)], 2.0)
@@ -397,31 +412,18 @@ class TestOncePerFamilyPipeline:
         ratio_sequence(channel, family, 2.0, betas)
         scaling_exponent(family, 2.0, betas)
         divergence_exponent(channel, family, 1.0, 2.0, betas)
-        assert counts["spectral_decomposition"]["calls"] == 1
-        assert counts["gibbs_state"]["calls"] == 17
-        # 17 Gibbs states, 17 outputs from ratio_sequence, 17 from divergence_exponent
-        assert counts["validate_state"]["calls"] == 3 * 17
-        assert counts["symplectic_spectrum"]["calls"] == 3 * 17
+        # the family's Williamson basis replaces the general eigendecomposition
+        assert counts["spectral_decomposition"]["calls"] == 0
+        # 17 Gibbs states each for ratio_sequence and divergence_exponent;
+        # scaling_exponent reads the family's spectrum and builds none
+        assert counts["gibbs_state"]["calls"] == 2 * 17
+        # each Gibbs state and each channel output
+        assert counts["validate_state"]["calls"] == 4 * 17
+        assert counts["symplectic_spectrum"]["calls"] == 4 * 17
         # one symmetry and finiteness test per state, plus epsilon's and the channel's mu
-        assert counts["check_symmetric"]["calls"] == 3 * 17 + 2
+        assert counts["check_symmetric"]["calls"] == 4 * 17 + 2
         # only the attenuator's two CP branches; every state is decided by its spectrum
         assert counts["check_psd_hermitian"]["calls"] == 2
-
-    def test_memo_keeps_only_the_last_grid(self):
-        family = GibbsFamily(standard_form(1), np.eye(2))
-        grid_a = np.geomspace(1e-1, 1e-5, 9)
-        grid_b = np.geomspace(2e-1, 1e-4, 9)
-        scaling_exponent(family, 2.0, grid_a)
-        fit_b = scaling_exponent(family, 2.0, grid_b)
-        np.testing.assert_array_equal(family._last_sweep[0], grid_b)
-        fresh = scaling_exponent(GibbsFamily(standard_form(1), np.eye(2)), 2.0, grid_b)
-        assert fit_b == fresh
-
-    def test_failed_sweep_not_kept(self):
-        family = GibbsFamily(standard_form(1), np.eye(2))
-        with pytest.raises(NumericalOverflowError):
-            ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 4e-13])
-        assert family._last_sweep is None
 
 
 class TestDeterminantScaling:

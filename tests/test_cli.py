@@ -58,25 +58,41 @@ class TestConfigRoundTrip:
     def test_wrong_matrix_length_rejected(self):
         with pytest.raises(ConfigError):
             ChannelSpec(s=1, K=[1.0, 0.0, 0.0], l=[0.0, 0.0], mu=[0.0] * 4)
+        # the right length, but not numbers, or not an integer mode count
+        with pytest.raises(ConfigError, match="K entries must be numbers"):
+            ChannelSpec(s=1, K="abcd", l=[0.0, 0.0], mu=[0.0] * 4)
+        with pytest.raises(ConfigError, match="l entries must be numbers"):
+            ChannelSpec(s=1, K=[1.0, 0.0, 0.0, 1.0], l=[0.0, True], mu=[0.0] * 4)
+        for s in (1.5, True):
+            with pytest.raises(ConfigError, match="mode count s must be an integer >= 1"):
+                ChannelSpec(s=s, K=[1.0, 0.0, 0.0, 1.0], l=[0.0, 0.0], mu=[0.0] * 4)
 
     def test_bad_sweep_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(beta_start=1e-5, beta_stop=1e-1)
         with pytest.raises(ConfigError):
             SweepSpec(points=2)
+        for points in (17.5, True):
+            with pytest.raises(ConfigError, match="sweep points must be an integer >= 3"):
+                SweepSpec(points=points)
+        with pytest.raises(ConfigError, match="epsilon entries must be numbers"):
+            SweepSpec(epsilon=["1", 0, 0, 1])
         for p in (0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=r"exponent p must lie in \[1, inf\)"):
                 SweepSpec(p=p)
 
     @pytest.mark.parametrize("command", ["check", "norm", "converge", "scaling"])
     def test_sweep_exponent_below_one_exit_two(self, command, tmp_path, capsys):
-        # the same refusal as --p 0.5, for every command that reads the config
-        doc = json.loads(serialize_config(attenuator_spec(), SweepSpec()))
-        doc["sweep"]["p"] = 0.5
-        path = tmp_path / "p05.json"
-        path.write_text(json.dumps(doc))
-        assert main([command, str(path)]) == 2
-        assert "exponent p must lie in [1, inf)" in capsys.readouterr().err
+        # the same refusal as --p 0.5, for every command that reads the config;
+        # a fractional point count is refused the same way
+        for key, value, message in (("p", 0.5, "exponent p must lie in [1, inf)"),
+                                    ("points", 17.5, "sweep points must be an integer >= 3")):
+            doc = json.loads(serialize_config(attenuator_spec(), SweepSpec()))
+            doc["sweep"][key] = value
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            assert main([command, str(path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -100,11 +116,14 @@ class TestCmdCheck:
         reported = float(out.split("lambda_min = ")[1].split(" ")[0])
         assert reported == pytest.approx(-0.15, abs=1e-12)
 
-    def test_malformed_length_exit_two(self, tmp_path):
-        doc = {"channel": {"s": 1, "K": [1.0, 0.0, 0.0], "l": [0.0, 0.0], "mu": [0.0] * 4}}
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
-        assert main(["check", str(path)]) == 2
+    def test_malformed_length_exit_two(self, tmp_path, capsys):
+        # a short K, a string of the right length, a fractional or boolean mode count
+        for s, K in ((1, [1.0, 0.0, 0.0]), (1, "abcd"), (1.5, [1.0] * 9), (True, [1.0, 0.0, 0.0, 1.0])):
+            doc = {"channel": {"s": s, "K": K, "l": [0.0, 0.0], "mu": [0.0] * 4}}
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(doc))
+            assert main(["check", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_unreadable_config_exit_two(self, tmp_path):
         assert main(["check", str(tmp_path / "missing.json")]) == 2
@@ -228,6 +247,19 @@ class TestCmdConverge:
         assert main(["converge", cfg, "--out", str(out1)]) == 0
         assert main(["converge", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_target_overflow_exit_one(self, tmp_path, capsys):
+        # s = 10, 10% attenuator, p = 40: |det K|^(1-p) = 10^390 is beyond a double
+        s = 10
+        n = 2 * s
+        spec = ChannelSpec(s=s, K=(math.sqrt(0.1) * np.eye(n)).ravel().tolist(), l=[0.0] * n,
+                           mu=(0.45 * np.eye(n)).ravel().tolist())
+        out = tmp_path / "never.csv"
+        cfg = write_config(tmp_path / "big.json", spec, SweepSpec(p=40.0, output_path=str(out)))
+        assert main(["converge", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target |det K|^(1-p) is outside the double range")
+        assert err.count("error:") == 1 and not out.exists()
 
     def test_no_partial_file_on_failure(self, tmp_path):
         # singular K fails before any CSV row is produced

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gaussnorm import (
     GaussianState,
     GibbsFamily,
+    apply_spectral_function,
     char_function,
     f_p,
     g_p,
@@ -453,16 +454,16 @@ def williamson_epsilon(rng, e):
 class TestGibbsFamilyPipeline:
     @pytest.mark.parametrize("s", [1, 4, 16, 40])
     def test_family_path_matches_direct_cot(self, s):
-        # one decomposition of eps Delta per family against one of beta eps Delta per beta
+        # the family's Williamson basis against one decomposition of beta eps Delta per beta
         rng = np.random.default_rng(300 + s)
         e = rng.uniform(0.5, 2.0, size=s)
         if s > 1:
             e[1] = e[0] * (1.0 + 1e-9)  # near-degenerate pair
         space = standard_form(s)
         family = GibbsFamily(space, williamson_epsilon(rng, e))
-        # eps Delta has eigenvalues +-i e_j; the input spectrum is coth(beta e_j)/2
-        lam = family.decomposition.eigenvalues
-        e_dec = lam.imag[lam.imag > 0]
+        # the family's spectrum is {e_j}; the input spectrum is coth(beta e_j)/2
+        e_dec = family.spectrum
+        np.testing.assert_allclose(e_dec, np.sort(e), rtol=1e-12)
         for beta in (1e-5, 1e-3, 1e-1, 1.0):
             direct = 0.5 * space.delta @ matrix_cot(beta * family.epsilon @ space.delta)
             direct = 0.5 * (direct + direct.T)
@@ -470,14 +471,42 @@ class TestGibbsFamilyPipeline:
             assert np.linalg.norm(got.cov - direct) <= 1e-12 * np.linalg.norm(direct)
             np.testing.assert_allclose(got.spectrum, np.sort(0.5 / np.tanh(beta * e_dec)), rtol=1e-12)
 
-    def test_decomposition_cached_per_family(self):
-        family = GibbsFamily(standard_form(2), np.eye(4))
-        dec = family.decomposition
-        assert family.decomposition is dec
-        np.testing.assert_allclose(
-            dec.right_eigenvectors @ dec.inverse_eigenvectors, np.eye(4), atol=1e-14
-        )
-        np.testing.assert_allclose(np.sort(np.abs(dec.eigenvalues)), np.ones(4), rtol=1e-14)
+    def test_decomposition_cached_per_family(self, monkeypatch):
+        # one eigh per family, on construction; none per beta; W^H eps W = I
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+        eps = random_spd(np.random.default_rng(71), 4)
+        family = GibbsFamily(standard_form(2), eps)
+        for beta in (1e-3, 1e-1, 1.0):
+            gibbs_state(family, beta)
+        assert len(calls) == 1
+        w = family.basis
+        np.testing.assert_allclose(w.conj().T @ eps @ w, np.eye(4), atol=1e-13)
+        np.testing.assert_allclose(family.eigenvalues, np.concatenate([-family.spectrum[::-1],
+                                                                       family.spectrum]), rtol=1e-13)
+
+    @pytest.mark.parametrize("r", [10.0, 12.0, 17.0])
+    def test_axis_squeezed_epsilon(self, r):
+        # cond(eps) = e^(4r) up to 3.4e29; the Williamson basis is exact on the axes
+        eps = np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
+        state = gibbs_state(GibbsFamily(standard_form(1), eps), 1e-2)
+        np.testing.assert_allclose(state.spectrum, [0.5 / math.tanh(1e-2)], rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 4, 16, 40])
+    def test_power_cov_matches_general_eigendecomposition(self, s):
+        # alpha g_p(abs(Delta^-1 alpha)) through the nonsymmetric kernel as the reference
+        rng = np.random.default_rng(400 + s)
+        space = standard_form(s)
+        state = random_state(rng, space, d_range=(0.6, 4.0))
+        for p in (1.5, 2.5):
+            got = power_cov(state, p)
+            g_mat = apply_spectral_function(space.delta_inv @ state.cov, lambda lam: g_p(abs(lam), p))
+            ref = state.cov @ g_mat
+            ref = 0.5 * (ref + ref.T)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            expected = np.sort([d * g_p(d, p) for d in state.spectrum])
+            np.testing.assert_allclose(symplectic_spectrum(got, space), expected, rtol=1e-9)
 
     def test_spectrum_cached_per_state(self):
         state = validate_state(np.zeros(2), 1.5 * np.eye(2), standard_form(1))
