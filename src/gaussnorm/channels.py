@@ -8,7 +8,8 @@ transform as alpha' = K^T alpha K + mu and m' = K^T m + l.
 For invertible K the p->p norm is |det K|^(1/p - 1), attained in the
 beta -> 0 limit on Gibbs states; the estimators here certify that limit,
 the upper-bound inequality on sampled Gaussian inputs, and the beta-scaling
-exponents behind the q < p unboundedness.
+exponents behind the q < p unboundedness.  Each takes its beta grid or its
+batch of inputs as one (B, 2s, 2s) stack, and its outputs as another.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .states import (
     GaussianState,
     GibbsFamily,
     _check_p,
+    _checked_spectra,
+    _gibbs_covs,
     _log_schatten_norm,
     _log_tr_rho_p,
-    gibbs_state,
     validate_state,
 )
 from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
@@ -118,35 +120,59 @@ def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
     return GaussianChannel(space=space, K=K, l=l, mu=mu)
 
 
+def _output_covs(channel: GaussianChannel, covs: np.ndarray) -> np.ndarray:
+    """K^T alpha K + mu for a covariance or a (B, 2s, 2s) stack of them; not validated."""
+    if covs.shape[-1] != channel.space.dim:
+        raise DimensionMismatchError("channel and state live on different spaces")
+    cov = channel.K.T @ covs @ channel.K + channel.mu
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
     """Transform a state: cov' = K^T cov K + mu, mean' = K^T mean + l."""
-    if state.space.dim != channel.space.dim:
-        raise DimensionMismatchError("channel and state live on different spaces")
-    cov = channel.K.T @ state.cov @ channel.K + channel.mu
+    cov = _output_covs(channel, state.cov)
     mean = channel.K.T @ state.mean + channel.l
     # output validity is guaranteed mathematically; validate_state asserts it numerically
-    return validate_state(mean, 0.5 * (cov + cov.T), channel.space)
+    return validate_state(mean, cov, channel.space)
 
 
-def _abs_det_K(channel: GaussianChannel) -> float:
+def _abs_det_K(channel: GaussianChannel) -> tuple[float, float]:
+    """(|det K|, log|det K|) for invertible K; |det K| may over- or underflow, its log cannot."""
     # numpy's rank tolerance is relative to the largest singular value: no absolute scale
     with np.errstate(over="ignore", under="ignore"):
-        det = channel.det_K()
+        abs_det = abs(channel.det_K())
     if np.linalg.matrix_rank(channel.K) < channel.space.dim:
-        raise SingularKError(f"theorem requires invertible K; |det K| = {abs(det):.3e}")
-    if not 0.0 < abs(det) < math.inf:
-        log_det = np.linalg.slogdet(channel.K)[1]
-        raise NumericalOverflowError(f"|det K| is outside the double range: log|det K| = {log_det:.6g}")
-    return abs(det)
+        raise SingularKError(f"theorem requires invertible K; |det K| = {abs_det:.3e}")
+    if 0.0 < abs_det < math.inf:
+        return abs_det, math.log(abs_det)
+    return abs_det, float(np.linalg.slogdet(channel.K)[1])
+
+
+def _det_power(abs_det: float, log_det: float, exponent: float) -> float:
+    # the plain power wherever |det K| is a finite nonzero double, so in-range results stay
+    # bit for bit; exp(exponent log|det K|) once |det K| itself has left the range; inf on overflow
+    try:
+        return abs_det**exponent if 0.0 < abs_det < math.inf else math.exp(exponent * log_det)
+    except OverflowError:
+        return math.inf
 
 
 def norm_pp(channel: GaussianChannel, p: float) -> float:
-    """The p->p norm |det K|^(1/p - 1) for invertible K; p may be math.inf."""
-    abs_det = _abs_det_K(channel)
+    """The p->p norm |det K|^(1/p - 1) for invertible K; p may be math.inf.
+
+    Taken through log|det K| when |det K| leaves the double range; a norm
+    outside the normal double range raises NumericalOverflowError.
+    """
     _check_p(p, allow_inf=True)
-    if p == math.inf:
-        return 1.0 / abs_det
-    return abs_det ** (1.0 / p - 1.0)
+    abs_det, log_det = _abs_det_K(channel)
+    exponent = -1.0 if p == math.inf else 1.0 / p - 1.0
+    # at p = inf the reciprocal, which keeps its bits where |det K| is in range
+    in_range = 0.0 < abs_det < math.inf
+    value = 1.0 / abs_det if p == math.inf and in_range else _det_power(abs_det, log_det, exponent)
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise NumericalOverflowError(f"norm |det K|^(1/p-1) is outside the double range: "
+                                     f"(1/p-1) log|det K| = {exponent * log_det:.6g}")
+    return value
 
 
 def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray, cap: float) -> np.ndarray:
@@ -189,28 +215,20 @@ def ratio_sequence(
     """
     betas = _check_betas(betas, descending=True)
     _check_p(p)
-    abs_det = _abs_det_K(channel)
-    try:
-        target = abs_det ** (1.0 - p)
-    except OverflowError:
-        target = math.inf
+    abs_det, log_det = _abs_det_K(channel)
+    target = _det_power(abs_det, log_det, 1.0 - p)
     if not np.finfo(float).tiny <= target < math.inf:
         raise NumericalOverflowError(f"target |det K|^(1-p) is outside the double range: "
-                                     f"(1-p) log|det K| = {(1.0 - p) * math.log(abs_det):.6g}")
+                                     f"(1-p) log|det K| = {(1.0 - p) * log_det:.6g}")
     _gibbs_spectra(family, betas, overflow_cap)
-    log_in, log_out, ratios = [], [], []
-    for rho in (gibbs_state(family, beta) for beta in betas):
-        out = apply_channel(channel, rho)
-        li = _log_tr_rho_p(rho.spectrum, p)
-        lo = _log_tr_rho_p(out.spectrum, p)
-        log_in.append(li)
-        log_out.append(lo)
-        ratios.append(math.exp(lo - li))
-    ratios = np.array(ratios)
+    covs = _gibbs_covs(family, betas)
+    log_in = _log_tr_rho_p(_checked_spectra(covs, family.space), p)
+    log_out = _log_tr_rho_p(_checked_spectra(_output_covs(channel, covs), channel.space), p)
+    ratios = np.exp(log_out - log_in)
     rel = np.abs(ratios / target - 1.0)
     return ConvergenceReport(
         betas=betas, ratios=ratios, target=target, relative_errors=rel,
-        log_tr_in=np.array(log_in), log_tr_out=np.array(log_out),
+        log_tr_in=log_in, log_tr_out=log_out,
     )
 
 
@@ -227,15 +245,17 @@ def upper_bound_check(
     margins mean the bound held.  Ratios come from log norms, so norms may underflow.
     """
     log_bound = math.log(norm_pp(channel, p))
-    oks, worst = [], np.inf
-    for state in states:
-        out = apply_channel(channel, state)
-        log_ratio = _log_schatten_norm(out.spectrum, p) - _log_schatten_norm(state.spectrum, p)
-        ratio = math.exp(log_ratio - log_bound)
-        margin = 1.0 + slack - ratio
-        worst = min(worst, margin)
-        oks.append(ratio <= 1.0 + slack)
-    return oks, float(worst)
+    if not states:
+        return [], math.inf
+    if any(state.space.dim != channel.space.dim for state in states):
+        raise DimensionMismatchError("channel and state live on different spaces")
+    means = np.array([state.mean for state in states]) @ channel.K + channel.l
+    check_finite(means, "mean", float(abs(means).max()))
+    out = _checked_spectra(_output_covs(channel, np.array([state.cov for state in states])),
+                           channel.space)
+    log_in = _log_schatten_norm(np.array([state.spectrum for state in states]), p)
+    ratios = np.exp(_log_schatten_norm(out, p) - log_in - log_bound)
+    return (ratios <= 1.0 + slack).tolist(), float((1.0 + slack - ratios).min())
 
 
 def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
@@ -247,8 +267,8 @@ def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
     _check_p(p)
     if betas.max() / betas.min() < 99.0:
         raise ValueError("beta grid must span at least two decades")
-    log_norms = [_log_tr_rho_p(ds, p) / p for ds in _gibbs_spectra(family, betas, D_OVERFLOW_CAP)]
-    slope, resid = _loglog_fit(np.log(betas), np.array(log_norms))
+    log_norms = _log_tr_rho_p(_gibbs_spectra(family, betas, D_OVERFLOW_CAP), p) / p
+    slope, resid = _loglog_fit(np.log(betas), log_norms)
     expected = family.space.s * (p - 1.0) / p
     return ScalingFit(slope=slope, residual=resid, expected=expected)
 
@@ -272,11 +292,10 @@ def divergence_exponent(
     betas = _check_betas(betas, descending=True)
     _abs_det_K(channel)
     _gibbs_spectra(family, betas, D_OVERFLOW_CAP)
-    log_ratio = []
-    for rho in (gibbs_state(family, beta) for beta in betas):
-        out = apply_channel(channel, rho)
-        log_ratio.append(_log_tr_rho_p(out.spectrum, q) / q - _log_tr_rho_p(rho.spectrum, p) / p)
-    log_ratio = np.array(log_ratio)
+    covs = _gibbs_covs(family, betas)
+    log_norm_in = _log_tr_rho_p(_checked_spectra(covs, family.space), p) / p
+    log_norm_out = _log_tr_rho_p(_checked_spectra(_output_covs(channel, covs), channel.space), q) / q
+    log_ratio = log_norm_out - log_norm_in
     slope, resid = _loglog_fit(np.log(betas), log_ratio)
     expected = family.space.s * (1.0 / p - 1.0 / q)
     last_decade = betas <= 10.0 * betas[-1] * (1.0 + 1e-9)

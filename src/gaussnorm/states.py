@@ -3,7 +3,7 @@
 A Gaussian density operator is determined by its mean vector m and covariance
 matrix alpha through Tr rho W(z) = exp(i m^T z - z^T alpha z / 2), with the
 uncertainty constraint alpha + (i/2) Delta >= 0.  Powers of a Gaussian state
-stay Gaussian up to normalization; the scalar spectral functions
+stay Gaussian up to normalization; the spectral functions
 
     f_p(d) = (d + 1/2)^p - (d - 1/2)^p
     g_p(d) = [(d + 1/2)^p + (d - 1/2)^p] / (2 d [(d + 1/2)^p - (d - 1/2)^p])
@@ -14,6 +14,8 @@ power state.  Gibbs states of quadratic Hamiltonians R eps R^T are Gaussian
 with covariance (Delta/2) cot(beta eps Delta).
 Both covariances are read from the Williamson basis of a positive definite
 x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H.
+Batches of covariances (sampled inputs, a beta grid) are (B, 2s, 2s) stacks:
+one batched spectrum and verdict and one array evaluation of log f_p each.
 """
 
 from __future__ import annotations
@@ -99,31 +101,32 @@ def _check_p(p: float, allow_inf: bool = False) -> None:
         raise DomainError(f"exponent must lie in [1, {upper}, got {p}")
 
 
-def _checked_d(d: float) -> float:
-    # absolute slack TOL_SPEC * max(1, d) mirrors the spectrum tolerance
-    if not math.isfinite(d) or d < 0.5 - TOL_SPEC * max(1.0, abs(d)):
-        raise DomainError(f"symplectic eigenvalue must be finite and >= 1/2, got {d}")
-    return max(float(d), 0.5)
+def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, d + 1/2, 1 - r^p) elementwise over symplectic eigenvalues d, r = (d - 1/2)/(d + 1/2).
 
-
-def _power_terms(d: float, p: float) -> tuple[float, float]:
-    # (r^p, 1 - r^p) with r = (d - 1/2)/(d + 1/2), stable at both domain edges:
-    # direct subtraction below r = 1/2, log1p/expm1 above (r -> 1 as d -> inf)
-    num = d - 0.5
-    if num <= 0.0:
-        return 0.0, 1.0
+    Refuses NaN, inf and d below 1/2 by more than TOL_SPEC * max(1, |d|); d
+    within that slack is read as 1/2.  1 - r^p is taken directly below r = 1/2
+    (d + 1/2 < 2) and through log1p/expm1 above, where r -> 1; only underflow
+    of r^p passes silently.
+    """
+    d = np.asarray(d, dtype=float)
+    # the domain test is monotone in d, so the extremes decide it for every entry
+    lo, hi = float(d.min()), float(d.max())
+    lo_ok = math.isfinite(lo) and lo >= 0.5 - TOL_SPEC * max(1.0, abs(lo))
+    if not (lo_ok and hi < math.inf):
+        raise DomainError(f"symplectic eigenvalue must be finite and >= 1/2, got {hi if lo_ok else lo}")
+    d = np.maximum(d, 0.5)
     den = d + 0.5
-    r = num / den
-    if r < 0.5:
-        rp = r**p
-        return rp, 1.0 - rp
-    log_rp = p * math.log1p(-1.0 / den)
-    return math.exp(log_rp), -math.expm1(log_rp)
+    with np.errstate(under="ignore"):
+        # den = 2 stands in below the crossover, where log1p(-1/den) is neither needed nor finite
+        log_rp = p * np.log1p(-1.0 / np.maximum(den, 2.0))
+        return d, den, np.where(den >= 2.0, -np.expm1(log_rp), 1.0 - ((d - 0.5) / den) ** p)
 
 
-def _log_f_p(d: float, p: float) -> float:
-    _, one_minus_rp = _power_terms(d, p)
-    return p * math.log(d + 0.5) + math.log(one_minus_rp)
+def _log_f_p(d, p: float) -> np.ndarray:
+    # log f_p(d) = p log(d + 1/2) + log(1 - r^p), elementwise
+    _, den, one_minus_rp = _power_terms(d, p)
+    return p * np.log(den) + np.log(one_minus_rp)
 
 
 def f_p(d: float, p: float) -> float:
@@ -132,35 +135,60 @@ def f_p(d: float, p: float) -> float:
     Saturates to float inf when the true value exceeds double range.
     """
     _check_p(p)
-    d = _checked_d(d)
-    _, one_minus_rp = _power_terms(d, p)
+    _, den, one_minus_rp = _power_terms(d, p)
     try:
-        return (d + 0.5) ** p * one_minus_rp
+        return float(den) ** p * float(one_minus_rp)
     except OverflowError:
         return math.inf
 
 
-def g_p(d: float, p: float) -> float:
-    """[(d+1/2)^p + (d-1/2)^p] / (2 d [(d+1/2)^p - (d-1/2)^p]).
+def g_p(d, p: float):
+    """[(d+1/2)^p + (d-1/2)^p] / (2 d [(d+1/2)^p - (d-1/2)^p]), elementwise over an array d.
 
     d * g_p(d) is the symplectic eigenvalue of the normalized p-th power of a
     single-mode thermal state with symplectic eigenvalue d; g_p(1/2) = 1 by
     continuity and g_p(d) -> 1/p as d -> infinity.
     """
     _check_p(p)
-    d = _checked_d(d)
-    rp, one_minus_rp = _power_terms(d, p)
-    return (1.0 + rp) / (2.0 * d * one_minus_rp)
+    d, _, one_minus_rp = _power_terms(d, p)
+    # 1 + r^p = 2 - (1 - r^p), with no cancellation since r^p < 1
+    return (2.0 - one_minus_rp) / (2.0 * d * one_minus_rp)
+
+
+def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
+    """Symplectic spectra (..., s) of covariances (..., 2s, 2s), each held to uncertainty.
+
+    One batched symplectic_spectrum refuses non-finite and asymmetric matrices,
+    each on its own scale.  For alpha > 0 the constraint holds exactly when
+    d_min >= 1/2; only members within TOL_SPEC of 1/2, or with no Cholesky
+    factor (left as NaN), run the branches alpha +- (i/2) Delta >= 0, which
+    decide and report lambda_min.
+    """
+    try:
+        spectra = symplectic_spectrum(covs, space)
+    except DomainError:
+        # a non-finite covariance is refused as such, never taken for a failed Cholesky
+        check_finite(covs, "covariance matrix", float(abs(covs).max()))
+        if covs.ndim > 2:  # each member decides alone; only those without a factor get NaN
+            spectra = [_checked_spectra(cov, space) for cov in covs.reshape(-1, space.dim, space.dim)]
+            return np.reshape(spectra, covs.shape[:-2] + (space.s,))
+        spectra = np.full(space.s, math.nan)
+    for i, d_min in enumerate(spectra.reshape(-1, space.s)[:, 0].tolist()):
+        if not d_min >= 0.5 + TOL_SPEC * d_min:
+            for ok, lam_min in check_psd_branches(covs.reshape(-1, space.dim, space.dim)[i], space.delta):
+                if not ok:
+                    raise UncertaintyViolatedError(
+                        f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
+                        lambda_min=lam_min,
+                    )
+    return spectra
 
 
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Refuses non-finite entries (the spectrum refuses those of cov), then reads
-    the state's spectrum once: for alpha > 0, alpha + (i/2) Delta >= 0 exactly
-    when d_min >= 1/2.  Only at the boundary (d_min within TOL_SPEC of 1/2, or
-    no Cholesky factor) do the branches alpha +- (i/2) Delta >= 0 run and
-    decide; a violation reports its lambda_min on the exception.
+    Refuses a non-finite mean; the covariance gets the stacks' verdict, whose
+    spectrum the state keeps.
     """
     mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.array(cov, dtype=float)
@@ -171,19 +199,9 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
         )
     check_finite(mean, "mean", sum(mean.tolist()))
     state = GaussianState(space=space, mean=mean, cov=cov)
-    try:
-        d_min = float(state.spectrum[0])
-    except DomainError:
-        # a non-finite covariance is refused as such, never taken for a failed Cholesky
-        check_finite(cov, "covariance matrix", float(abs(cov).max()))
-        d_min = math.nan
-    if not d_min >= 0.5 + TOL_SPEC * d_min:
-        for ok, lam_min in check_psd_branches(cov, space.delta):
-            if not ok:
-                raise UncertaintyViolatedError(
-                    f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
-                    lambda_min=lam_min,
-                )
+    spectrum = _checked_spectra(cov, space)
+    if not math.isnan(spectrum[0]):
+        object.__setattr__(state, "spectrum", spectrum)  # fills the cached property
     return state
 
 
@@ -193,16 +211,17 @@ def char_function(state: GaussianState, z) -> complex:
     return complex(np.exp(1j * state.mean @ z - 0.5 * z @ state.cov @ z))
 
 
-def _log_tr_rho_p(spectrum: np.ndarray, p: float) -> float:
+def _log_tr_rho_p(spectra: np.ndarray, p: float):
+    # log Tr rho^p over the last axis: one value per spectrum of a stack
     _check_p(p)
-    return -sum(_log_f_p(_checked_d(d), p) for d in spectrum)
+    return -_log_f_p(spectra, p).sum(axis=-1)
 
 
-def _log_schatten_norm(spectrum: np.ndarray, p: float) -> float:
+def _log_schatten_norm(spectra: np.ndarray, p: float):
     _check_p(p, allow_inf=True)
     if p == math.inf:
-        return -sum(math.log(d + 0.5) for d in spectrum)
-    return _log_tr_rho_p(spectrum, p) / p
+        return -np.log(spectra + 0.5).sum(axis=-1)
+    return _log_tr_rho_p(spectra, p) / p
 
 
 def tr_rho_p(state: GaussianState, p: float) -> float:
@@ -220,7 +239,7 @@ def power_cov(state: GaussianState, p: float) -> np.ndarray:
     of the normalized p-th power state, from one eigensolve of its Williamson form."""
     chol, h = _williamson_form(state.cov, state.space, DomainError, "covariance matrix")
     lam, u = np.linalg.eigh(h)
-    m = chol @ ((u * [g_p(abs(x), p) for x in lam]) @ u.conj().T).real @ chol.T
+    m = chol @ ((u * g_p(abs(lam), p)) @ u.conj().T).real @ chol.T
     return 0.5 * (m + m.T)
 
 
@@ -233,17 +252,25 @@ def power_char_function(state: GaussianState, p: float, z) -> complex:
     )
 
 
+def _gibbs_covs(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
+    """Gibbs covariances alpha = Re(W diag(lam coth(beta lam)/2) W^H) as a (B, 2s, 2s) stack,
+    one per beta, on the family's Williamson basis; not validated."""
+    lam, w = family.eigenvalues, family.basis
+    x = 0.5 * lam / np.tanh(np.multiply.outer(betas, lam))
+    alpha = ((w * x[:, None, :]) @ w.conj().T).real
+    return 0.5 * (alpha + alpha.swapaxes(-1, -2))
+
+
 def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
     """Gibbs state at inverse temperature beta: mean 0, alpha = (Delta/2) cot(beta eps Delta).
 
     alpha = Re(W diag(lam coth(beta lam)/2) W^H) on the family's Williamson
-    basis, one product per beta; validate_state runs at every beta.
+    basis, the one-beta case of the sweep estimators' stack; validate_state runs on it.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
-    lam, w = family.eigenvalues, family.basis
-    alpha = ((w * (0.5 * lam / np.tanh(beta * lam))) @ w.conj().T).real
-    return validate_state(np.zeros(family.space.dim), 0.5 * (alpha + alpha.T), family.space)
+    alpha = _gibbs_covs(family, np.array([beta]))[0]
+    return validate_state(np.zeros(family.space.dim), alpha, family.space)
 
 
 def gibbs_asymptotic(family: GibbsFamily, beta: float) -> np.ndarray:

@@ -8,19 +8,22 @@ Conventions used throughout the package:
 * [q, p] = i, vacuum covariance (1/2) I, symplectic eigenvalues d_j >= 1/2;
 * a symmetric positive definite x = L L^T (Cholesky), covariance or Gibbs
   Hamiltonian, has the Hermitian Williamson form i L^T Delta^-1 L with
-  eigenvalues +-d_j; spectra, Gibbs states and power states are read from it;
+  eigenvalues +-d_j; spectra, Gibbs states and power states are read from it,
+  for one matrix or a stack (..., 2s, 2s) of them in one batched call;
 * general matrix functions (matrix_abs, matrix_cot) go through a complex
   eigendecomposition kernel with a conditioning cap and a real-projection
   guard; they are the independent reference for the Williamson path.
 
 Symmetry, Hermiticity and PSD tolerances scale with max |x_ij|, which, unlike
-a norm summed over entries, cannot overflow for finite x.
+a norm summed over entries, cannot overflow for finite x; in a stack each
+matrix is held to its own max |x_ij|.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,26 +161,28 @@ def matrix_abs(a: np.ndarray) -> np.ndarray:
 
 def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: str) -> tuple:
     # (L, H): x = L L^T (Cholesky) and Hermitian H = i L^T Delta^-1 L, with eigenvalues
-    # +-d_j, the symplectic spectrum of x; a failed Cholesky raises ``error`` naming ``what``
+    # +-d_j, the symplectic spectrum of x, per matrix of a stack; a failed Cholesky of
+    # any matrix raises ``error`` naming ``what``
     try:
         chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError as exc:
         raise error(f"{what} must be positive definite") from exc
-    return chol, 1j * (chol.T @ space.delta_inv @ chol)
+    return chol, -1j * (chol.swapaxes(-1, -2) @ space.delta @ chol)  # Delta^-1 = -Delta
 
 
 def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     """Symplectic spectrum {d_j} of a positive definite covariance, ascending.
 
+    ``alpha`` may be a stack (..., 2s, 2s); the spectra come back as (..., s).
     Each +-d_j pair of the Williamson form's eigenvalues is averaged into one
-    d_j.  A failed Cholesky factorization raises DomainError.
+    d_j.  A failed Cholesky factorization of any matrix raises DomainError.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (space.dim, space.dim):
-        raise ValueError(f"expected shape {(space.dim, space.dim)}, got {alpha.shape}")
+    if alpha.shape[-2:] != (space.dim, space.dim):
+        raise ValueError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
     w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
-    return 0.5 * (w[space.s:] - w[space.s - 1::-1])
+    return 0.5 * (w[..., space.s:] - w[..., space.s - 1::-1])
 
 
 def _cot(z: complex) -> complex:
@@ -209,10 +214,17 @@ def check_finite(x: np.ndarray, what: str, total: float) -> None:
 
 
 def check_symmetric(x: np.ndarray, what: str) -> None:
-    """Refuse a real matrix with non-finite entries or asymmetry beyond TOL_SYM * max |x_ij|."""
-    scale = float(abs(x).max())
-    check_finite(x, what, scale)
-    if abs(x - x.T).max() > TOL_SYM * scale:
+    """Refuse a real matrix with non-finite entries or asymmetry beyond TOL_SYM * max |x_ij|.
+
+    For a stack (..., n, n) each matrix is held to its own max |x_ij|.
+    """
+    # per-matrix maxima over rows of n^2 entries, compared as floats: on one small
+    # matrix this costs about what the two full reductions of a single check do
+    n = x.shape[-1]
+    scale = abs(x).reshape(-1, n * n).max(axis=1).tolist()
+    check_finite(x, what, sum(scale))
+    asym = abs(x - x.swapaxes(-1, -2)).reshape(-1, n * n).max(axis=1).tolist()
+    if any(map(operator.gt, asym, [TOL_SYM * m for m in scale])):
         raise NotSymmetricError(f"{what} is not symmetric within tolerance")
 
 

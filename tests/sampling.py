@@ -11,7 +11,8 @@ The generators mirror the structure of what they sample:
 
 The ladder and quadrature matrices are the dense operators the banded Fock
 code (moments from five diagonals, Weyl operators from Laguerre elements)
-is checked against.
+is checked against, and the scalar power terms are the per-eigenvalue
+reference for the array kernel behind f_p, g_p and Tr rho^p.
 """
 
 from __future__ import annotations
@@ -140,3 +141,26 @@ def quadratures(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     q = (a.matrix + a_dag.matrix) / math.sqrt(2.0)
     p = 1j * (a_dag.matrix - a.matrix) / math.sqrt(2.0)
     return q, p
+
+
+def power_terms_ref(d: float, p: float) -> tuple[float, float]:
+    """(r^p, 1 - r^p), r = (d - 1/2)/(d + 1/2), one eigenvalue d >= 1/2 at a time.
+
+    Direct subtraction below r = 1/2, log1p/expm1 above (r -> 1 as d -> inf).
+    """
+    num = d - 0.5
+    if num <= 0.0:
+        return 0.0, 1.0
+    den = d + 0.5
+    r = num / den
+    if r < 0.5:
+        rp = r**p
+        return rp, 1.0 - rp
+    log_rp = p * math.log1p(-1.0 / den)
+    return math.exp(log_rp), -math.expm1(log_rp)
+
+
+def log_f_p_ref(d: float, p: float) -> float:
+    """log f_p(d) = p log(d + 1/2) + log(1 - r^p) for one eigenvalue, d >= 1/2."""
+    _, one_minus_rp = power_terms_ref(d, p)
+    return p * math.log(d + 0.5) + math.log(one_minus_rp)

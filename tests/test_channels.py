@@ -25,6 +25,7 @@ from gaussnorm import (
 )
 from gaussnorm.channels import cp_branches
 from gaussnorm.errors import (
+    DimensionMismatchError,
     DomainError,
     NotCPError,
     NumericalOverflowError,
@@ -171,15 +172,20 @@ class TestNormPP:
         with pytest.raises(SingularKError, match="requires invertible K"):
             norm_pp(channel, 2.0)
 
-    def test_determinant_overflow_refused(self):
-        # s = 200 amplifier: |det K| = 40^200 overflows a double, and the norm
-        # exp(-(1/2) log|det K|) ~ 1e-160 must not come back as 0.0
+    def test_determinant_overflow_in_log_space(self):
+        # s = 200 amplifier: |det K| = 40^200 overflows a double, but the norm
+        # exp(-(1/2) log|det K|) = 40^-100 ~ 1e-160 does not; at p = inf the norm
+        # exp(-log|det K|) ~ 1e-320 is outside the double range and refused
         s = 200
         channel = validate_channel(
             math.sqrt(40.0) * np.eye(2 * s), np.zeros(2 * s), 20.0 * np.eye(2 * s), standard_form(s)
         )
-        with pytest.raises(NumericalOverflowError, match=r"log\|det K\| = 737\.7"):
-            norm_pp(channel, 2.0)
+        log_det = np.linalg.slogdet(channel.K)[1]
+        assert norm_pp(channel, 2.0) == pytest.approx(math.exp(-0.5 * log_det), rel=1e-12)
+        assert norm_pp(channel, 2.0) == pytest.approx(40.0**-100, rel=1e-12)
+        assert norm_pp(channel, 1.0) == 1.0
+        with pytest.raises(NumericalOverflowError, match=r"\(1/p-1\) log\|det K\| = -737\.7"):
+            norm_pp(channel, math.inf)
 
     @pytest.mark.parametrize("p", [math.nan, -math.inf, 0.5])
     def test_bad_exponent_rejected(self, p):
@@ -300,6 +306,21 @@ class TestUpperBoundCheck:
         assert ratio == pytest.approx(math.sqrt(1.5), rel=1e-12)
         assert ratio <= norm_pp(channel, 2.0)
 
+    def test_empty_and_foreign_states(self):
+        assert upper_bound_check(attenuator(0.5), [], 2.0) == ([], math.inf)
+        with pytest.raises(DimensionMismatchError):
+            upper_bound_check(attenuator(0.5), [thermal_state(1.5), thermal_state(1.5, s=2)], 2.0)
+
+    def test_overflowing_output_mean_refused(self):
+        # K^T m overflows a double: the batch refuses it by name, as apply_channel does
+        space = standard_form(1)
+        amplifier = validate_channel(2.0 * np.eye(2), np.zeros(2), 1.5 * np.eye(2), space)
+        state = validate_state([1e308, 0.0], np.eye(2), space)
+        for call in (lambda: apply_channel(amplifier, state),
+                     lambda: upper_bound_check(amplifier, [thermal_state(1.5), state], 2.0)):
+            with np.errstate(over="ignore"), pytest.raises(DomainError, match="^mean must be finite"):
+                call()
+
     def test_no_violations_random(self):
         rng = np.random.default_rng(103)
         for s in (1, 2):
@@ -414,16 +435,33 @@ class TestOncePerFamilyPipeline:
         divergence_exponent(channel, family, 1.0, 2.0, betas)
         # the family's Williamson basis replaces the general eigendecomposition
         assert counts["spectral_decomposition"]["calls"] == 0
-        # 17 Gibbs states each for ratio_sequence and divergence_exponent;
-        # scaling_exponent reads the family's spectrum and builds none
-        assert counts["gibbs_state"]["calls"] == 2 * 17
-        # each Gibbs state and each channel output
-        assert counts["validate_state"]["calls"] == 4 * 17
-        assert counts["symplectic_spectrum"]["calls"] == 4 * 17
-        # one symmetry and finiteness test per state, plus epsilon's and the channel's mu
-        assert counts["check_symmetric"]["calls"] == 4 * 17 + 2
+        # the beta grid is one (17, 4, 4) stack: no Gibbs state, no per-state validation
+        assert counts["gibbs_state"]["calls"] == 0
+        assert counts["validate_state"]["calls"] == 0
+        # one spectrum per stack: the Gibbs inputs and their channel outputs, in
+        # ratio_sequence and divergence_exponent; scaling_exponent reads the family's
+        assert counts["symplectic_spectrum"]["calls"] == 4
+        # one symmetry and finiteness test per stack, plus epsilon's and the channel's mu
+        assert counts["check_symmetric"]["calls"] == 4 + 2
         # only the attenuator's two CP branches; every state is decided by its spectrum
         assert counts["check_psd_hermitian"]["calls"] == 2
+
+    def test_upper_bound_check_one_stack(self, monkeypatch):
+        space = standard_form(2)
+        rng = np.random.default_rng(11)
+        channel = random_channel(rng, space)
+        states = [random_state(rng, space) for _ in range(100)]
+        counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
+            (gaussnorm.channels, "apply_channel"),
+            (gaussnorm.symplectic, "symplectic_spectrum"),
+            (gaussnorm.symplectic, "check_psd_hermitian"),
+        )}
+        oks, _ = upper_bound_check(channel, states, 2.0)
+        assert len(oks) == 100 and all(oks)
+        # the inputs' spectra are cached on the states; the outputs are one stack
+        assert counts["apply_channel"]["calls"] == 0
+        assert counts["symplectic_spectrum"]["calls"] == 1
+        assert counts["check_psd_hermitian"]["calls"] == 0
 
 
 class TestDeterminantScaling:

@@ -84,9 +84,13 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("command", ["check", "norm", "converge", "scaling"])
     def test_sweep_exponent_below_one_exit_two(self, command, tmp_path, capsys):
         # the same refusal as --p 0.5, for every command that reads the config;
-        # a fractional point count is refused the same way
+        # a fractional point count, a q that is not a number and an output path
+        # that is not a string are refused the same way
         for key, value, message in (("p", 0.5, "exponent p must lie in [1, inf)"),
-                                    ("points", 17.5, "sweep points must be an integer >= 3")):
+                                    ("points", 17.5, "sweep points must be an integer >= 3"),
+                                    ("q", "abc", "exponent q must be a number or null"),
+                                    ("q", True, "exponent q must be a number or null"),
+                                    ("output_path", 5, "output_path must be a string")):
             doc = json.loads(serialize_config(attenuator_spec(), SweepSpec()))
             doc["sweep"][key] = value
             path = tmp_path / f"{key}.json"

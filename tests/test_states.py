@@ -32,8 +32,15 @@ from gaussnorm.errors import (
     SingularEpsilonError,
     UncertaintyViolatedError,
 )
-from sampling import random_covariance, random_spd, random_state, random_symplectic
-from gaussnorm.states import _power_terms
+from sampling import (
+    log_f_p_ref,
+    power_terms_ref,
+    random_covariance,
+    random_spd,
+    random_state,
+    random_symplectic,
+)
+from gaussnorm.states import _checked_spectra, _log_f_p, _power_terms
 from gaussnorm.symplectic import check_psd_branches
 
 
@@ -124,6 +131,68 @@ class TestValidateState:
             assert failing and err.lambda_min == failing[0]
         else:
             assert all(ok for ok, _ in branches)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 20),
+        st.lists(st.sampled_from([0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e8, -1e8]), min_size=1),
+    )
+    def test_stacked_verdict_matches_per_state(self, seed, s, batch, ks):
+        # members with d_min = 1/2 + k eps and squeezed up to a failed Cholesky:
+        # the stack's spectra and verdict are those of validate_state, member by member
+        rng = np.random.default_rng(seed)
+        space = standard_form(s)
+        covs = []
+        for i in range(batch):
+            d = np.sort(rng.uniform(0.5, 5.0, size=s))
+            d[0] = 0.5 + ks[i % len(ks)] * np.finfo(float).eps
+            s_mat = random_symplectic(rng, space, scale=float(rng.choice([0.3, 1.0, 3.0])))
+            alpha = s_mat.T @ np.diag(np.repeat(d, 2)) @ s_mat
+            covs.append(0.5 * (alpha + alpha.T))
+        covs = np.array(covs)
+        spectra, lam_mins = [], []
+        for cov in covs:
+            try:
+                state = validate_state(np.zeros(2 * s), cov, space)
+            except UncertaintyViolatedError as err:
+                lam_mins.append(err.lambda_min)
+                continue
+            try:
+                spectra.append(state.spectrum)
+            except DomainError:  # valid, but too squeezed for a Cholesky factor
+                spectra.append(np.full(s, math.nan))
+        if lam_mins:
+            with pytest.raises(UncertaintyViolatedError) as err:
+                _checked_spectra(covs, space)
+            assert err.value.lambda_min == lam_mins[0]
+        else:
+            np.testing.assert_allclose(_checked_spectra(covs, space), spectra, rtol=1e-14)
+
+    def test_stacked_verdict_one_violating_member(self):
+        # below vacuum, or not even positive definite (no Cholesky factor), amid valid members
+        rng = np.random.default_rng(5)
+        space = standard_form(2)
+        valid = [random_covariance(rng, space)[0] for _ in range(6)]
+        for bad in (0.4 * np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0]), np.diag([1e200, -1e200, 1.0, 1.0])):
+            with np.errstate(over="ignore"), pytest.raises(UncertaintyViolatedError) as single:
+                validate_state(np.zeros(4), bad, space)
+            with np.errstate(over="ignore"), pytest.raises(UncertaintyViolatedError) as stacked:
+                _checked_spectra(np.array(valid[:3] + [bad] + valid[3:]), space)
+            assert stacked.value.lambda_min == single.value.lambda_min
+
+    def test_stacked_tolerance_per_matrix(self):
+        # next to a 1e200-scale member, a unit-scale member's asymmetry is still refused
+        space = standard_form(1)
+        lopsided = np.array([[1.0, 0.2], [0.1, 1.0]])
+        with pytest.raises(NotSymmetricError):
+            validate_state([0, 0], lopsided, space)
+        with pytest.raises(NotSymmetricError):
+            _checked_spectra(np.array([1e200 * np.eye(2), lopsided]), space)
+        spectra = _checked_spectra(np.array([1e200 * np.eye(2), 0.5 * (lopsided + lopsided.T)]), space)
+        # single mode: d = sqrt(det alpha)
+        np.testing.assert_allclose(spectra[:, 0], [1e200, math.sqrt(1.0 - 0.15**2)], rtol=1e-14)
 
     def test_large_finite_entries_accepted(self):
         # the Frobenius norm and the mean's sum overflow; the entries do not
@@ -242,11 +311,32 @@ class TestSpectralFunctionScalars:
 
     def test_power_terms_consistency(self):
         # both branches agree near the r = 1/2 crossover (d = 1.5)
-        for d in (1.49, 1.5, 1.51):
-            rp, one_minus = _power_terms(d, 2.5)
-            assert rp + one_minus == pytest.approx(1.0, rel=1e-14)
-            r = (d - 0.5) / (d + 0.5)
-            assert rp == pytest.approx(r**2.5, rel=1e-12)
+        d = np.array([1.49, 1.5, 1.51])
+        _, den, one_minus = _power_terms(d, 2.5)
+        np.testing.assert_array_equal(den, d + 0.5)
+        r = (d - 0.5) / (d + 0.5)
+        np.testing.assert_allclose(one_minus, 1.0 - r**2.5, rtol=1e-14)
+
+    def test_log_kernel_matches_scalar_reference(self):
+        # the array kernel against the per-eigenvalue scalar form it replaced, at the
+        # domain edge, across the r = 1/2 crossover and out to d = 1e12; only
+        # underflow of r^p may pass silently.  Beyond |log f_p| = 1 the bound
+        # grows with the value: an ulp of log f_p = 3e4 is 3.6e-12.
+        ds = np.concatenate([[0.5, 0.5 + 1e-15, 0.5 + 1e-9, 1.5 - 1e-12, 1.5 + 1e-12],
+                             np.geomspace(0.5, 1e12, 400)])
+        for p in (1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 40.0, 1e3):
+            with np.errstate(all="raise", under="ignore"):
+                got = _log_f_p(ds, p)
+                _, _, one_minus = _power_terms(ds, p)
+            ref = np.array([log_f_p_ref(d, p) for d in ds])
+            assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref))), p
+            np.testing.assert_allclose(one_minus, [power_terms_ref(d, p)[1] for d in ds],
+                                       rtol=0, atol=2e-15)
+        # a stack refuses NaN, inf and d < 1/2 by name, wherever they sit
+        for bad in (math.nan, math.inf, -math.inf, 0.4, -1e9):
+            stack = np.array([[0.7, 3.0], [bad, 2.0]])
+            with pytest.raises(DomainError, match="finite and >= 1/2"):
+                _log_f_p(stack, 2.0)
 
 
 class TestTrRhoP:
