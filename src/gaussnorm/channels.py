@@ -8,8 +8,8 @@ transform as alpha' = K^T alpha K + mu and m' = K^T m + l.
 For invertible K the p->p norm is |det K|^(1/p - 1), attained in the
 beta -> 0 limit on Gibbs states; the estimators here certify that limit,
 the upper-bound inequality on sampled Gaussian inputs, and the beta-scaling
-exponents behind the q < p unboundedness.  Each takes its beta grid or its
-batch of inputs as one (B, 2s, 2s) stack, and its outputs as another.
+exponents behind the q < p unboundedness.  Each checks its outputs as one
+(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .states import (
 from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
 
 D_OVERFLOW_CAP = 1e12  # largest symplectic eigenvalue allowed in sweeps
+DIVERGENCE_SLOPE = 1e-3  # a divergence verdict needs a fitted slope below -DIVERGENCE_SLOPE
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +158,20 @@ def _det_power(abs_det: float, log_det: float, exponent: float) -> float:
         return math.inf
 
 
+def _norm_exponent(p: float) -> float:
+    """The exponent 1/p - 1 of |det K| in the p->p norm, -1 at p = inf."""
+    _check_p(p, allow_inf=True)
+    return -1.0 if p == math.inf else 1.0 / p - 1.0
+
+
 def norm_pp(channel: GaussianChannel, p: float) -> float:
     """The p->p norm |det K|^(1/p - 1) for invertible K; p may be math.inf.
 
     Taken through log|det K| when |det K| leaves the double range; a norm
     outside the normal double range raises NumericalOverflowError.
     """
-    _check_p(p, allow_inf=True)
+    exponent = _norm_exponent(p)
     abs_det, log_det = _abs_det_K(channel)
-    exponent = -1.0 if p == math.inf else 1.0 / p - 1.0
     # at p = inf the reciprocal, which keeps its bits where |det K| is in range
     in_range = 0.0 < abs_det < math.inf
     value = 1.0 / abs_det if p == math.inf and in_range else _det_power(abs_det, log_det, exponent)
@@ -175,14 +181,22 @@ def norm_pp(channel: GaussianChannel, p: float) -> float:
     return value
 
 
-def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray, cap: float) -> np.ndarray:
-    """Gibbs spectra coth(beta e_j)/2, one row per beta, refused above the overflow cap."""
+def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
+    """Gibbs spectra coth(beta e_j)/2, one row per beta (descending), refused above D_OVERFLOW_CAP."""
     ds = 0.5 / np.tanh(np.outer(betas, family.spectrum))
-    if np.any(ds > cap):
-        raise NumericalOverflowError(
-            f"symplectic eigenvalue {ds.max():.3e} exceeds cap {cap:.1e}; shrink the beta range"
-        )
+    if np.any(ds > D_OVERFLOW_CAP):
+        raise NumericalOverflowError(f"symplectic eigenvalue {ds.max():.3e} exceeds cap "
+                                     f"{D_OVERFLOW_CAP:.1e}; shrink the beta range")
     return ds
+
+
+def _sweep_spectra(channel: GaussianChannel, family: GibbsFamily,
+                   betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, outputs): the Gibbs spectra read from the family, and the checked
+    spectra of their channel outputs, one batched eigensolve for the whole grid."""
+    spectra_in = _gibbs_spectra(family, betas)
+    covs_out = _output_covs(channel, _gibbs_covs(family, betas))
+    return spectra_in, _checked_spectra(covs_out, channel.space)
 
 
 def _check_betas(betas, descending: bool = False) -> np.ndarray:
@@ -201,13 +215,7 @@ def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
     return float(coeffs[1]), math.sqrt(ss / len(log_x))
 
 
-def ratio_sequence(
-    channel: GaussianChannel,
-    family: GibbsFamily,
-    p: float,
-    betas,
-    overflow_cap: float = D_OVERFLOW_CAP,
-) -> ConvergenceReport:
+def ratio_sequence(channel: GaussianChannel, family: GibbsFamily, p: float, betas) -> ConvergenceReport:
     """Tr Phi[rho_beta]^p / Tr rho_beta^p along a descending beta grid.
 
     The target is |det K|^(1-p), refused with NumericalOverflowError outside
@@ -220,10 +228,8 @@ def ratio_sequence(
     if not np.finfo(float).tiny <= target < math.inf:
         raise NumericalOverflowError(f"target |det K|^(1-p) is outside the double range: "
                                      f"(1-p) log|det K| = {(1.0 - p) * log_det:.6g}")
-    _gibbs_spectra(family, betas, overflow_cap)
-    covs = _gibbs_covs(family, betas)
-    log_in = _log_tr_rho_p(_checked_spectra(covs, family.space), p)
-    log_out = _log_tr_rho_p(_checked_spectra(_output_covs(channel, covs), channel.space), p)
+    spectra_in, spectra_out = _sweep_spectra(channel, family, betas)
+    log_in, log_out = _log_tr_rho_p(spectra_in, p), _log_tr_rho_p(spectra_out, p)
     ratios = np.exp(log_out - log_in)
     rel = np.abs(ratios / target - 1.0)
     return ConvergenceReport(
@@ -242,9 +248,10 @@ def upper_bound_check(
 
     Returns the per-state verdicts and the worst margin
     min_i (1 + slack - ||Phi[rho_i]||_p / (norm * ||rho_i||_p)); nonnegative
-    margins mean the bound held.  Ratios come from log norms, so norms may underflow.
+    margins mean the bound held.  Ratios come from log norms and (1/p-1) log|det K|,
+    so norms and the bound may leave the double range.
     """
-    log_bound = math.log(norm_pp(channel, p))
+    log_bound = _norm_exponent(p) * _abs_det_K(channel)[1]
     if not states:
         return [], math.inf
     if any(state.space.dim != channel.space.dim for state in states):
@@ -267,23 +274,17 @@ def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
     _check_p(p)
     if betas.max() / betas.min() < 99.0:
         raise ValueError("beta grid must span at least two decades")
-    log_norms = _log_tr_rho_p(_gibbs_spectra(family, betas, D_OVERFLOW_CAP), p) / p
+    log_norms = _log_tr_rho_p(_gibbs_spectra(family, betas), p) / p
     slope, resid = _loglog_fit(np.log(betas), log_norms)
     expected = family.space.s * (p - 1.0) / p
     return ScalingFit(slope=slope, residual=resid, expected=expected)
 
 
-def divergence_exponent(
-    channel: GaussianChannel,
-    family: GibbsFamily,
-    q: float,
-    p: float,
-    betas,
-    slope_threshold: float = 1e-3,
-) -> DivergenceFit:
+def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float, p: float,
+                        betas) -> DivergenceFit:
     """Fit the exponent of ||Phi[rho_beta]||_q / ||rho_beta||_p; expected s(1/p - 1/q).
 
-    Verdict "diverges" requires a fitted slope below -slope_threshold and the
+    Verdict "diverges" requires a fitted slope below -DIVERGENCE_SLOPE and the
     ratio increasing monotonically over the last decade of the descending sweep.
     """
     if not (1.0 <= q < p):
@@ -291,16 +292,13 @@ def divergence_exponent(
     _check_p(p)
     betas = _check_betas(betas, descending=True)
     _abs_det_K(channel)
-    _gibbs_spectra(family, betas, D_OVERFLOW_CAP)
-    covs = _gibbs_covs(family, betas)
-    log_norm_in = _log_tr_rho_p(_checked_spectra(covs, family.space), p) / p
-    log_norm_out = _log_tr_rho_p(_checked_spectra(_output_covs(channel, covs), channel.space), q) / q
-    log_ratio = log_norm_out - log_norm_in
+    spectra_in, spectra_out = _sweep_spectra(channel, family, betas)
+    log_ratio = _log_tr_rho_p(spectra_out, q) / q - _log_tr_rho_p(spectra_in, p) / p
     slope, resid = _loglog_fit(np.log(betas), log_ratio)
     expected = family.space.s * (1.0 / p - 1.0 / q)
     last_decade = betas <= 10.0 * betas[-1] * (1.0 + 1e-9)
     monotone = bool(np.all(np.diff(log_ratio[last_decade]) > 0.0))
-    verdict = "diverges" if (slope < -slope_threshold and monotone) else "bounded"
+    verdict = "diverges" if (slope < -DIVERGENCE_SLOPE and monotone) else "bounded"
     return DivergenceFit(slope=slope, residual=resid, expected=expected, verdict=verdict)
 
 

@@ -91,13 +91,14 @@ class SweepSpec:
     output_path: str = "report.csv"
 
     def __post_init__(self):
-        if not 1.0 <= self.p < math.inf:
+        if not (_all_of(numbers.Real, [self.p]) and 1.0 <= self.p < math.inf):
             raise ConfigError(f"sweep exponent p must lie in [1, inf), got {self.p}")
         if not (self.q is None or _all_of(numbers.Real, [self.q])):
             raise ConfigError(f"sweep exponent q must be a number or null, got {self.q!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"sweep output_path must be a string, got {self.output_path!r}")
-        if not (self.beta_start > self.beta_stop > 0.0):
+        betas = [self.beta_start, self.beta_stop]
+        if not (_all_of(numbers.Real, betas) and self.beta_start > self.beta_stop > 0.0):
             raise ConfigError(
                 f"need beta_start > beta_stop > 0, got {self.beta_start}, {self.beta_stop}"
             )

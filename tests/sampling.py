@@ -46,6 +46,17 @@ def random_symplectic(rng: np.random.Generator, space: SymplecticSpace, scale: f
     return expm(space.delta @ g)
 
 
+def random_passive_symplectic(rng: np.random.Generator, space: SymplecticSpace) -> np.ndarray:
+    """Orthogonal symplectic exp(Delta G), G = A (x) I + B (x) J with A symmetric, B antisymmetric.
+
+    G commutes with Delta = I (x) J, so Delta G is antisymmetric: a passive (beam-splitter
+    and phase-shifter) transformation, which squeezes nothing.
+    """
+    b = rng.standard_normal((space.s, space.s))
+    g = np.kron(random_symmetric(rng, space.s), np.eye(2)) + np.kron(b - b.T, [[0.0, 1.0], [-1.0, 0.0]])
+    return expm(space.delta @ g)
+
+
 def random_covariance(
     rng: np.random.Generator,
     space: SymplecticSpace,

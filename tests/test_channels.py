@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussnorm
 from gaussnorm import (
@@ -18,12 +20,13 @@ from gaussnorm import (
     scaling_exponent,
     schatten_norm,
     standard_form,
+    symplectic_spectrum,
     tr_rho_p,
     upper_bound_check,
     validate_channel,
     validate_state,
 )
-from gaussnorm.channels import cp_branches
+from gaussnorm.channels import D_OVERFLOW_CAP, _gibbs_spectra, cp_branches
 from gaussnorm.errors import (
     DimensionMismatchError,
     DomainError,
@@ -32,7 +35,8 @@ from gaussnorm.errors import (
     QNotLessThanPError,
     SingularKError,
 )
-from sampling import random_channel, random_state
+from gaussnorm.states import _gibbs_covs, _log_tr_rho_p
+from sampling import random_channel, random_passive_symplectic, random_state
 
 
 def attenuator(tau, s=1):
@@ -228,11 +232,15 @@ class TestRatioSequence:
                     assert np.all(report.ratios <= report.target * (1.0 + 1e-9))
 
     def test_overflow_guard(self):
+        # coth(beta)/2 = 1.25e12 at beta = 4e-13 exceeds D_OVERFLOW_CAP: all three sweeps refuse the grid
         family = GibbsFamily(standard_form(1), np.eye(2))
-        with pytest.raises(NumericalOverflowError):
-            ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 4e-13])
-        with pytest.raises(NumericalOverflowError):
-            ratio_sequence(attenuator(0.5), family, 2.0, [1e-3, 1e-7], overflow_cap=1e6)
+        betas = [1e-2, 1e-3, 4e-13]
+        assert 0.5 / math.tanh(betas[-1]) > D_OVERFLOW_CAP
+        for sweep in (lambda: ratio_sequence(attenuator(0.5), family, 2.0, betas),
+                      lambda: divergence_exponent(attenuator(0.5), family, 1.0, 2.0, betas),
+                      lambda: scaling_exponent(family, 2.0, betas)):
+            with pytest.raises(NumericalOverflowError, match=r"exceeds cap 1\.0e\+12"):
+                sweep()
 
     def test_target_overflow_refused(self):
         # s = 40, 50% attenuator at p = 30: |det K|^(1-p) = 2^1160 is beyond a double
@@ -274,6 +282,15 @@ class TestRatioSequence:
             assert log_in == pytest.approx(math.log(tr_rho_p(gibbs_state(family, beta), 2.0)), rel=1e-13)
             assert math.exp(log_out - log_in) == ratio
 
+    def test_log_tr_in_read_from_family(self):
+        # the inputs' log Tr rho_beta^p is the kernel on coth(beta e_j)/2, bit for bit
+        space = standard_form(2)
+        family = GibbsFamily(space, np.diag([0.7, 0.7, 1.9, 1.9]))
+        betas = np.geomspace(1e-1, 1e-5, 17)
+        report = ratio_sequence(attenuator(0.5, s=2), family, 1.5, betas)
+        closed = _log_tr_rho_p(0.5 / np.tanh(np.outer(betas, family.spectrum)), 1.5)
+        assert np.array_equal(report.log_tr_in, closed)
+
 
 class TestUpperBoundCheck:
     def test_identity_channel_saturates(self):
@@ -290,6 +307,20 @@ class TestUpperBoundCheck:
         oks, worst = upper_bound_check(identity_channel(s=300), [thermal_state(200.5, s=300)], p)
         assert oks == [True]
         assert worst == pytest.approx(1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [0.5, 1.5, 1e3])
+    def test_bound_below_double_range(self, d):
+        # s = 200 amplifier (K = sqrt(40) I, mu = 20 I) at p = inf: the bound
+        # exp(-log|det K|) = 40^-200 ~ 1e-321 is outside the double range, its log is not;
+        # per mode d -> 40 d + 20, so the ratio is (40 (d + 1/2) / (40 d + 20.5))^200
+        s = 200
+        amplifier = validate_channel(
+            math.sqrt(40.0) * np.eye(2 * s), np.zeros(2 * s), 20.0 * np.eye(2 * s), standard_form(s)
+        )
+        oks, worst = upper_bound_check(amplifier, [thermal_state(d, s=s)], math.inf)
+        assert oks == [True]
+        ratio = (40.0 * (d + 0.5) / (40.0 * d + 20.5)) ** s
+        assert worst == pytest.approx(1.0 + 1e-10 - ratio, rel=1e-12)
 
     def test_vacuum_through_attenuator(self):
         oks, _ = upper_bound_check(attenuator(0.5), [thermal_state(0.5)], 2.0)
@@ -438,13 +469,34 @@ class TestOncePerFamilyPipeline:
         # the beta grid is one (17, 4, 4) stack: no Gibbs state, no per-state validation
         assert counts["gibbs_state"]["calls"] == 0
         assert counts["validate_state"]["calls"] == 0
-        # one spectrum per stack: the Gibbs inputs and their channel outputs, in
-        # ratio_sequence and divergence_exponent; scaling_exponent reads the family's
-        assert counts["symplectic_spectrum"]["calls"] == 4
-        # one symmetry and finiteness test per stack, plus epsilon's and the channel's mu
-        assert counts["check_symmetric"]["calls"] == 4 + 2
+        # one spectrum per sweep, of the channel outputs, in ratio_sequence and
+        # divergence_exponent; every sweep reads the inputs' coth(beta e_j)/2 from the family
+        assert counts["symplectic_spectrum"]["calls"] == 2
+        # one symmetry and finiteness test per output stack, plus epsilon's and the channel's mu
+        assert counts["check_symmetric"]["calls"] == 2 + 2
         # only the attenuator's two CP branches; every state is decided by its spectrum
         assert counts["check_psd_hermitian"]["calls"] == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.sampled_from([None, 0.0, 1e-15, 1e-12, 1e-9, 1e-6]), st.floats(0.0, 1.5))
+    def test_gibbs_spectrum_is_closed_form(self, seed, s, split, squeeze):
+        # the invariant the sweeps rely on instead of an eigensolve of the Gibbs stack: its
+        # spectrum is coth(beta e_j)/2.  eps = S^T diag(e_j) S with S = O1 Z O2 (Bloch-Messiah:
+        # passive O1, O2, squeezes |r_j| <= squeeze), so cond(eps) <= e^(4 squeeze) e_max/e_min
+        # <= 4e3; e_j are split apart by 0 up to 1e-6 relative, or drawn in [0.3, 3]
+        rng = np.random.default_rng(seed)
+        space = standard_form(s)
+        e = rng.uniform(0.3, 3.0, s) if split is None else 1.3 * (1.0 + split * np.arange(s))
+        r = squeeze * rng.uniform(-1.0, 1.0, s)
+        z = np.diag(np.exp(np.repeat(r, 2) * np.tile([1.0, -1.0], s)))
+        sym = random_passive_symplectic(rng, space) @ z @ random_passive_symplectic(rng, space)
+        eps = sym.T @ np.diag(np.repeat(e, 2)) @ sym
+        family = GibbsFamily(space, 0.5 * (eps + eps.T))
+        betas = np.geomspace(10.0, 1e-5, 13)
+        closed = np.sort(_gibbs_spectra(family, betas), axis=-1)
+        np.testing.assert_allclose(symplectic_spectrum(_gibbs_covs(family, betas), space),
+                                   closed, rtol=1e-12, atol=0.0)
 
     def test_upper_bound_check_one_stack(self, monkeypatch):
         space = standard_form(2)

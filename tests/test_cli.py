@@ -84,16 +84,20 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("command", ["check", "norm", "converge", "scaling"])
     def test_sweep_exponent_below_one_exit_two(self, command, tmp_path, capsys):
         # the same refusal as --p 0.5, for every command that reads the config;
-        # a fractional point count, a q that is not a number and an output path
-        # that is not a string are refused the same way
-        for key, value, message in (("p", 0.5, "exponent p must lie in [1, inf)"),
-                                    ("points", 17.5, "sweep points must be an integer >= 3"),
-                                    ("q", "abc", "exponent q must be a number or null"),
-                                    ("q", True, "exponent q must be a number or null"),
-                                    ("output_path", 5, "output_path must be a string")):
+        # a fractional point count, a q that is not a number, an output path that
+        # is not a string and a boolean p or beta (true would read as 1) are refused the same way
+        for i, (changes, message) in enumerate((
+                ({"p": 0.5}, "exponent p must lie in [1, inf)"),
+                ({"p": True}, "exponent p must lie in [1, inf)"),
+                ({"points": 17.5}, "sweep points must be an integer >= 3"),
+                ({"q": "abc"}, "exponent q must be a number or null"),
+                ({"q": True}, "exponent q must be a number or null"),
+                ({"output_path": 5}, "output_path must be a string"),
+                ({"beta_start": True, "beta_stop": 1e-3}, "need beta_start > beta_stop > 0"),
+                ({"beta_start": 10.0, "beta_stop": True}, "need beta_start > beta_stop > 0"))):
             doc = json.loads(serialize_config(attenuator_spec(), SweepSpec()))
-            doc["sweep"][key] = value
-            path = tmp_path / f"{key}.json"
+            doc["sweep"].update(changes)
+            path = tmp_path / f"case{i}.json"
             path.write_text(json.dumps(doc))
             assert main([command, str(path)]) == 2
             assert message in capsys.readouterr().err
@@ -241,7 +245,7 @@ class TestCmdConverge:
         for beta, tr_in, tr_out, ratio, *_ in rows:
             x = beta * e
             expected = float(np.prod((2.0 * np.sinh(x)) ** p / (2.0 * np.sinh(p * x))))
-            assert tr_in == pytest.approx(expected, rel=1e-9)
+            assert tr_in == pytest.approx(expected, rel=1e-12)
             assert tr_out == ratio * tr_in
 
     def test_csv_deterministic(self, tmp_path):
