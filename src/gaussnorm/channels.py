@@ -38,7 +38,6 @@ from .states import (
 )
 from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
 
-D_OVERFLOW_CAP = 1e12  # largest symplectic eigenvalue allowed in sweeps
 DIVERGENCE_SLOPE = 1e-3  # a divergence verdict needs a fitted slope below -DIVERGENCE_SLOPE
 
 
@@ -52,7 +51,9 @@ class GaussianChannel:
     mu: np.ndarray
 
     def det_K(self) -> float:
-        return float(np.linalg.det(self.K))
+        """det K as a double: +-inf or 0 where it leaves the range (log|det K| does not)."""
+        with np.errstate(over="ignore", under="ignore"):
+            return float(np.linalg.det(self.K))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,56 +138,47 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     return validate_state(mean, cov, channel.space)
 
 
-def _abs_det_K(channel: GaussianChannel) -> tuple[float, float]:
-    """(|det K|, log|det K|) for invertible K; |det K| may over- or underflow, its log cannot."""
+def _log_abs_det_K(channel: GaussianChannel) -> float:
+    """log|det K| for invertible K, from slogdet: finite wherever |det K| over- or underflows."""
+    log_det = float(np.linalg.slogdet(channel.K)[1])
     # numpy's rank tolerance is relative to the largest singular value: no absolute scale
-    with np.errstate(over="ignore", under="ignore"):
-        abs_det = abs(channel.det_K())
     if np.linalg.matrix_rank(channel.K) < channel.space.dim:
-        raise SingularKError(f"theorem requires invertible K; |det K| = {abs_det:.3e}")
-    if 0.0 < abs_det < math.inf:
-        return abs_det, math.log(abs_det)
-    return abs_det, float(np.linalg.slogdet(channel.K)[1])
+        raise SingularKError(f"theorem requires invertible K; log|det K| = {log_det:.6g}")
+    return log_det
 
 
-def _det_power(abs_det: float, log_det: float, exponent: float) -> float:
-    # the plain power wherever |det K| is a finite nonzero double, so in-range results stay
-    # bit for bit; exp(exponent log|det K|) once |det K| itself has left the range; inf on overflow
-    try:
-        return abs_det**exponent if 0.0 < abs_det < math.inf else math.exp(exponent * log_det)
-    except OverflowError:
-        return math.inf
+def _det_power(log_det: float, exponent: float, name: str, label: str) -> float:
+    """|det K|^exponent = exp(exponent log|det K|), refused outside the normal double range."""
+    log_value = exponent * log_det
+    if not math.log(np.finfo(float).tiny) <= log_value <= math.log(np.finfo(float).max):
+        raise NumericalOverflowError(f"{name} |det K|^({label}) is outside the double range: "
+                                     f"({label}) log|det K| = {log_value:.6g}")
+    return math.exp(log_value)
 
 
 def _norm_exponent(p: float) -> float:
     """The exponent 1/p - 1 of |det K| in the p->p norm, -1 at p = inf."""
     _check_p(p, allow_inf=True)
-    return -1.0 if p == math.inf else 1.0 / p - 1.0
+    return 1.0 / p - 1.0
 
 
 def norm_pp(channel: GaussianChannel, p: float) -> float:
     """The p->p norm |det K|^(1/p - 1) for invertible K; p may be math.inf.
 
-    Taken through log|det K| when |det K| leaves the double range; a norm
-    outside the normal double range raises NumericalOverflowError.
+    Taken as exp((1/p-1) log|det K|), so |det K| itself may leave the double
+    range; a norm outside the normal double range raises NumericalOverflowError.
     """
-    exponent = _norm_exponent(p)
-    abs_det, log_det = _abs_det_K(channel)
-    # at p = inf the reciprocal, which keeps its bits where |det K| is in range
-    in_range = 0.0 < abs_det < math.inf
-    value = 1.0 / abs_det if p == math.inf and in_range else _det_power(abs_det, log_det, exponent)
-    if not np.finfo(float).tiny <= value < math.inf:
-        raise NumericalOverflowError(f"norm |det K|^(1/p-1) is outside the double range: "
-                                     f"(1/p-1) log|det K| = {exponent * log_det:.6g}")
-    return value
+    return _det_power(_log_abs_det_K(channel), _norm_exponent(p), "norm", "1/p-1")
 
 
 def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
-    """Gibbs spectra coth(beta e_j)/2, one row per beta (descending), refused above D_OVERFLOW_CAP."""
-    ds = 0.5 / np.tanh(np.outer(betas, family.spectrum))
-    if np.any(ds > D_OVERFLOW_CAP):
-        raise NumericalOverflowError(f"symplectic eigenvalue {ds.max():.3e} exceeds cap "
-                                     f"{D_OVERFLOW_CAP:.1e}; shrink the beta range")
+    """Gibbs spectra coth(beta e_j)/2, one row per beta (descending); a grid on which
+    beta e_j underflows, so that coth(beta e_j)/2 is not finite, is refused."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ds = 0.5 / np.tanh(np.outer(betas, family.spectrum))
+    if not np.all(np.isfinite(ds)):
+        raise NumericalOverflowError(f"Gibbs spectrum coth(beta e_j)/2 is not finite at "
+                                     f"beta = {betas.min():.3e}; raise the smallest beta")
     return ds
 
 
@@ -219,19 +211,17 @@ def ratio_sequence(channel: GaussianChannel, family: GibbsFamily, p: float, beta
     """Tr Phi[rho_beta]^p / Tr rho_beta^p along a descending beta grid.
 
     The target is |det K|^(1-p), refused with NumericalOverflowError outside
-    the double range; relative errors are reported per point.
+    the double range; relative errors |expm1(log_tr_out - log_tr_in - (1-p) log|det K|)|
+    are reported per point.
     """
     betas = _check_betas(betas, descending=True)
     _check_p(p)
-    abs_det, log_det = _abs_det_K(channel)
-    target = _det_power(abs_det, log_det, 1.0 - p)
-    if not np.finfo(float).tiny <= target < math.inf:
-        raise NumericalOverflowError(f"target |det K|^(1-p) is outside the double range: "
-                                     f"(1-p) log|det K| = {(1.0 - p) * log_det:.6g}")
+    log_det = _log_abs_det_K(channel)
+    target = _det_power(log_det, 1.0 - p, "target", "1-p")
     spectra_in, spectra_out = _sweep_spectra(channel, family, betas)
     log_in, log_out = _log_tr_rho_p(spectra_in, p), _log_tr_rho_p(spectra_out, p)
     ratios = np.exp(log_out - log_in)
-    rel = np.abs(ratios / target - 1.0)
+    rel = np.abs(np.expm1(log_out - log_in - (1.0 - p) * log_det))
     return ConvergenceReport(
         betas=betas, ratios=ratios, target=target, relative_errors=rel,
         log_tr_in=log_in, log_tr_out=log_out,
@@ -251,7 +241,7 @@ def upper_bound_check(
     margins mean the bound held.  Ratios come from log norms and (1/p-1) log|det K|,
     so norms and the bound may leave the double range.
     """
-    log_bound = _norm_exponent(p) * _abs_det_K(channel)[1]
+    log_bound = _norm_exponent(p) * _log_abs_det_K(channel)
     if not states:
         return [], math.inf
     if any(state.space.dim != channel.space.dim for state in states):
@@ -272,7 +262,7 @@ def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
     """
     betas = _check_betas(betas)
     _check_p(p)
-    if betas.max() / betas.min() < 99.0:
+    if betas.max() < 99.0 * betas.min():  # a ratio of the two would overflow on a wide grid
         raise ValueError("beta grid must span at least two decades")
     log_norms = _log_tr_rho_p(_gibbs_spectra(family, betas), p) / p
     slope, resid = _loglog_fit(np.log(betas), log_norms)
@@ -291,7 +281,7 @@ def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float,
         raise QNotLessThanPError(f"need 1 <= q < p, got q={q}, p={p}")
     _check_p(p)
     betas = _check_betas(betas, descending=True)
-    _abs_det_K(channel)
+    _log_abs_det_K(channel)
     spectra_in, spectra_out = _sweep_spectra(channel, family, betas)
     log_ratio = _log_tr_rho_p(spectra_out, q) / q - _log_tr_rho_p(spectra_in, p) / p
     slope, resid = _loglog_fit(np.log(betas), log_ratio)

@@ -101,12 +101,11 @@ def cmd_converge(args) -> int:
     sweep, betas = _resolve_sweep(args, sweep)
     report = ratio_sequence(channel, sweep.family(spec.space()), sweep.p, betas)
     lines = [CSV_HEADER]
-    for beta, log_in, ratio, rel in zip(
-        report.betas, report.log_tr_in, report.ratios, report.relative_errors
+    for beta, log_in, log_out, ratio, rel in zip(
+        report.betas, report.log_tr_in, report.log_tr_out, report.ratios, report.relative_errors
     ):
-        tr_in = math.exp(log_in)
-        tr_out = ratio * tr_in
-        lines.append(",".join(_fmt(v) for v in (beta, tr_in, tr_out, ratio, report.target, rel)))
+        row = (beta, math.exp(log_in), math.exp(log_out), ratio, report.target, rel)
+        lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(sweep.output_path, "\n".join(lines) + "\n")
     print(f"wrote {len(report.betas)} rows to {sweep.output_path} (target {_fmt(report.target)}, "
           f"final rel_error {_fmt(report.relative_errors[-1])})")

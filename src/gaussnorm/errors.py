@@ -70,7 +70,7 @@ class SingularEpsilonError(GaussNormError):
 
 
 class NumericalOverflowError(GaussNormError):
-    """A value left the double range, or symplectic eigenvalues exceeded the overflow cap."""
+    """A value left the double range, or a Gibbs spectrum coth(beta e_j)/2 is not finite."""
 
 
 class QNotLessThanPError(GaussNormError):

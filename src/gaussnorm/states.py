@@ -256,8 +256,10 @@ def _gibbs_covs(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
     """Gibbs covariances alpha = Re(W diag(lam coth(beta lam)/2) W^H) as a (B, 2s, 2s) stack,
     one per beta, on the family's Williamson basis; not validated."""
     lam, w = family.eigenvalues, family.basis
-    x = 0.5 * lam / np.tanh(np.multiply.outer(betas, lam))
-    alpha = ((w * x[:, None, :]) @ w.conj().T).real
+    # where beta lam underflows the stack holds inf or NaN, which the callers' checks refuse
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = 0.5 * lam / np.tanh(np.multiply.outer(betas, lam))
+        alpha = ((w * x[:, None, :]) @ w.conj().T).real
     return 0.5 * (alpha + alpha.swapaxes(-1, -2))
 
 

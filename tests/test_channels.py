@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from gaussnorm import (
     validate_channel,
     validate_state,
 )
-from gaussnorm.channels import D_OVERFLOW_CAP, _gibbs_spectra, cp_branches
+from gaussnorm.channels import _gibbs_spectra, cp_branches
 from gaussnorm.errors import (
     DimensionMismatchError,
     DomainError,
@@ -36,7 +37,7 @@ from gaussnorm.errors import (
     SingularKError,
 )
 from gaussnorm.states import _gibbs_covs, _log_tr_rho_p
-from sampling import random_channel, random_passive_symplectic, random_state
+from sampling import random_channel, random_passive_symplectic, random_spd, random_state
 
 
 def attenuator(tau, s=1):
@@ -231,16 +232,37 @@ class TestRatioSequence:
                     report = ratio_sequence(channel, family, p, betas)
                     assert np.all(report.ratios <= report.target * (1.0 + 1e-9))
 
-    def test_overflow_guard(self):
-        # coth(beta)/2 = 1.25e12 at beta = 4e-13 exceeds D_OVERFLOW_CAP: all three sweeps refuse the grid
+    @pytest.mark.parametrize("s", [1, 4, 16])
+    def test_large_gibbs_spectrum_values(self, s):
+        # eps = c SPD with c down to 1e-13 puts coth(beta e_j)/2 near 1e18 on the default
+        # grid; no absolute scale refuses it, and the three sweeps return their certified values
+        rng = np.random.default_rng(233 + s)
+        space = standard_form(s)
+        channel = random_channel(rng, space)
+        betas = np.geomspace(1e-1, 1e-5, 17)
+        for c in (1e-9, 1e-13):
+            family = GibbsFamily(space, c * random_spd(rng, 2 * s))
+            report = ratio_sequence(channel, family, 2.0, betas)
+            assert report.relative_errors[-1] <= 1e-11
+            fit = scaling_exponent(family, 2.0, betas)
+            assert abs(fit.slope - fit.expected) <= 1e-12
+            div = divergence_exponent(channel, family, 1.0, 2.0, betas)
+            assert abs(div.slope - div.expected) <= 1e-12 and div.verdict == "diverges"
+
+    def test_non_finite_gibbs_spectrum_refused(self):
+        # beta = 1e-320 is subnormal and coth(beta)/2 overflows to inf: each sweep and
+        # gibbs_state refuse it by name, with no numpy warning on the way
         family = GibbsFamily(standard_form(1), np.eye(2))
-        betas = [1e-2, 1e-3, 4e-13]
-        assert 0.5 / math.tanh(betas[-1]) > D_OVERFLOW_CAP
-        for sweep in (lambda: ratio_sequence(attenuator(0.5), family, 2.0, betas),
-                      lambda: divergence_exponent(attenuator(0.5), family, 1.0, 2.0, betas),
-                      lambda: scaling_exponent(family, 2.0, betas)):
-            with pytest.raises(NumericalOverflowError, match=r"exceeds cap 1\.0e\+12"):
-                sweep()
+        betas = [1e-2, 1e-320]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep in (lambda: ratio_sequence(attenuator(0.5), family, 2.0, betas),
+                          lambda: divergence_exponent(attenuator(0.5), family, 1.0, 2.0, betas),
+                          lambda: scaling_exponent(family, 2.0, betas)):
+                with pytest.raises(NumericalOverflowError, match=r"not finite at beta = 1\.000e-320"):
+                    sweep()
+            with pytest.raises(DomainError, match="covariance matrix must be finite"):
+                gibbs_state(family, betas[-1])
 
     def test_target_overflow_refused(self):
         # s = 40, 50% attenuator at p = 30: |det K|^(1-p) = 2^1160 is beyond a double

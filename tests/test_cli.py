@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gaussnorm
-from gaussnorm import fock, standard_form
+from gaussnorm import fock, ratio_sequence, standard_form
 from gaussnorm.cli import CSV_HEADER, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
 from gaussnorm.errors import ConfigError
@@ -196,6 +196,23 @@ class TestCmdNorm:
         assert main(["norm", cfg, "--p", "2"]) == 1
         assert "requires invertible K" in capsys.readouterr().err
 
+    def test_overflowing_determinant_quiet(self, tmp_path):
+        # s = 200 amplifier: det K = 40^200 prints as inf, with no numpy warning on stderr,
+        # and the norm 40^-100 comes from log|det K|
+        s = 200
+        n = 2 * s
+        spec = ChannelSpec(s=s, K=(math.sqrt(40.0) * np.eye(n)).ravel().tolist(), l=[0.0] * n,
+                           mu=(20.0 * np.eye(n)).ravel().tolist())
+        cfg = write_config(tmp_path / "amp.json", spec)
+        src = str(Path(gaussnorm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-m", "gaussnorm", "norm", cfg, "--p", "2"], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0 and result.stderr == ""
+        assert "det_K = inf" in result.stdout
+        value = float(result.stdout.split("norm_pp(p=2) = ")[1])
+        assert value == pytest.approx(40.0**-100, rel=1e-12)
+
 
 class TestCmdConverge:
     def test_attenuator_csv(self, tmp_path, capsys):
@@ -230,23 +247,26 @@ class TestCmdConverge:
             assert values[4] == 1.0
 
     def test_tr_in_matches_gibbs_spectrum(self, tmp_path):
-        # Gibbs spectrum coth(beta e_j)/2, and 1/f_p(coth(x)/2) = (2 sinh x)^p / (2 sinh(p x))
+        # Gibbs spectrum coth(beta e_j)/2, and 1/f_p(coth(x)/2) = (2 sinh x)^p / (2 sinh(p x));
+        # tr_out is exp of the report's log_tr_out
         e, p = np.array([0.7, 1.9]), 1.5
         s_mat = random_symplectic(np.random.default_rng(11), standard_form(2), scale=0.3)
         eps = s_mat.T @ np.diag(np.repeat(e, 2)) @ s_mat
         spec = ChannelSpec(s=2, K=(0.8 * np.eye(4)).ravel().tolist(), l=[0.0] * 4,
                            mu=(0.18 * np.eye(4)).ravel().tolist())
         out = tmp_path / "two.csv"
-        cfg = write_config(tmp_path / "two.json", spec,
-                           SweepSpec(epsilon=(0.5 * (eps + eps.T)).ravel().tolist(), p=p))
+        sweep = SweepSpec(epsilon=(0.5 * (eps + eps.T)).ravel().tolist(), p=p)
+        cfg = write_config(tmp_path / "two.json", spec, sweep)
         assert main(["converge", cfg, "--out", str(out)]) == 0
         rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 17
-        for beta, tr_in, tr_out, ratio, *_ in rows:
+        report = ratio_sequence(spec.to_channel(), sweep.family(spec.space()), p,
+                                np.geomspace(sweep.beta_start, sweep.beta_stop, sweep.points))
+        for (beta, tr_in, tr_out, *_), log_out in zip(rows, report.log_tr_out):
             x = beta * e
             expected = float(np.prod((2.0 * np.sinh(x)) ** p / (2.0 * np.sinh(p * x))))
             assert tr_in == pytest.approx(expected, rel=1e-12)
-            assert tr_out == ratio * tr_in
+            assert tr_out == math.exp(log_out)
 
     def test_csv_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "att.json", attenuator_spec(),

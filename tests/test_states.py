@@ -319,11 +319,11 @@ class TestSpectralFunctionScalars:
 
     def test_log_kernel_matches_scalar_reference(self):
         # the array kernel against the per-eigenvalue scalar form it replaced, at the
-        # domain edge, across the r = 1/2 crossover and out to d = 1e12; only
-        # underflow of r^p may pass silently.  Beyond |log f_p| = 1 the bound
-        # grows with the value: an ulp of log f_p = 3e4 is 3.6e-12.
+        # domain edge, across the r = 1/2 crossover and out to d = 1e300, which the sweeps'
+        # Gibbs spectra may reach; only underflow of r^p may pass silently.  Beyond
+        # |log f_p| = 1 the bound grows with the value: an ulp of log f_p = 3e4 is 3.6e-12.
         ds = np.concatenate([[0.5, 0.5 + 1e-15, 0.5 + 1e-9, 1.5 - 1e-12, 1.5 + 1e-12],
-                             np.geomspace(0.5, 1e12, 400)])
+                             np.geomspace(0.5, 1e300, 400)])
         for p in (1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 40.0, 1e3):
             with np.errstate(all="raise", under="ignore"):
                 got = _log_f_p(ds, p)
