@@ -13,11 +13,11 @@ diagonal at a time by a three-term recurrence (:func:`weyl_operator`).
 Moments are read from rho's diagonals 0, +-1 and +-2, where the truncated
 ladder products live (:func:`covariance_from_fock`).
 
-The attenuator is applied banded (:func:`attenuate`): its Kraus operator A_j
-lives on the j-th superdiagonal, so A_j rho A_j^dag is a scaled, shifted block
-of rho.  The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`)
-is the reference the banded path is tested against.  It stays in the package
-only while ``perfbench`` traces both names; the other dense references live in the tests.
+The attenuator is applied diagonal by diagonal (:func:`attenuate`): its Kraus
+operator A_j lives on the j-th superdiagonal, so the channel maps each diagonal
+of rho to the same diagonal and only rho's nonzero diagonals cost anything.
+The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its
+reference, kept in the package only while ``perfbench`` traces both names.
 
 Truncation error is controlled by a doubling protocol: recompute the final
 scalar (or small array) at 2 * n_max and require agreement within ten times
@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     NotDensityOperatorError,
     TailTooLargeError,
     TruncationInsufficientError,
@@ -111,10 +112,10 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
 def thermal_state_fock(N: float, n_max: int, tail_bound: float = TAIL_BOUND) -> TruncatedOperator:
     """Thermal state, diagonal p_n = N^n / (N+1)^(n+1); not renormalized.
 
-    The neglected tail (N/(N+1))^(n_max+1) must stay below ``tail_bound``.
+    The neglected tail (N/(N+1))^(n_max+1) must stay below ``tail_bound``; N must be finite.
     """
-    if N < 0.0:
-        raise ValueError(f"mean photon number must be nonnegative, got {N}")
+    if not (math.isfinite(N) and N >= 0.0):
+        raise DomainError(f"mean photon number must be finite and >= 0, got {N}")
     tail = (N / (N + 1.0)) ** (n_max + 1) if N > 0.0 else 0.0
     if tail >= tail_bound:
         raise TailTooLargeError(
@@ -181,11 +182,10 @@ def matrix_power_fock(rho: TruncatedOperator, p: float, normalize: bool = False)
     return TruncatedOperator(n_max=rho.n_max, matrix=powered)
 
 
-def char_function_fock(rho: TruncatedOperator, z, n_max: int) -> complex:
-    """Tr(rho W(z)) on the truncated space."""
-    if rho.n_max != n_max:
-        raise DimensionMismatchError(f"rho lives at n_max={rho.n_max}, requested {n_max}")
-    w = weyl_operator(z, n_max)
+def char_function_fock(rho: TruncatedOperator, w: TruncatedOperator) -> complex:
+    """Tr(rho W) on the truncated space, for a Weyl operator W from :func:`weyl_operator`."""
+    if rho.n_max != w.n_max:
+        raise DimensionMismatchError(f"rho lives at n_max={rho.n_max}, W at n_max={w.n_max}")
     return complex(np.sum(rho.matrix.T * w.matrix))  # Tr(rho W), no dense product
 
 
@@ -239,19 +239,27 @@ def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> Trunc
 
 
 def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
-    """Attenuation channel K = sqrt(tau) I applied banded: sum_j A_j rho A_j^dag in O(n^3).
+    """Attenuation channel K = sqrt(tau) I, sum_j A_j rho A_j^dag, one diagonal of rho at a time.
 
-    (A_j rho A_j^dag)[m, n] = amp[j, m+j] rho[m+j, n+j] amp[j, n+j], so each
-    term is rho's lower-right block scaled by an outer product and shifted up
-    and left by j.  Same channel as ``apply_kraus(attenuator_kraus(tau, n), rho)``.
+    A_j keeps n - m, so with B[j, m] = amp[j, m+j] output diagonal k is out_k[m] =
+    sum_j B[j, m] B[j, m+|k|] rho_k[m+j], summed over j in order as the Kraus sum is: O(n^2)
+    per nonzero diagonal of rho.  Same channel as ``apply_kraus(attenuator_kraus(tau, n), rho)``.
     """
-    amp = attenuator_amplitudes(tau, rho.n_max)
-    m = rho.matrix
     dim = rho.n_max + 1
+    skew = attenuator_amplitudes(tau, rho.n_max)
+    for j in range(1, dim):  # skew[j, m] = amp[j, m + j] in place, zero past the cutoff
+        skew[j, : dim - j] = skew[j, j:]
+        skew[j, dim - j :] = 0.0
+    m = rho.matrix
     out = np.zeros_like(m)
-    for j in range(dim):
-        a = amp[j, j:]
-        out[: dim - j, : dim - j] += np.outer(a, a) * m[j:, j:]
+    padded = np.zeros(2 * dim - 1, dtype=m.dtype)
+    hankel = np.lib.stride_tricks.sliding_window_view(padded, dim)  # [j, i] = padded[i + j]
+    for k in np.unique(np.diff(np.nonzero(m), axis=0)):  # rho's nonzero diagonals, col - row
+        size = dim - abs(k)
+        padded[:size] = np.diagonal(m, k)
+        padded[size:] = 0.0
+        terms = hankel[:size, :size] * (skew[:size, :size] * skew[:size, abs(k) :])
+        np.fill_diagonal(out[max(-k, 0) :, max(k, 0) :], terms.sum(axis=0))
     return TruncatedOperator(n_max=rho.n_max, matrix=out)
 
 
@@ -295,10 +303,13 @@ def doubling_check(
 
     ``build`` must map a cutoff to a scalar or an ndarray (the final quantity of
     interest, not a raw truncated matrix).  Returns the 2 n_max value, raising
-    TruncationInsufficientError with a suggested cutoff on disagreement.
+    TruncationInsufficientError with a suggested cutoff on disagreement, DomainError if not finite.
     """
     coarse = np.asarray(build(n_max))
     fine = np.asarray(build(2 * n_max))
+    for n, value in ((n_max, coarse), (2 * n_max, fine)):
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"the quantity built at n_max={n} is not finite: {value}")
     diff = float(np.max(np.abs(coarse - fine)))
     if diff > 10.0 * tail_bound:
         raise TruncationInsufficientError(

@@ -352,25 +352,30 @@ class TestCmdOracle:
         assert captured.out == ""
 
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
-        cutoffs, sizes = [], []
-        attenuate, eigvalsh = fock.attenuate, np.linalg.eigvalsh
+        calls = {"attenuate": [], "weyl_operator": [], "eigvalsh": [], "eigh": []}
 
-        def counted(tau, rho):
-            cutoffs.append(rho.n_max)
-            return attenuate(tau, rho)
+        def counted(module, name, size):
+            original = getattr(module, name)
 
-        def counted_eigvalsh(a, *args, **kwargs):
-            sizes.append(len(a))
-            return eigvalsh(a, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                calls[name].append(size(*args))
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(fock, "attenuate", counted)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(fock, "attenuate", lambda tau, rho: rho.n_max)
+        counted(fock, "weyl_operator", lambda z, n_max: n_max)
+        counted(np.linalg, "eigvalsh", len)
+        counted(np.linalg, "eigh", len)
         assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.count(" yes") == 6
-        assert cutoffs == [40, 80]
-        # one eigvalsh per Fock state and cutoff: the thermal input's (tr_rho_p row) and
-        # the attenuated state's, shared by its trace row and its covariance density check
-        assert sorted(n for n in sizes if n > 2) == [41, 41, 81, 81]
+        # per cutoff: one attenuated state, whose one eigvalsh serves its trace row and its
+        # covariance density check, and one thermal power rho^p, whose one eigh serves the
+        # tr_rho_p row and the power char function; one Weyl operator serves both char rows
+        assert calls["attenuate"] == [40, 80]
+        assert calls["weyl_operator"] == [40, 80]
+        assert [n for n in calls["eigvalsh"] if n > 2] == [41, 81]
+        assert [n for n in calls["eigh"] if n > 2] == [41, 81]
 
 
 def test_cli_import_leaves_scipy_unloaded():

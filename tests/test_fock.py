@@ -1,6 +1,7 @@
 """Truncated Fock-space oracle: internal consistency and closed-form agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gaussnorm import (
     validate_state,
 )
 from gaussnorm.errors import (
+    DimensionMismatchError,
+    DomainError,
     NotDensityOperatorError,
     TailTooLargeError,
     TruncationInsufficientError,
@@ -135,6 +138,14 @@ class TestThermalStateFock:
         with pytest.raises(TailTooLargeError):
             thermal_state_fock(3.0, 30)
 
+    @pytest.mark.parametrize("N", [-1.0, math.nan, math.inf])
+    def test_photon_number_outside_domain_rejected(self, N):
+        # NaN once gave the vacuum and inf a NaN matrix with invalid-value warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="mean photon number"):
+                thermal_state_fock(N, 10)
+
     def test_default_n_max(self):
         assert default_n_max(0.5) == 80
         assert default_n_max(3.0) == 160
@@ -186,12 +197,14 @@ class TestTrPowerFock:
 class TestCharFunctionFock:
     def test_trace_at_zero(self):
         rho = thermal_state_fock(1.0, 80)
-        assert char_function_fock(rho, [0.0, 0.0], 80) == pytest.approx(1.0, abs=1e-12)
+        got = char_function_fock(rho, weyl_operator([0.0, 0.0], 80))
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_thermal_gaussian_value(self):
         # exp(-(1/2)(3/2)|z|^2) at z = (1, 0)
         oracle = doubling_check(
-            lambda n: char_function_fock(thermal_state_fock(1.0, n), [1.0, 0.0], n), 80
+            lambda n: char_function_fock(thermal_state_fock(1.0, n), weyl_operator([1.0, 0.0], n)),
+            80,
         )
         assert oracle == pytest.approx(math.exp(-0.75), abs=1e-10)
 
@@ -203,7 +216,7 @@ class TestCharFunctionFock:
             rho = thermal_state_fock(N, n_max)
             for x in np.linspace(-2.0, 2.0, 5):
                 for y in np.linspace(-2.0, 2.0, 5):
-                    got = char_function_fock(rho, [x, y], n_max)
+                    got = char_function_fock(rho, weyl_operator([x, y], n_max))
                     assert abs(got - char_function(state, [x, y])) <= 1e-8
 
     def test_normalized_square_validates_g2(self):
@@ -211,10 +224,14 @@ class TestCharFunctionFock:
         oracle = doubling_check(
             lambda n: char_function_fock(
                 matrix_power_fock(thermal_state_fock(1.0, n), 2.0, normalize=True),
-                [1.0, 0.0], n),
+                weyl_operator([1.0, 0.0], n)),
             80,
         )
         assert oracle == pytest.approx(math.exp(-0.5 * 5.0 / 6.0), abs=1e-10)
+
+    def test_cutoff_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            char_function_fock(thermal_state_fock(1.0, 80), weyl_operator([1.0, 0.0], 40))
 
 
 def displaced_thermal(N, w_vec, n_max):
@@ -249,6 +266,31 @@ class TestAttenuatorKraus:
         banded = attenuate(tau, rho)
         assert banded.n_max == n_max
         np.testing.assert_allclose(banded.matrix, dense.matrix, rtol=0, atol=1e-14)
+
+    def test_band_maps_to_itself(self):
+        # phase covariance: input on diagonals {0, +-3} gives output there and nowhere else
+        n_max = 30
+        rng = np.random.default_rng(3)
+        matrix = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        for k in (0, 3, -3):
+            size = n_max + 1 - abs(k)
+            matrix += np.diag(rng.standard_normal(size) + 1j * rng.standard_normal(size), k)
+        rho = TruncatedOperator(n_max=n_max, matrix=matrix)
+        banded = attenuate(0.4, rho).matrix
+        dense = apply_kraus(attenuator_kraus(0.4, n_max), rho).matrix
+        np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-14)
+        offset = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+        np.testing.assert_array_equal(banded[~np.isin(offset, (0, 3, -3))], 0.0)
+
+    def test_non_hermitian_input(self):
+        w = weyl_operator([0.7, -0.3], 40)
+        dense = apply_kraus(attenuator_kraus(0.6, 40), w)
+        np.testing.assert_allclose(attenuate(0.6, w).matrix, dense.matrix, rtol=0, atol=1e-14)
+
+    def test_thermal_input_at_n_max_160(self):
+        rho = thermal_state_fock(1.0, 160)
+        dense = apply_kraus(attenuator_kraus(0.3, 160), rho)
+        np.testing.assert_allclose(attenuate(0.3, rho).matrix, dense.matrix, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
     def test_transmissivity_outside_domain_rejected(self, tau):
@@ -359,11 +401,20 @@ class TestDoublingCheck:
     def test_insufficient_truncation_detected(self):
         # force a visibly unconverged trace by disabling the tail guard
         def build(n):
-            return char_function_fock(thermal_state_fock(1.0, n, tail_bound=1.0), [0.0, 0.0], n)
+            rho = thermal_state_fock(1.0, n, tail_bound=1.0)
+            return char_function_fock(rho, weyl_operator([0.0, 0.0], n))
 
         with pytest.raises(TruncationInsufficientError) as err:
             doubling_check(build, 8)
         assert err.value.suggested_n_max == 16
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # NaN and inf once passed: nan > 10 * tail_bound is false
+        with pytest.raises(DomainError, match="n_max=10 "):
+            doubling_check(lambda n: bad, 10)
+        with pytest.raises(DomainError, match="n_max=20 "):
+            doubling_check(lambda n: np.array([1.0, 1.0 if n == 10 else bad]), 10)
 
 
 class TestPowerCharFunctionAgainstOracle:
@@ -374,7 +425,7 @@ class TestPowerCharFunctionAgainstOracle:
             n_max = default_n_max(N)
             rho_p = matrix_power_fock(thermal_state_fock(N, n_max), p)
             for z in ([0.0, 0.0], [1.0, 0.0], [0.5, -1.0]):
-                got = char_function_fock(rho_p, z, n_max)
+                got = char_function_fock(rho_p, weyl_operator(z, n_max))
                 assert abs(got - power_char_function(state, p, z)) <= 1e-8
 
     def test_mean_dependence_on_displaced_thermal(self):
@@ -391,5 +442,5 @@ class TestPowerCharFunctionAgainstOracle:
         )
         squared = matrix_power_fock(displaced, 2.0)
         for z in ([1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
-            got = char_function_fock(squared, z, n_max)
+            got = char_function_fock(squared, weyl_operator(z, n_max))
             assert abs(got - power_char_function(state, 2.0, z)) <= 1e-8
