@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     NotCPError,
     NumericalOverflowError,
     QNotLessThanPError,
@@ -195,9 +196,9 @@ def _check_betas(betas, descending: bool = False) -> np.ndarray:
     """A non-empty 1-D grid of finite positive inverse temperatures, optionally strictly descending."""
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) == 0 or not np.all((betas > 0.0) & np.isfinite(betas)):
-        raise ValueError("betas must be a non-empty 1-D list of finite positive reals")
+        raise DomainError("betas must be a non-empty 1-D list of finite positive reals")
     if descending and np.any(np.diff(betas) >= 0.0):
-        raise ValueError("betas must be strictly descending")
+        raise DomainError("betas must be strictly descending")
     return betas
 
 
@@ -263,7 +264,7 @@ def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
     betas = _check_betas(betas)
     _check_p(p)
     if betas.max() < 99.0 * betas.min():  # a ratio of the two would overflow on a wide grid
-        raise ValueError("beta grid must span at least two decades")
+        raise DomainError("beta grid must span at least two decades")
     log_norms = _log_tr_rho_p(_gibbs_spectra(family, betas), p) / p
     slope, resid = _loglog_fit(np.log(betas), log_norms)
     expected = family.space.s * (p - 1.0) / p

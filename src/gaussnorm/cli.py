@@ -28,7 +28,7 @@ from .channels import (
     validate_channel,
 )
 from .config import SweepSpec, load_config
-from .errors import ConfigError, DomainError, GaussNormError
+from .errors import ConfigError, GaussNormError
 from .states import char_function, power_char_function, tr_rho_p, validate_state
 from .symplectic import check_finite, standard_form
 
@@ -138,20 +138,10 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    tau, N, p = args.tau, args.N, args.p
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
-    if not (math.isfinite(N) and N >= 0.0):
-        raise DomainError(f"mean photon number must be finite and >= 0, got {N}")
+    # tau, N and the cutoff are fock's to refuse: the output build, run first, checks all three
+    # in its first call, and the closed forms come after both builds
+    tau, N, p = args.tau, args.N, _parse_p(args.p)
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
-    if n_max < 1:
-        raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
-    space = standard_form(1)
-    state = validate_state([0.0, 0.0], (N + 0.5) * np.eye(2), space)
-    channel = validate_channel(
-        math.sqrt(tau) * np.eye(2), np.zeros(2), ((1.0 - tau) / 2.0) * np.eye(2), space
-    )
-
     z = (1.0, 0.0)
 
     # one build per cutoff and state; each state's one eigensolve serves all of its rows
@@ -165,9 +155,14 @@ def cmd_oracle(args) -> int:
         out = fock.attenuate(tau, fock.thermal_state_fock(N, n))
         return np.append(fock.tr_power_fock(out, p), fock.covariance_from_fock(out)[1])
 
-    tr_in, cf, power_cf = fock.doubling_check(thermal, n_max)
     tr_out, *cov = fock.doubling_check(attenuated, n_max)
+    tr_in, cf, power_cf = fock.doubling_check(thermal, n_max)
     oracle_cov = np.reshape(cov, (2, 2))
+    space = standard_form(1)
+    state = validate_state([0.0, 0.0], (N + 0.5) * np.eye(2), space)
+    channel = validate_channel(
+        math.sqrt(tau) * np.eye(2), np.zeros(2), ((1.0 - tau) / 2.0) * np.eye(2), space
+    )
     out_state = apply_channel(channel, state)
     rows = [
         ("tr_rho_p", tr_rho_p(state, p), float(tr_in.real)),
@@ -228,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orac = sub.add_parser("oracle", help="closed form vs truncated Fock oracle, pass/fail table")
     p_orac.add_argument("--tau", type=float, default=0.5)
     p_orac.add_argument("--N", type=float, default=1.0)
-    p_orac.add_argument("--p", type=float, default=2.0)
+    p_orac.add_argument("--p", default="2", help="exponent in [1, inf)")
     p_orac.add_argument("--n-max", dest="n_max", type=int, default=None)
     p_orac.set_defaults(func=cmd_oracle)
 

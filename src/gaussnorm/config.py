@@ -98,9 +98,9 @@ class SweepSpec:
         if not isinstance(self.output_path, str):
             raise ConfigError(f"sweep output_path must be a string, got {self.output_path!r}")
         betas = [self.beta_start, self.beta_stop]
-        if not (_all_of(numbers.Real, betas) and self.beta_start > self.beta_stop > 0.0):
+        if not (_all_of(numbers.Real, betas) and math.inf > self.beta_start > self.beta_stop > 0.0):
             raise ConfigError(
-                f"need beta_start > beta_stop > 0, got {self.beta_start}, {self.beta_stop}"
+                f"need beta_start > beta_stop > 0, both finite, got {self.beta_start}, {self.beta_stop}"
             )
         if not (_all_of(numbers.Integral, [self.points]) and self.points >= 3):
             raise ConfigError(f"sweep points must be an integer >= 3, got {self.points!r}")

@@ -28,9 +28,11 @@ class NotHermitianError(GaussNormError):
 
 
 class DomainError(GaussNormError, ValueError):
-    """Argument outside its admissible domain: d < 1/2, p < 1, NaN or inf entries.
+    """Argument outside its admissible domain: d < 1/2, p < 1, NaN or inf entries,
+    a bad beta grid, mode count, shape, transmissivity or Fock cutoff.
 
-    Also a ValueError, so callers that catch ValueError for a bad argument keep working.
+    Every argument check of the package raises it, so the CLI reports each as an
+    ``error:`` line.  Also a ValueError, so callers that catch ValueError keep working.
     """
 
 

@@ -75,19 +75,19 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
     Each diagonal k runs the normalised Laguerre recurrence in n from
     e^(-r/2) |alpha|^k / sqrt(k!); the phases are applied afterwards.  The
     truncated matrix is unitary only well below the cutoff; certify
-    convergence of any derived scalar with :func:`doubling_check`.  A
-    non-finite z, or r > MAX_WEYL_R where e^(-r/2) leaves the normal
-    double range, raises ValueError.
+    convergence of any derived scalar with :func:`doubling_check`.  n_max < 1,
+    a non-finite z, or r > MAX_WEYL_R where e^(-r/2) leaves the normal
+    double range, raises DomainError.
     """
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     x, y = np.asarray(z, dtype=float).reshape(2)
     dim = n_max + 1
     alpha = complex(-y, x) / math.sqrt(2.0)
     modulus = abs(alpha)
     r = modulus * modulus  # inf, not OverflowError, for a huge z
     if not r <= MAX_WEYL_R:
-        raise ValueError(f"|alpha|^2 = (x^2 + y^2)/2 must be finite and <= {MAX_WEYL_R}, got {r}")
+        raise DomainError(f"|alpha|^2 = (x^2 + y^2)/2 must be finite and <= {MAX_WEYL_R}, got {r}")
     if r == 0.0:
         return TruncatedOperator(n_max=n_max, matrix=np.eye(dim, dtype=complex))
     k = np.arange(dim, dtype=float)
@@ -112,10 +112,13 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
 def thermal_state_fock(N: float, n_max: int, tail_bound: float = TAIL_BOUND) -> TruncatedOperator:
     """Thermal state, diagonal p_n = N^n / (N+1)^(n+1); not renormalized.
 
-    The neglected tail (N/(N+1))^(n_max+1) must stay below ``tail_bound``; N must be finite.
+    The neglected tail (N/(N+1))^(n_max+1) must stay below ``tail_bound``; N must be
+    finite and n_max >= 1.
     """
     if not (math.isfinite(N) and N >= 0.0):
         raise DomainError(f"mean photon number must be finite and >= 0, got {N}")
+    if n_max < 1:
+        raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
     tail = (N / (N + 1.0)) ** (n_max + 1) if N > 0.0 else 0.0
     if tail >= tail_bound:
         raise TailTooLargeError(
@@ -196,7 +199,7 @@ def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
     that removes j photons; amp[j, n] = 0 for n < j, and for j >= 1 at tau = 1.
     """
     if not (0.0 < tau <= 1.0):
-        raise ValueError(f"transmissivity must be in (0, 1], got {tau}")
+        raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
     dim = n_max + 1
     log_fact = _log_factorials(dim)
     j = np.arange(dim)[:, None]

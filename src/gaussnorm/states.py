@@ -105,9 +105,9 @@ def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, d + 1/2, 1 - r^p) elementwise over symplectic eigenvalues d, r = (d - 1/2)/(d + 1/2).
 
     Refuses NaN, inf and d below 1/2 by more than TOL_SPEC * max(1, |d|); d
-    within that slack is read as 1/2.  1 - r^p is taken directly below r = 1/2
-    (d + 1/2 < 2) and through log1p/expm1 above, where r -> 1; only underflow
-    of r^p passes silently.
+    within that slack is read as 1/2.  1 - r^p = -expm1(p log1p(-1/(d + 1/2)))
+    over the whole domain: log1p(-1) = -inf gives exactly 1 at d = 1/2, and
+    only underflow of r^p passes silently.
     """
     d = np.asarray(d, dtype=float)
     # the domain test is monotone in d, so the extremes decide it for every entry
@@ -117,10 +117,8 @@ def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DomainError(f"symplectic eigenvalue must be finite and >= 1/2, got {hi if lo_ok else lo}")
     d = np.maximum(d, 0.5)
     den = d + 0.5
-    with np.errstate(under="ignore"):
-        # den = 2 stands in below the crossover, where log1p(-1/den) is neither needed nor finite
-        log_rp = p * np.log1p(-1.0 / np.maximum(den, 2.0))
-        return d, den, np.where(den >= 2.0, -np.expm1(log_rp), 1.0 - ((d - 0.5) / den) ** p)
+    with np.errstate(divide="ignore", under="ignore"):
+        return d, den, -np.expm1(p * np.log1p(-1.0 / den))
 
 
 def _log_f_p(d, p: float) -> np.ndarray:
@@ -270,7 +268,7 @@ def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
     basis, the one-beta case of the sweep estimators' stack; validate_state runs on it.
     """
     if not 0.0 < beta < math.inf:
-        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
+        raise DomainError(f"inverse temperature must be positive and finite, got {beta}")
     alpha = _gibbs_covs(family, np.array([beta]))[0]
     return validate_state(np.zeros(family.space.dim), alpha, family.space)
 
@@ -278,7 +276,7 @@ def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
 def gibbs_asymptotic(family: GibbsFamily, beta: float) -> np.ndarray:
     """High-temperature comparator (2 beta epsilon)^-1 for the Gibbs covariance."""
     if not 0.0 < beta < math.inf:
-        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
+        raise DomainError(f"inverse temperature must be positive and finite, got {beta}")
     try:
         inv = np.linalg.inv(2.0 * beta * family.epsilon)
     except np.linalg.LinAlgError as exc:

@@ -78,7 +78,7 @@ class SpectralDecomposition:
 def standard_form(s: int) -> SymplecticSpace:
     """Build the standard s-mode symplectic space, ordering (q1, p1, q2, p2, ...)."""
     if s < 1:
-        raise ValueError(f"mode count must be a positive integer, got {s}")
+        raise DomainError(f"mode count must be a positive integer, got {s}")
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     delta = np.kron(np.eye(s), block)
     return SymplecticSpace(s=int(s), delta=delta)
@@ -179,7 +179,7 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-2:] != (space.dim, space.dim):
-        raise ValueError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
+        raise DomainError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
     w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
     return 0.5 * (w[..., space.s:] - w[..., space.s - 1::-1])

@@ -11,10 +11,18 @@ import numpy as np
 import pytest
 
 import gaussnorm
-from gaussnorm import fock, ratio_sequence, standard_form
+from gaussnorm import (
+    fock,
+    gibbs_asymptotic,
+    gibbs_state,
+    ratio_sequence,
+    scaling_exponent,
+    standard_form,
+    symplectic_spectrum,
+)
 from gaussnorm.cli import CSV_HEADER, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
-from gaussnorm.errors import ConfigError
+from gaussnorm.errors import ConfigError, DomainError
 from sampling import random_symplectic
 
 
@@ -94,13 +102,24 @@ class TestConfigRoundTrip:
                 ({"q": True}, "exponent q must be a number or null"),
                 ({"output_path": 5}, "output_path must be a string"),
                 ({"beta_start": True, "beta_stop": 1e-3}, "need beta_start > beta_stop > 0"),
-                ({"beta_start": 10.0, "beta_stop": True}, "need beta_start > beta_stop > 0"))):
+                ({"beta_start": 10.0, "beta_stop": True}, "need beta_start > beta_stop > 0"),
+                ({"beta_start": math.inf}, "need beta_start > beta_stop > 0, both finite"))):
             doc = json.loads(serialize_config(attenuator_spec(), SweepSpec()))
             doc["sweep"].update(changes)
             path = tmp_path / f"case{i}.json"
             path.write_text(json.dumps(doc))
             assert main([command, str(path)]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["converge", "scaling"])
+    def test_infinite_beta_option_exit_two(self, command, tmp_path, capsys):
+        # an infinite bound is refused with the config's own message, before any sweep runs
+        cfg = write_config(tmp_path / "att.json", attenuator_spec(),
+                           SweepSpec(output_path=str(tmp_path / "never.csv")))
+        assert main([command, cfg, "--beta-start", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need beta_start > beta_stop > 0, both finite")
+        assert err.count("error:") == 1 and not (tmp_path / "never.csv").exists()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -298,6 +317,15 @@ class TestCmdConverge:
         assert main(["converge", cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_collapsed_grid_exit_one(self, tmp_path, capsys):
+        # beta_start one ulp above beta_stop: the geometric grid is not strictly descending
+        out = tmp_path / "never.csv"
+        cfg = write_config(tmp_path / "att.json", attenuator_spec(), SweepSpec(output_path=str(out)))
+        assert main(["converge", cfg, "--beta-start", "1.0000000000000002e-05",
+                     "--beta-stop", "1e-05"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: betas must be strictly descending\n" and not out.exists()
+
 
 class TestCmdScaling:
     def test_scaling_fit_output(self, tmp_path, capsys):
@@ -312,6 +340,11 @@ class TestCmdScaling:
         out = capsys.readouterr().out
         assert "verdict = diverges" in out
         assert "expected = -0.5" in out
+
+    def test_grid_under_two_decades_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "att.json", attenuator_spec())
+        assert main(["scaling", cfg, "--beta-start", "0.1", "--beta-stop", "0.0011"]) == 1
+        assert capsys.readouterr().err == "error: beta grid must span at least two decades\n"
 
 
 class TestCmdOracle:
@@ -339,7 +372,12 @@ class TestCmdOracle:
         assert err.startswith("error:") and "cutoff" in err
 
     @pytest.mark.parametrize("tau", ["0", "-0.5", "1.5", "nan", "inf"])
-    def test_invalid_tau_exit_one(self, tau, capsys):
+    def test_invalid_tau_exit_one(self, tau, monkeypatch, capsys):
+        # refused by the output build's first call, before any power of the thermal state
+        def refuse(*args):
+            raise AssertionError("a thermal power was built")
+
+        monkeypatch.setattr(fock, "matrix_power_fock", refuse)
         assert main(["oracle", "--tau", tau, "--n-max", "80"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "transmissivity" in err
@@ -349,6 +387,18 @@ class TestCmdOracle:
         assert main(["oracle", "--N", N]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: mean photon number must be finite and >= 0, got {float(N)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("p", ["0.5", "nan"])
+    def test_invalid_exponent_exit_two_before_any_build(self, p, monkeypatch, capsys):
+        # the exponent parser of norm, converge and scaling, ahead of every Fock build
+        def refuse(*args):
+            raise AssertionError("a Fock build ran")
+
+        monkeypatch.setattr(fock, "doubling_check", refuse)
+        assert main(["oracle", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: exponent must be >= 1, got {float(p)}\n"
         assert captured.out == ""
 
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
@@ -376,6 +426,32 @@ class TestCmdOracle:
         assert calls["weyl_operator"] == [40, 80]
         assert [n for n in calls["eigvalsh"] if n > 2] == [41, 81]
         assert [n for n in calls["eigh"] if n > 2] == [41, 81]
+
+
+BAD_ARGUMENTS = {
+    "empty_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, []), "non-empty 1-D list"),
+    "ascending_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, [1e-3, 1e-2]),
+                        "strictly descending"),
+    "one_decade": (lambda fam, ch: scaling_exponent(fam, 2.0, [0.1, 0.01]), "at least two decades"),
+    "weyl_cutoff": (lambda fam, ch: fock.weyl_operator((1.0, 0.0), 0), "n_max must be >= 1"),
+    "weyl_modulus": (lambda fam, ch: fock.weyl_operator((1e3, 0.0), 10), "must be finite and <="),
+    "transmissivity": (lambda fam, ch: fock.attenuator_amplitudes(1.5, 10), "transmissivity"),
+    "thermal_cutoff": (lambda fam, ch: fock.thermal_state_fock(1.0, -3),
+                       "Fock cutoff must be >= 1, got -3"),
+    "gibbs_beta": (lambda fam, ch: gibbs_state(fam, 0.0), "inverse temperature"),
+    "asymptotic_beta": (lambda fam, ch: gibbs_asymptotic(fam, math.inf), "inverse temperature"),
+    "mode_count": (lambda fam, ch: standard_form(0), "mode count"),
+    "spectrum_shape": (lambda fam, ch: symplectic_spectrum(np.eye(3), standard_form(1)),
+                       "expected shape"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise_domain_error(call, message):
+    # the one error type main reports as an "error:" line with exit code 1
+    spec = attenuator_spec()
+    with pytest.raises(DomainError, match=message):
+        call(SweepSpec().family(spec.space()), spec.to_channel())
 
 
 def test_cli_import_leaves_scipy_unloaded():
