@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -138,13 +139,13 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # tau, N and the cutoff are fock's to refuse: the output build, run first, checks all three
-    # in its first call, and the closed forms come after both builds
+    # tau, N, the cutoff and p = inf are fock's to refuse: the output build, run first, checks
+    # all four in its first call, and the closed forms come after both builds
     tau, N, p = args.tau, args.N, _parse_p(args.p)
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
     z = (1.0, 0.0)
 
-    # one build per cutoff and state; each state's one eigensolve serves all of its rows
+    # one build per cutoff and state; each state's one spectrum serves all of its rows
     def thermal(n):
         rho = fock.thermal_state_fock(N, n)
         rho_p = fock.matrix_power_fock(rho, p)
@@ -185,6 +186,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if all(passed) else EXIT_INVALID
 
 
+@functools.cache  # argparse's help formatter queries the terminal size per argument
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussnorm",

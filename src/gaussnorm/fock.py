@@ -16,6 +16,9 @@ ladder products live (:func:`covariance_from_fock`).
 The attenuator is applied diagonal by diagonal (:func:`attenuate`): its Kraus
 operator A_j lives on the j-th superdiagonal, so the channel maps each diagonal
 of rho to the same diagonal and only rho's nonzero diagonals cost anything.
+A diagonal operator (a thermal state, its powers, its attenuated output) takes
+its spectrum from its diagonal, since its eigenbasis is the Fock basis; only
+non-diagonal operators reach a dense Hermitian eigensolve.
 The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its
 reference, kept in the package only while ``perfbench`` traces both names.
 
@@ -156,30 +159,45 @@ def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
     """Eigenvalues (ascending) and, if asked, eigenvectors of a checked density operator.
 
     Hermitian within 1e-12, trace within TAIL_BOUND of 1, eigenvalues >= -1e-12;
-    the one decomposition serves both the check and the caller.
+    the one decomposition serves both the check and the caller.  A diagonal
+    operator's eigenbasis is the Fock basis: its eigenvalues are its sorted real
+    diagonal and its eigenvectors come back as None.
     """
     m = rho.matrix
     if np.linalg.norm(m - m.conj().T) > HERM_TOL * max(np.linalg.norm(m), 1e-300):
         raise NotDensityOperatorError("matrix is not Hermitian within 1e-12")
     if abs(np.trace(m).real - 1.0) > TAIL_BOUND:
         raise NotDensityOperatorError(f"trace {np.trace(m).real!r} deviates from 1 beyond the tail bound")
-    lam, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+        lam, u = np.sort(np.diagonal(m).real), None
+    else:
+        lam, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     if lam[0] < -HERM_TOL:
         raise NotDensityOperatorError(f"negative eigenvalue {float(lam[0]):.3e}")
     return lam, u
 
 
+def _check_p(p: float) -> None:
+    """Reject exponents outside [1, inf), NaN included."""
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"exponent must lie in [1, inf), got {p}")
+
+
 def tr_power_fock(rho: TruncatedOperator, p: float) -> float:
-    """Tr rho^p from rho's checked spectrum, tiny eigenvalues clamped to zero."""
+    """Tr rho^p from rho's checked spectrum, tiny eigenvalues clamped to zero; p in [1, inf)."""
+    _check_p(p)
     lam = np.where(rho.spectrum < EIG_CLAMP, 0.0, rho.spectrum)
     return float(np.sum(lam**p))
 
 
 def matrix_power_fock(rho: TruncatedOperator, p: float, normalize: bool = False) -> TruncatedOperator:
-    """rho^p via Hermitian eigendecomposition; optionally normalized to unit trace."""
+    """rho^p, p in [1, inf), on rho's eigenbasis (Fock order if rho is diagonal); optionally normalized."""
+    _check_p(p)
     lam, u = _density_spectrum(rho, vectors=True)
+    if u is None:
+        lam = np.diagonal(rho.matrix).real
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
-    powered = (u * lam**p) @ u.conj().T
+    powered = np.diag((lam**p).astype(complex)) if u is None else (u * lam**p) @ u.conj().T
     if normalize:
         powered = powered / np.trace(powered).real
     return TruncatedOperator(n_max=rho.n_max, matrix=powered)

@@ -20,7 +20,7 @@ from gaussnorm import (
     standard_form,
     symplectic_spectrum,
 )
-from gaussnorm.cli import CSV_HEADER, main
+from gaussnorm.cli import CSV_HEADER, build_parser, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
 from gaussnorm.errors import ConfigError, DomainError
 from sampling import random_symplectic
@@ -419,13 +419,29 @@ class TestCmdOracle:
         counted(np.linalg, "eigh", len)
         assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.count(" yes") == 6
-        # per cutoff: one attenuated state, whose one eigvalsh serves its trace row and its
-        # covariance density check, and one thermal power rho^p, whose one eigh serves the
-        # tr_rho_p row and the power char function; one Weyl operator serves both char rows
+        # per cutoff: one attenuated state, whose one spectrum serves its trace row and its
+        # covariance density check, and one thermal power rho^p, which serves the tr_rho_p row
+        # and the power char function; one Weyl operator serves both char rows.  Every state
+        # is diagonal in the Fock basis, so none reaches a Fock-sized dense eigensolve
         assert calls["attenuate"] == [40, 80]
         assert calls["weyl_operator"] == [40, 80]
-        assert [n for n in calls["eigvalsh"] if n > 2] == [41, 81]
-        assert [n for n in calls["eigh"] if n > 2] == [41, 81]
+        assert [n for n in calls["eigvalsh"] if n > 2] == []
+        assert [n for n in calls["eigh"] if n > 2] == []
+
+    def test_infinite_exponent_refused_by_first_build(self, monkeypatch, capsys):
+        # fock owns the oracle's exponent domain [1, inf): the coarse output build refuses p = inf
+        calls, original = [], fock.attenuate
+
+        def counted(tau, rho):
+            calls.append(rho.n_max)
+            return original(tau, rho)
+
+        monkeypatch.setattr(fock, "attenuate", counted)
+        assert main(["oracle", "--p", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: exponent must lie in [1, inf), got inf\n"
+        assert captured.out == ""
+        assert len(calls) <= 1
 
 
 BAD_ARGUMENTS = {
@@ -443,6 +459,10 @@ BAD_ARGUMENTS = {
     "mode_count": (lambda fam, ch: standard_form(0), "mode count"),
     "spectrum_shape": (lambda fam, ch: symplectic_spectrum(np.eye(3), standard_form(1)),
                        "expected shape"),
+    "fock_trace_exponent": (lambda fam, ch: fock.tr_power_fock(fock.thermal_state_fock(0.0, 8), math.inf),
+                            r"must lie in \[1, inf\), got inf"),
+    "fock_power_exponent": (lambda fam, ch: fock.matrix_power_fock(fock.thermal_state_fock(0.0, 8), math.nan),
+                            r"must lie in \[1, inf\), got nan"),
 }
 
 
@@ -452,6 +472,26 @@ def test_bad_arguments_raise_domain_error(call, message):
     spec = attenuator_spec()
     with pytest.raises(DomainError, match=message):
         call(SweepSpec().family(spec.space()), spec.to_channel())
+
+
+def test_cached_parser_parses_each_call_afresh(tmp_path, capsys):
+    # main builds its parser once per process; no option or default leaks between calls
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path / "att.json", attenuator_spec())
+    assert main(["norm", cfg, "--p", "inf"]) == 0
+    value = float(capsys.readouterr().out.split("norm_pp(p=inf) = ")[1])
+    assert value == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--n-max", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["oracle", "--N", "0", "--n-max", "20", "--p", "3"]) == 0
+    assert capsys.readouterr().out.count(" yes") == 6
+    assert main(["norm", cfg]) == 0
+    value = float(capsys.readouterr().out.split("norm_pp(p=2) = ")[1])
+    assert value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert main(["check", cfg]) == 0
+    assert capsys.readouterr().out.endswith("channel valid\n")
 
 
 def test_cli_import_leaves_scipy_unloaded():

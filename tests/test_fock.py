@@ -23,6 +23,7 @@ from gaussnorm.errors import (
     TruncationInsufficientError,
 )
 from gaussnorm.fock import (
+    EIG_CLAMP,
     TruncatedOperator,
     apply_kraus,
     attenuate,
@@ -173,6 +174,7 @@ class TestTrPowerFock:
             np.diag([2.0, 0.0, 0.0]),                                       # trace 2
             np.array([[0.5, 0.1, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),  # not Hermitian
             np.diag([1.5, -0.5, 0.0]),                                      # negative eigenvalue
+            np.diag([0.5 + 1e-6j, 0.5, 0.0]),                               # not Hermitian
         ):
             bad = TruncatedOperator(n_max=2, matrix=matrix.astype(complex))
             with pytest.raises(NotDensityOperatorError):
@@ -192,6 +194,45 @@ class TestTrPowerFock:
                     default_n_max(N),
                 )
                 assert tr_rho_p(state, p) == pytest.approx(oracle, abs=1e-8)
+
+
+class TestDiagonalSpectrum:
+    """A diagonal operator's spectrum comes from its diagonal, bit for bit as LAPACK's."""
+
+    @staticmethod
+    def diagonal_states():
+        for N in (0.0, 0.5, 1.0, 12.0):
+            yield thermal_state_fock(N, default_n_max(N))
+        for tau in (0.3, 1.0):
+            yield attenuate(tau, thermal_state_fock(1.0, 80))
+        # repeated entries, and entries below EIG_CLAMP, one of them slightly negative
+        d = [0.3, 0.2, 0.3, 0.0, 0.2, 4e-16, 1e-16, -1e-14, 0.0, 2e-17]
+        yield TruncatedOperator(n_max=len(d) - 1, matrix=np.diag(np.array(d, dtype=complex)))
+
+    def test_spectrum_and_powers_match_dense_eigensolve(self):
+        for rho in self.diagonal_states():
+            np.testing.assert_array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+            # the dense rho^p, clamped as matrix_power_fock clamps
+            lam, u = np.linalg.eigh(rho.matrix)
+            lam = np.where(lam < EIG_CLAMP, 0.0, lam)
+            for p in (1.0, 1.5, 2.0, 7.3):
+                np.testing.assert_array_equal(matrix_power_fock(rho, p).matrix, (u * lam**p) @ u.conj().T)
+
+    def test_tiny_off_diagonal_takes_dense_path(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            calls.append(len(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        matrix_power_fock(TruncatedOperator(n_max=2, matrix=matrix), 2.0)
+        assert calls == []
+        matrix[0, 1] = matrix[1, 0] = 1e-300
+        matrix_power_fock(TruncatedOperator(n_max=2, matrix=matrix), 2.0)
+        assert calls == [3]
 
 
 class TestCharFunctionFock:
