@@ -139,26 +139,25 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # tau, N, the cutoff and p = inf are fock's to refuse: the output build, run first, checks
-    # all four in its first call, and the closed forms come after both builds
+    # tau, N, the cutoff and p = inf are fock's to refuse: the first build checks all four
+    # before any power or Weyl operator, and the closed forms come after the doubling check
     tau, N, p = args.tau, args.N, _parse_p(args.p)
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
     z = (1.0, 0.0)
 
-    # one build per cutoff and state; each state's one spectrum serves all of its rows
-    def thermal(n):
+    # one thermal state per cutoff; each state's one spectrum serves all of its rows
+    def build(n):
         rho = fock.thermal_state_fock(N, n)
+        out = fock.attenuate(tau, rho)
+        tr_out = fock.tr_power_fock(out, p)
+        cov = fock.covariance_from_fock(out)[1]
         rho_p = fock.matrix_power_fock(rho, p)
         w = fock.weyl_operator(z, n)
-        return [np.trace(rho_p.matrix)] + [fock.char_function_fock(r, w) for r in (rho, rho_p)]
+        cfs = [fock.char_function_fock(r, w) for r in (rho, rho_p)]
+        return np.concatenate([[tr_out, np.trace(rho_p.matrix)], cfs, cov.ravel()])
 
-    def attenuated(n):
-        out = fock.attenuate(tau, fock.thermal_state_fock(N, n))
-        return np.append(fock.tr_power_fock(out, p), fock.covariance_from_fock(out)[1])
-
-    tr_out, *cov = fock.doubling_check(attenuated, n_max)
-    tr_in, cf, power_cf = fock.doubling_check(thermal, n_max)
-    oracle_cov = np.reshape(cov, (2, 2))
+    tr_out, tr_in, cf, power_cf, *cov = fock.doubling_check(build, n_max)
+    oracle_cov = np.reshape(cov, (2, 2)).real
     space = standard_form(1)
     state = validate_state([0.0, 0.0], (N + 0.5) * np.eye(2), space)
     channel = validate_channel(
@@ -167,7 +166,7 @@ def cmd_oracle(args) -> int:
     out_state = apply_channel(channel, state)
     rows = [
         ("tr_rho_p", tr_rho_p(state, p), float(tr_in.real)),
-        ("tr_rho_p after channel", tr_rho_p(out_state, p), float(tr_out)),
+        ("tr_rho_p after channel", tr_rho_p(out_state, p), float(tr_out.real)),
         ("output symplectic eigenvalue", float(out_state.spectrum[0]),
          math.sqrt(np.linalg.det(oracle_cov))),
         ("output covariance entries", 0.0, float(np.max(np.abs(oracle_cov - out_state.cov)))),

@@ -1,30 +1,26 @@
 """Single-mode truncated Fock-space oracle.
 
-Brute-force counterpart of the closed forms: states, Weyl operators, Schatten
-powers and the attenuator channel are realized as dense complex matrices on
-the basis {|0>, ..., |n_max>}.  Every quantity computed here is independent
-of the covariance-matrix machinery (nothing is imported from ``states``,
-``channels`` or ``symplectic``), so agreement between the two is a real check,
-not a tautology.
+Brute-force counterpart of the closed forms on the basis {|0>, ..., |n_max>}:
+a :class:`TruncatedOperator` is a dense complex matrix, its cutoff read from
+its shape.  Nothing is imported from ``states``, ``channels`` or
+``symplectic``, so agreement with the covariance code is a real check.
 
-Weyl operators are filled from their exact Fock matrix elements, associated
-Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), one
-diagonal at a time by a three-term recurrence (:func:`weyl_operator`).
-Moments are read from rho's diagonals 0, +-1 and +-2, where the truncated
-ladder products live (:func:`covariance_from_fock`).
+Weyl operators come from their exact Laguerre matrix elements (Cahill &
+Glauber, Phys. Rev. 177, 1857 (1969)), one diagonal at a time by a three-term
+recurrence (:func:`weyl_operator`); moments from rho's diagonals 0, +-1 and
++-2 (:func:`covariance_from_fock`).  The attenuator's Kraus operator A_j lives
+on the j-th superdiagonal, so one table B[j, m] = <m|A_j|m+j> holds the
+channel by diagonal (:func:`attenuator_amplitudes`), and :func:`attenuate`
+maps each nonzero diagonal of rho to the same diagonal.  The dense Kraus
+family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its reference, kept
+in the package only while ``perfbench`` traces both names.
 
-The attenuator is applied diagonal by diagonal (:func:`attenuate`): its Kraus
-operator A_j lives on the j-th superdiagonal, so the channel maps each diagonal
-of rho to the same diagonal and only rho's nonzero diagonals cost anything.
-A diagonal operator (a thermal state, its powers, its attenuated output) takes
-its spectrum from its diagonal, since its eigenbasis is the Fock basis; only
-non-diagonal operators reach a dense Hermitian eigensolve.
-The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its
-reference, kept in the package only while ``perfbench`` traces both names.
-
-Truncation error is controlled by a doubling protocol: recompute the final
-scalar (or small array) at 2 * n_max and require agreement within ten times
-the tail bound; see :func:`doubling_check`.
+Every spectrum comes with a density check (finite, Hermitian, unit trace, no
+negative eigenvalue).  A diagonal operator (a thermal state, its powers, its
+attenuated output) is checked on its diagonal and takes its spectrum from it,
+since its eigenbasis is the Fock basis; only other operators reach a dense
+Hermitian eigensolve.  Truncation error is controlled by recomputing the final
+scalar or small array at 2 * n_max (:func:`doubling_check`).
 """
 
 from __future__ import annotations
@@ -55,13 +51,16 @@ MAX_WEYL_R = 1400.0  # e^(-r/2) stays a normal double
 class TruncatedOperator:
     """Dense complex matrix on the Fock basis {|0>, ..., |n_max>}."""
 
-    n_max: int
     matrix: np.ndarray
+
+    @property
+    def n_max(self) -> int:
+        return self.matrix.shape[0] - 1
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending, after the density check; computed on first use."""
-        return _density_spectrum(self)[0]
+        return np.sort(_density_spectrum(self)[0])
 
 
 def _log_factorials(dim: int) -> np.ndarray:
@@ -92,7 +91,7 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
     if not r <= MAX_WEYL_R:
         raise DomainError(f"|alpha|^2 = (x^2 + y^2)/2 must be finite and <= {MAX_WEYL_R}, got {r}")
     if r == 0.0:
-        return TruncatedOperator(n_max=n_max, matrix=np.eye(dim, dtype=complex))
+        return TruncatedOperator(np.eye(dim, dtype=complex))
     k = np.arange(dim, dtype=float)
     # g[n, k] = e^(-r/2) |alpha|^k sqrt(n!/(n+k)!) L_n^(k)(r), filled for n + k <= n_max;
     # at n = 0 the g[n - 1] term carries the factor sqrt(0)
@@ -108,14 +107,13 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
     phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * d)
     phase[:n_max][d[:n_max] % 2 == 1] *= -1.0  # (-alpha*)^k = (-1)^k (alpha/|alpha|)^-k |alpha|^k
     row, col = np.arange(dim)[:, None], np.arange(dim)[None, :]
-    matrix = g[np.minimum(row, col), np.abs(row - col)] * phase[n_max + row - col]
-    return TruncatedOperator(n_max=n_max, matrix=matrix)
+    return TruncatedOperator(g[np.minimum(row, col), np.abs(row - col)] * phase[n_max + row - col])
 
 
-def thermal_state_fock(N: float, n_max: int, tail_bound: float = TAIL_BOUND) -> TruncatedOperator:
+def thermal_state_fock(N: float, n_max: int) -> TruncatedOperator:
     """Thermal state, diagonal p_n = N^n / (N+1)^(n+1); not renormalized.
 
-    The neglected tail (N/(N+1))^(n_max+1) must stay below ``tail_bound``; N must be
+    The neglected tail (N/(N+1))^(n_max+1) must stay below TAIL_BOUND; N must be
     finite and n_max >= 1.
     """
     if not (math.isfinite(N) and N >= 0.0):
@@ -123,14 +121,14 @@ def thermal_state_fock(N: float, n_max: int, tail_bound: float = TAIL_BOUND) -> 
     if n_max < 1:
         raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
     tail = (N / (N + 1.0)) ** (n_max + 1) if N > 0.0 else 0.0
-    if tail >= tail_bound:
+    if tail >= TAIL_BOUND:
         raise TailTooLargeError(
-            f"truncation tail {tail:.3e} >= {tail_bound:.1e}; raise n_max above "
-            f"{math.ceil(-math.log(tail_bound) / math.log1p(1.0 / N)) if N > 0 else n_max}"
+            f"truncation tail {tail:.3e} >= {TAIL_BOUND:.1e}; raise n_max above "
+            f"{math.ceil(-math.log(TAIL_BOUND) / math.log1p(1.0 / N)) if N > 0 else n_max}"
         )
     ns = np.arange(n_max + 1)
     pn = np.exp(ns * math.log(N) - (ns + 1) * math.log(N + 1.0)) if N > 0.0 else np.eye(n_max + 1)[0]
-    return TruncatedOperator(n_max=n_max, matrix=np.diag(pn.astype(complex)))
+    return TruncatedOperator(np.diag(pn.astype(complex)))
 
 
 def default_n_max(N: float) -> int:
@@ -156,24 +154,35 @@ def default_n_max(N: float) -> int:
 
 
 def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
-    """Eigenvalues (ascending) and, if asked, eigenvectors of a checked density operator.
+    """Eigenvalues and, if asked, eigenvectors of a checked density operator.
 
-    Hermitian within 1e-12, trace within TAIL_BOUND of 1, eigenvalues >= -1e-12;
-    the one decomposition serves both the check and the caller.  A diagonal
-    operator's eigenbasis is the Fock basis: its eigenvalues are its sorted real
-    diagonal and its eigenvectors come back as None.
+    Finite, Hermitian within 1e-12 (Frobenius, relative), trace within TAIL_BOUND
+    of 1, eigenvalues >= -1e-12; every test fails on NaN, and the one
+    decomposition serves both the check and the caller.  A diagonal operator's
+    eigenbasis is the Fock basis: it is checked on its diagonal alone (m - m^H
+    is 2i Im diag there), its eigenvalues are its real diagonal in Fock order and
+    its eigenvectors come back as None.  Any other operator's are ascending.
     """
     m = rho.matrix
-    if np.linalg.norm(m - m.conj().T) > HERM_TOL * max(np.linalg.norm(m), 1e-300):
+    diag = np.diagonal(m)
+    diagonal = np.count_nonzero(m) == np.count_nonzero(diag)
+    if diagonal:
+        size, residual = np.linalg.norm(diag), 2.0 * np.linalg.norm(diag.imag)
+    else:
+        size, residual = np.linalg.norm(m), np.linalg.norm(m - m.conj().T)
+    if not np.isfinite(size):
+        raise NotDensityOperatorError(f"matrix is not finite: Frobenius norm {float(size)}")
+    if not residual <= HERM_TOL * max(size, 1e-300):
         raise NotDensityOperatorError("matrix is not Hermitian within 1e-12")
-    if abs(np.trace(m).real - 1.0) > TAIL_BOUND:
-        raise NotDensityOperatorError(f"trace {np.trace(m).real!r} deviates from 1 beyond the tail bound")
-    if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
-        lam, u = np.sort(np.diagonal(m).real), None
+    trace = diag.sum().real
+    if not abs(trace - 1.0) <= TAIL_BOUND:
+        raise NotDensityOperatorError(f"trace {trace!r} deviates from 1 beyond the tail bound")
+    if diagonal:
+        lam, u = diag.real, None
     else:
         lam, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    if lam[0] < -HERM_TOL:
-        raise NotDensityOperatorError(f"negative eigenvalue {float(lam[0]):.3e}")
+    if not -HERM_TOL <= lam.min():
+        raise NotDensityOperatorError(f"negative eigenvalue {float(lam.min()):.3e}")
     return lam, u
 
 
@@ -190,17 +199,12 @@ def tr_power_fock(rho: TruncatedOperator, p: float) -> float:
     return float(np.sum(lam**p))
 
 
-def matrix_power_fock(rho: TruncatedOperator, p: float, normalize: bool = False) -> TruncatedOperator:
-    """rho^p, p in [1, inf), on rho's eigenbasis (Fock order if rho is diagonal); optionally normalized."""
+def matrix_power_fock(rho: TruncatedOperator, p: float) -> TruncatedOperator:
+    """rho^p, p in [1, inf), on rho's eigenbasis (the Fock basis if rho is diagonal); not normalized."""
     _check_p(p)
     lam, u = _density_spectrum(rho, vectors=True)
-    if u is None:
-        lam = np.diagonal(rho.matrix).real
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
-    powered = np.diag((lam**p).astype(complex)) if u is None else (u * lam**p) @ u.conj().T
-    if normalize:
-        powered = powered / np.trace(powered).real
-    return TruncatedOperator(n_max=rho.n_max, matrix=powered)
+    return TruncatedOperator(np.diag((lam**p).astype(complex)) if u is None else (u * lam**p) @ u.conj().T)
 
 
 def char_function_fock(rho: TruncatedOperator, w: TruncatedOperator) -> complex:
@@ -211,27 +215,29 @@ def char_function_fock(rho: TruncatedOperator, w: TruncatedOperator) -> complex:
 
 
 def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
-    """Table amp[j, n] = <n-j| A_j |n> = sqrt(C(n, j)) tau^((n-j)/2) (1-tau)^(j/2).
+    """Table B[j, m] = <m| A_j |m+j> = sqrt(C(m+j, j)) tau^(m/2) (1-tau)^(j/2), by diagonal.
 
     A_j is the binomial Kraus operator of the attenuation channel K = sqrt(tau) I
-    that removes j photons; amp[j, n] = 0 for n < j, and for j >= 1 at tau = 1.
+    that removes j photons; row j is its j-th superdiagonal, B[j, m] = 0 where
+    m + j > n_max, and for j >= 1 at tau = 1.
     """
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
     dim = n_max + 1
     log_fact = _log_factorials(dim)
     j = np.arange(dim)[:, None]
-    kept = np.arange(dim)[None, :] - j
+    kept = np.arange(dim)[None, :]
+    total = j + kept  # photons before the loss
     # j log(1 - tau), spelled out at tau = 1 so that 0 * (-inf) never forms
     loss = np.full(dim, -math.inf)
     loss[0] = 0.0
     if tau < 1.0:
         loss[1:] = np.arange(1, dim) * math.log1p(-tau)
     log_amp = 0.5 * (
-        log_fact[None, :] - log_fact[j] - log_fact[np.maximum(kept, 0)]
+        log_fact[np.minimum(total, n_max)] - log_fact[j] - log_fact[kept]
         + kept * math.log(tau) + loss[:, None]
     )
-    return np.exp(np.where(kept >= 0, log_amp, -math.inf))
+    return np.exp(np.where(total <= n_max, log_amp, -math.inf))
 
 
 def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
@@ -241,10 +247,9 @@ def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
     identically zero operators (j >= 1 at tau = 1) are dropped.  The reference
     for :func:`attenuate`, which applies the same channel without forming them.
     """
-    amp = attenuator_amplitudes(tau, n_max)
     return [
-        TruncatedOperator(n_max=n_max, matrix=np.diag(row[j:].astype(complex), k=j))
-        for j, row in enumerate(amp)
+        TruncatedOperator(np.diag(row[: n_max + 1 - j].astype(complex), k=j))
+        for j, row in enumerate(attenuator_amplitudes(tau, n_max))
         if row.any()
     ]
 
@@ -256,21 +261,18 @@ def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> Trunc
     out = np.zeros_like(rho.matrix)
     for op in kraus:
         out = out + op.matrix @ rho.matrix @ op.matrix.conj().T
-    return TruncatedOperator(n_max=rho.n_max, matrix=out)
+    return TruncatedOperator(out)
 
 
 def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
     """Attenuation channel K = sqrt(tau) I, sum_j A_j rho A_j^dag, one diagonal of rho at a time.
 
-    A_j keeps n - m, so with B[j, m] = amp[j, m+j] output diagonal k is out_k[m] =
+    A_j keeps n - m, so with the amplitude table B output diagonal k is out_k[m] =
     sum_j B[j, m] B[j, m+|k|] rho_k[m+j], summed over j in order as the Kraus sum is: O(n^2)
     per nonzero diagonal of rho.  Same channel as ``apply_kraus(attenuator_kraus(tau, n), rho)``.
     """
     dim = rho.n_max + 1
-    skew = attenuator_amplitudes(tau, rho.n_max)
-    for j in range(1, dim):  # skew[j, m] = amp[j, m + j] in place, zero past the cutoff
-        skew[j, : dim - j] = skew[j, j:]
-        skew[j, dim - j :] = 0.0
+    b = attenuator_amplitudes(tau, rho.n_max)
     m = rho.matrix
     out = np.zeros_like(m)
     padded = np.zeros(2 * dim - 1, dtype=m.dtype)
@@ -279,9 +281,9 @@ def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
         size = dim - abs(k)
         padded[:size] = np.diagonal(m, k)
         padded[size:] = 0.0
-        terms = hankel[:size, :size] * (skew[:size, :size] * skew[:size, abs(k) :])
+        terms = hankel[:size, :size] * (b[:size, :size] * b[:size, abs(k) :])
         np.fill_diagonal(out[max(-k, 0) :, max(k, 0) :], terms.sum(axis=0))
-    return TruncatedOperator(n_max=rho.n_max, matrix=out)
+    return TruncatedOperator(out)
 
 
 def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -315,12 +317,8 @@ def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray
     return mean, cov
 
 
-def doubling_check(
-    build: Callable[[int], object],
-    n_max: int,
-    tail_bound: float = TAIL_BOUND,
-):
-    """Evaluate ``build`` at n_max and 2 n_max; demand agreement within 10x the tail bound.
+def doubling_check(build: Callable[[int], object], n_max: int):
+    """Evaluate ``build`` at n_max and 2 n_max; demand agreement within 10x TAIL_BOUND.
 
     ``build`` must map a cutoff to a scalar or an ndarray (the final quantity of
     interest, not a raw truncated matrix).  Returns the 2 n_max value, raising
@@ -332,10 +330,10 @@ def doubling_check(
         if not np.all(np.isfinite(value)):
             raise DomainError(f"the quantity built at n_max={n} is not finite: {value}")
     diff = float(np.max(np.abs(coarse - fine)))
-    if diff > 10.0 * tail_bound:
+    if diff > 10.0 * TAIL_BOUND:
         raise TruncationInsufficientError(
             f"doubling n_max={n_max} moved the result by {diff:.3e} > "
-            f"10 * {tail_bound:.1e}; retry with n_max >= {2 * n_max}",
+            f"10 * {TAIL_BOUND:.1e}; retry with n_max >= {2 * n_max}",
             suggested_n_max=2 * n_max,
         )
     return fine if fine.ndim else fine.item()

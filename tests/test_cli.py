@@ -402,7 +402,8 @@ class TestCmdOracle:
         assert captured.out == ""
 
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
-        calls = {"attenuate": [], "weyl_operator": [], "eigvalsh": [], "eigh": []}
+        calls = {"thermal_state_fock": [], "attenuate": [], "weyl_operator": [], "doubling_check": [],
+                 "eigvalsh": [], "eigh": []}
 
         def counted(module, name, size):
             original = getattr(module, name)
@@ -413,16 +414,21 @@ class TestCmdOracle:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counted(fock, "thermal_state_fock", lambda N, n_max: n_max)
         counted(fock, "attenuate", lambda tau, rho: rho.n_max)
         counted(fock, "weyl_operator", lambda z, n_max: n_max)
+        counted(fock, "doubling_check", lambda build, n_max: n_max)
         counted(np.linalg, "eigvalsh", len)
         counted(np.linalg, "eigh", len)
         assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.count(" yes") == 6
-        # per cutoff: one attenuated state, whose one spectrum serves its trace row and its
-        # covariance density check, and one thermal power rho^p, which serves the tr_rho_p row
-        # and the power char function; one Weyl operator serves both char rows.  Every state
-        # is diagonal in the Fock basis, so none reaches a Fock-sized dense eigensolve
+        # one doubling check over one build; per cutoff one thermal state, its one attenuated
+        # state, whose one spectrum serves its trace row and its covariance density check, and
+        # its one power rho^p, which serves the tr_rho_p row and the power char function; one
+        # Weyl operator serves both char rows.  Every state is diagonal in the Fock basis, so
+        # none reaches a Fock-sized dense eigensolve
+        assert calls["doubling_check"] == [40]
+        assert calls["thermal_state_fock"] == [40, 80]
         assert calls["attenuate"] == [40, 80]
         assert calls["weyl_operator"] == [40, 80]
         assert [n for n in calls["eigvalsh"] if n > 2] == []

@@ -105,9 +105,7 @@ class TestWeylOperator:
     def test_vacuum_expectation_matches_char_function(self):
         vac = thermal_gaussian(0.0)
         for z in ([0.5, 0.0], [1.0, -1.0], [2.0, 2.0]):
-            got = doubling_check(
-                lambda n, z=z: weyl_operator(z, n).matrix[0, 0], 60, tail_bound=1e-10
-            )
+            got = doubling_check(lambda n, z=z: weyl_operator(z, n).matrix[0, 0], 60)
             assert got == pytest.approx(char_function(vac, z), abs=1e-8)
 
     def test_unitary_on_interior_block(self):
@@ -170,19 +168,34 @@ class TestTrPowerFock:
         assert tr_power_fock(rho, 3.0) == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_not_density_operator_rejected(self):
-        for matrix in (
-            np.diag([2.0, 0.0, 0.0]),                                       # trace 2
-            np.array([[0.5, 0.1, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),  # not Hermitian
-            np.diag([1.5, -0.5, 0.0]),                                      # negative eigenvalue
-            np.diag([0.5 + 1e-6j, 0.5, 0.0]),                               # not Hermitian
+        nan = math.nan
+        for matrix, message in (
+            (np.diag([2.0, 0.0, 0.0]), "trace"),
+            (np.array([[0.5, 0.1, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]), "not Hermitian"),
+            (np.diag([1.5, -0.5, 0.0]), "negative eigenvalue"),
+            (np.diag([0.5 + 1e-6j, 0.5, 0.0]), "not Hermitian"),
+            (np.diag([nan, 0.5, 0.5]), "not finite"),
+            (np.diag([math.inf, 0.5, 0.5]), "not finite"),
+            (np.array([[0.5, nan, 0.0], [nan, 0.5, 0.0], [0.0, 0.0, 0.0]]), "not finite"),
         ):
-            bad = TruncatedOperator(n_max=2, matrix=matrix.astype(complex))
-            with pytest.raises(NotDensityOperatorError):
+            bad = TruncatedOperator(matrix.astype(complex))
+            with pytest.raises(NotDensityOperatorError, match=message):
                 tr_power_fock(bad, 2.0)
-            with pytest.raises(NotDensityOperatorError):
+            with pytest.raises(NotDensityOperatorError, match=message):
                 matrix_power_fock(bad, 2.0)
-            with pytest.raises(NotDensityOperatorError):
+            with pytest.raises(NotDensityOperatorError, match=message):
                 covariance_from_fock(bad)
+
+    def test_diagonal_just_inside_hermitian_tolerance_accepted(self):
+        # a diagonal is checked on 2 |Im diag| against 1e-12 |diag|; an imaginary part at 0.99
+        # of the dense check's own limit |m - m^H| <= 1e-12 |m| still passes
+        matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        matrix[0, 0] += 0.99e-12 * np.linalg.norm(matrix) / 2.0 * 1j
+        assert np.linalg.norm(matrix - matrix.conj().T) <= 1e-12 * np.linalg.norm(matrix)
+        rho = TruncatedOperator(matrix)
+        assert tr_power_fock(rho, 2.0) == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_array_equal(matrix_power_fock(rho, 1.0).matrix, np.diag([0.5, 0.5, 0.0]))
+        covariance_from_fock(rho)
 
     def test_agreement_with_closed_form(self):
         # module invariant: <= 1e-8 absolute over N and p grids
@@ -207,7 +220,7 @@ class TestDiagonalSpectrum:
             yield attenuate(tau, thermal_state_fock(1.0, 80))
         # repeated entries, and entries below EIG_CLAMP, one of them slightly negative
         d = [0.3, 0.2, 0.3, 0.0, 0.2, 4e-16, 1e-16, -1e-14, 0.0, 2e-17]
-        yield TruncatedOperator(n_max=len(d) - 1, matrix=np.diag(np.array(d, dtype=complex)))
+        yield TruncatedOperator(np.diag(np.array(d, dtype=complex)))
 
     def test_spectrum_and_powers_match_dense_eigensolve(self):
         for rho in self.diagonal_states():
@@ -228,10 +241,10 @@ class TestDiagonalSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        matrix_power_fock(TruncatedOperator(n_max=2, matrix=matrix), 2.0)
+        matrix_power_fock(TruncatedOperator(matrix), 2.0)
         assert calls == []
         matrix[0, 1] = matrix[1, 0] = 1e-300
-        matrix_power_fock(TruncatedOperator(n_max=2, matrix=matrix), 2.0)
+        matrix_power_fock(TruncatedOperator(matrix), 2.0)
         assert calls == [3]
 
 
@@ -262,12 +275,12 @@ class TestCharFunctionFock:
 
     def test_normalized_square_validates_g2(self):
         # rho^2 normalized is thermal with symplectic eigenvalue 5/6 at N = 1
-        oracle = doubling_check(
-            lambda n: char_function_fock(
-                matrix_power_fock(thermal_state_fock(1.0, n), 2.0, normalize=True),
-                weyl_operator([1.0, 0.0], n)),
-            80,
-        )
+        def build(n):
+            squared = matrix_power_fock(thermal_state_fock(1.0, n), 2.0).matrix
+            normalized = TruncatedOperator(squared / np.trace(squared).real)
+            return char_function_fock(normalized, weyl_operator([1.0, 0.0], n))
+
+        oracle = doubling_check(build, 80)
         assert oracle == pytest.approx(math.exp(-0.5 * 5.0 / 6.0), abs=1e-10)
 
     def test_cutoff_mismatch_rejected(self):
@@ -277,9 +290,7 @@ class TestCharFunctionFock:
 
 def displaced_thermal(N, w_vec, n_max):
     wop = weyl_operator(w_vec, n_max).matrix
-    return TruncatedOperator(
-        n_max=n_max, matrix=wop @ thermal_state_fock(N, n_max).matrix @ wop.conj().T
-    )
+    return TruncatedOperator(wop @ thermal_state_fock(N, n_max).matrix @ wop.conj().T)
 
 
 class TestAttenuatorKraus:
@@ -292,12 +303,20 @@ class TestAttenuatorKraus:
         np.testing.assert_allclose(ops[0].matrix, np.eye(21), atol=1e-14)
         np.testing.assert_array_equal(amp[0], np.ones(21))
         np.testing.assert_array_equal(amp[1:], 0.0)
+        # the table by diagonal, B[j, m] = <m|A_j|m+j>: below full transmission row j fills
+        # m <= n_max - j, is zero past it, and is A_j's j-th superdiagonal
+        amp = attenuator_amplitudes(0.5, 20)
+        inside = np.add.outer(np.arange(21), np.arange(21)) <= 20
+        assert np.all(amp[inside] > 0.0) and np.all(amp[~inside] == 0.0)
+        for j, op in enumerate(attenuator_kraus(0.5, 20)):
+            np.testing.assert_array_equal(np.diagonal(op.matrix, j), amp[j, : 21 - j])
 
     def test_amplitude_completeness(self):
-        # sum_j A_j^dag A_j = I, read column by column from the amplitude table
+        # sum_j A_j^dag A_j = I: <n|...|n> = sum_j B[j, n - j]^2, the table's anti-diagonal n
         for tau in (0.3, 0.5, 0.9, 1.0):
             amp = attenuator_amplitudes(tau, 160)
-            np.testing.assert_allclose(np.sum(amp**2, axis=0), np.ones(161), rtol=0, atol=1e-12)
+            totals = [sum(amp[j, n - j] ** 2 for j in range(n + 1)) for n in range(161)]
+            np.testing.assert_allclose(totals, np.ones(161), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_max", [20, 40])
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.9, 1.0])
@@ -316,7 +335,7 @@ class TestAttenuatorKraus:
         for k in (0, 3, -3):
             size = n_max + 1 - abs(k)
             matrix += np.diag(rng.standard_normal(size) + 1j * rng.standard_normal(size), k)
-        rho = TruncatedOperator(n_max=n_max, matrix=matrix)
+        rho = TruncatedOperator(matrix)
         banded = attenuate(0.4, rho).matrix
         dense = apply_kraus(attenuator_kraus(0.4, n_max), rho).matrix
         np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-14)
@@ -403,7 +422,7 @@ class TestCovarianceFromFock:
         def displaced(n):
             vac = thermal_state_fock(0.0, n)
             wop = weyl_operator(w_vec, n)
-            return TruncatedOperator(n_max=n, matrix=wop.matrix @ vac.matrix @ wop.matrix.conj().T)
+            return TruncatedOperator(wop.matrix @ vac.matrix @ wop.matrix.conj().T)
 
         mean = doubling_check(lambda n: covariance_from_fock(displaced(n))[0], 60)
         np.testing.assert_allclose(mean, expected_mean, atol=1e-8)
@@ -440,9 +459,9 @@ class TestDoublingCheck:
         assert got == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_insufficient_truncation_detected(self):
-        # force a visibly unconverged trace by disabling the tail guard
+        # a visibly unconverged trace: the N = 1 thermal diagonal 2^-(n+1), cut at n_max 8
         def build(n):
-            rho = thermal_state_fock(1.0, n, tail_bound=1.0)
+            rho = TruncatedOperator(np.diag(0.5 ** np.arange(1.0, n + 2)).astype(complex))
             return char_function_fock(rho, weyl_operator([0.0, 0.0], n))
 
         with pytest.raises(TruncationInsufficientError) as err:
@@ -477,10 +496,7 @@ class TestPowerCharFunctionAgainstOracle:
         N, n_max = 1.0, 120
         state = validate_state(-space.delta @ w_vec, (N + 0.5) * np.eye(2), space)
         wop = weyl_operator(w_vec, n_max)
-        displaced = TruncatedOperator(
-            n_max=n_max,
-            matrix=wop.matrix @ thermal_state_fock(N, n_max).matrix @ wop.matrix.conj().T,
-        )
+        displaced = TruncatedOperator(wop.matrix @ thermal_state_fock(N, n_max).matrix @ wop.matrix.conj().T)
         squared = matrix_power_fock(displaced, 2.0)
         for z in ([1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
             got = char_function_fock(squared, weyl_operator(z, n_max))
