@@ -140,20 +140,20 @@ def cmd_scaling(args) -> int:
 
 def cmd_oracle(args) -> int:
     # tau, N, the cutoff and p = inf are fock's to refuse: the first build checks all four
-    # before any power or Weyl operator, and the closed forms come after the doubling check
+    # before any power or char function, and the closed forms come after the doubling check
     tau, N, p = args.tau, args.N, _parse_p(args.p)
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
     z = (1.0, 0.0)
 
-    # one thermal state per cutoff; each state's one spectrum serves all of its rows
+    # one thermal state per cutoff; each state's one spectrum serves all of its rows, and
+    # char_function_fock(rho, z) reads W(z) only on rho's nonzero diagonals (here the main one)
     def build(n):
         rho = fock.thermal_state_fock(N, n)
         out = fock.attenuate(tau, rho)
         tr_out = fock.tr_power_fock(out, p)
         cov = fock.covariance_from_fock(out)[1]
         rho_p = fock.matrix_power_fock(rho, p)
-        w = fock.weyl_operator(z, n)
-        cfs = [fock.char_function_fock(r, w) for r in (rho, rho_p)]
+        cfs = [fock.char_function_fock(r, z) for r in (rho, rho_p)]
         return np.concatenate([[tr_out, np.trace(rho_p.matrix)], cfs, cov.ravel()])
 
     tr_out, tr_in, cf, power_cf, *cov = fock.doubling_check(build, n_max)

@@ -5,11 +5,15 @@ a :class:`TruncatedOperator` is a dense complex matrix, its cutoff read from
 its shape.  Nothing is imported from ``states``, ``channels`` or
 ``symplectic``, so agreement with the covariance code is a real check.
 
-Weyl operators come from their exact Laguerre matrix elements (Cahill &
-Glauber, Phys. Rev. 177, 1857 (1969)), one diagonal at a time by a three-term
-recurrence (:func:`weyl_operator`); moments from rho's diagonals 0, +-1 and
-+-2 (:func:`covariance_from_fock`).  The attenuator's Kraus operator A_j lives
-on the j-th superdiagonal, so one table B[j, m] = <m|A_j|m+j> holds the
+Weyl operators W(z) come from their exact Laguerre matrix elements (Cahill &
+Glauber, Phys. Rev. 177, 1857 (1969)), one diagonal at a time by one
+three-term recurrence.  :func:`char_function_fock` takes Tr(rho W(z)) from
+rho's nonzero diagonals alone, each against the matching diagonal of W(z),
+and never forms W; the dense :func:`weyl_operator` is its reference.
+Moments come from rho's diagonals 0, +-1 and +-2 (:func:`covariance_from_fock`).
+An operator finds its nonzero diagonals once, on first use
+(:attr:`TruncatedOperator.diagonals`).  The attenuator's Kraus operator A_j
+lives on the j-th superdiagonal, so one table B[j, m] = <m|A_j|m+j> holds the
 channel by diagonal (:func:`attenuator_amplitudes`), and :func:`attenuate`
 maps each nonzero diagonal of rho to the same diagonal.  The dense Kraus
 family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its reference, kept
@@ -62,10 +66,59 @@ class TruncatedOperator:
         """Eigenvalues, ascending, after the density check; computed on first use."""
         return np.sort(_density_spectrum(self)[0])
 
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        """Offsets column - row of the nonzero diagonals, ascending ([0] if diagonal); found on first use."""
+        m = self.matrix
+        if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+            return np.zeros(1, dtype=int)
+        return np.unique(np.diff(np.nonzero(m), axis=0))
 
-def _log_factorials(dim: int) -> np.ndarray:
-    """log m! for m = 0, ..., dim - 1."""
-    return np.array([math.lgamma(m + 1.0) for m in range(dim)])
+
+def _log_factorials(ms) -> np.ndarray:
+    """log m! for each m in ms."""
+    return np.array([math.lgamma(m + 1.0) for m in ms])
+
+
+def _weyl_start(z, n_max: int, d: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """r = |alpha|^2 for z = (x, y), alpha = (-y + i x)/sqrt(2), and for each offset d = row - column
+    of W the phase of its elements and g[0, |d|] = e^(-r/2) |alpha|^|d| / sqrt(|d|!).
+
+    n_max < 1, a z that is not two reals, or r beyond MAX_WEYL_R (NaN and inf
+    included), where e^(-r/2) leaves the normal double range, raises DomainError.
+    """
+    _check_cutoff(n_max)
+    try:
+        if np.iscomplexobj(z):  # casting would drop the imaginary parts with only a warning
+            raise TypeError
+        x, y = np.asarray(z, dtype=float).reshape(2)
+    except (TypeError, ValueError):
+        raise DomainError(f"z must be two finite reals (x, y), got {z!r}") from None
+    alpha = complex(-y, x) / math.sqrt(2.0)
+    modulus = abs(alpha)
+    r = modulus * modulus  # inf, not OverflowError, for a huge z
+    if not r <= MAX_WEYL_R:
+        raise DomainError(f"|alpha|^2 = (x^2 + y^2)/2 must be finite and <= {MAX_WEYL_R}, got {r}")
+    k = np.abs(d)
+    if r == 0.0:  # W(0) = I, and log(0) is never taken
+        return r, np.ones(len(d), dtype=complex), (k == 0).astype(float)
+    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * d)
+    phase[(d < 0) & (d % 2 == 1)] *= -1.0  # (-alpha*)^k = (-1)^k (alpha/|alpha|)^-k |alpha|^k
+    return r, phase, np.exp(-0.5 * r + k * math.log(modulus) - 0.5 * _log_factorials(k))
+
+
+def _weyl_diagonal(g0: float, r: float, k: int, size: int) -> list[float]:
+    """g[n, k] = e^(-r/2) |alpha|^k sqrt(n!/(n+k)!) L_n^(k)(r) for n < size, from g[0, k] = g0.
+
+    A scalar loop: one diagonal is too short to pay numpy's per-call cost.
+    """
+    g0, k = float(g0), int(k)
+    g, previous = [g0], 0.0  # g[n - 1] at n = 0 carries the factor sqrt(0)
+    for n in range(size - 1):
+        g.append(((2 * n + 1 + k - r) * g[n] - math.sqrt(n * (n + k)) * previous)
+                 / math.sqrt((n + 1) * (n + 1 + k)))
+        previous = g[n]
+    return g
 
 
 def weyl_operator(z, n_max: int) -> TruncatedOperator:
@@ -78,34 +131,16 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
     e^(-r/2) |alpha|^k / sqrt(k!); the phases are applied afterwards.  The
     truncated matrix is unitary only well below the cutoff; certify
     convergence of any derived scalar with :func:`doubling_check`.  n_max < 1,
-    a non-finite z, or r > MAX_WEYL_R where e^(-r/2) leaves the normal
-    double range, raises DomainError.
+    a z that is not two finite reals, or r > MAX_WEYL_R where e^(-r/2) leaves
+    the normal double range, raises DomainError.  The dense reference for
+    :func:`char_function_fock`, which reads the same diagonals without it.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    x, y = np.asarray(z, dtype=float).reshape(2)
     dim = n_max + 1
-    alpha = complex(-y, x) / math.sqrt(2.0)
-    modulus = abs(alpha)
-    r = modulus * modulus  # inf, not OverflowError, for a huge z
-    if not r <= MAX_WEYL_R:
-        raise DomainError(f"|alpha|^2 = (x^2 + y^2)/2 must be finite and <= {MAX_WEYL_R}, got {r}")
-    if r == 0.0:
-        return TruncatedOperator(np.eye(dim, dtype=complex))
-    k = np.arange(dim, dtype=float)
-    # g[n, k] = e^(-r/2) |alpha|^k sqrt(n!/(n+k)!) L_n^(k)(r), filled for n + k <= n_max;
-    # at n = 0 the g[n - 1] term carries the factor sqrt(0)
-    g = np.zeros((dim, dim))
-    g[0] = np.exp(-0.5 * r + k * math.log(modulus) - 0.5 * _log_factorials(dim))
-    for n in range(n_max):
-        kk = k[: n_max - n]
-        g[n + 1, : n_max - n] = (
-            (2 * n + 1 + kk - r) * g[n, : n_max - n] - np.sqrt(n * (n + kk)) * g[n - 1, : n_max - n]
-        ) / np.sqrt((n + 1) * (n + 1 + kk))
     # phase[n_max + d] multiplies the elements with row - column = d
-    d = np.arange(-n_max, dim)
-    phase = np.exp(1j * math.atan2(alpha.imag, alpha.real) * d)
-    phase[:n_max][d[:n_max] % 2 == 1] *= -1.0  # (-alpha*)^k = (-1)^k (alpha/|alpha|)^-k |alpha|^k
+    r, phase, g0 = _weyl_start(z, n_max, np.arange(-n_max, dim))
+    g = np.zeros((dim, dim))  # g[n, k], filled for n + k <= n_max
+    for k in range(dim):
+        g[: dim - k, k] = _weyl_diagonal(g0[n_max + k], r, k, dim - k)
     row, col = np.arange(dim)[:, None], np.arange(dim)[None, :]
     return TruncatedOperator(g[np.minimum(row, col), np.abs(row - col)] * phase[n_max + row - col])
 
@@ -118,8 +153,7 @@ def thermal_state_fock(N: float, n_max: int) -> TruncatedOperator:
     """
     if not (math.isfinite(N) and N >= 0.0):
         raise DomainError(f"mean photon number must be finite and >= 0, got {N}")
-    if n_max < 1:
-        raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
+    _check_cutoff(n_max)
     tail = (N / (N + 1.0)) ** (n_max + 1) if N > 0.0 else 0.0
     if tail >= TAIL_BOUND:
         raise TailTooLargeError(
@@ -165,7 +199,7 @@ def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
     """
     m = rho.matrix
     diag = np.diagonal(m)
-    diagonal = np.count_nonzero(m) == np.count_nonzero(diag)
+    diagonal = not rho.diagonals.any()
     if diagonal:
         size, residual = np.linalg.norm(diag), 2.0 * np.linalg.norm(diag.imag)
     else:
@@ -184,6 +218,12 @@ def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
     if not -HERM_TOL <= lam.min():
         raise NotDensityOperatorError(f"negative eigenvalue {float(lam.min()):.3e}")
     return lam, u
+
+
+def _check_cutoff(n_max: int) -> None:
+    """Reject Fock cutoffs below 1."""
+    if n_max < 1:
+        raise DomainError(f"Fock cutoff must be >= 1, got {n_max}")
 
 
 def _check_p(p: float) -> None:
@@ -207,11 +247,20 @@ def matrix_power_fock(rho: TruncatedOperator, p: float) -> TruncatedOperator:
     return TruncatedOperator(np.diag((lam**p).astype(complex)) if u is None else (u * lam**p) @ u.conj().T)
 
 
-def char_function_fock(rho: TruncatedOperator, w: TruncatedOperator) -> complex:
-    """Tr(rho W) on the truncated space, for a Weyl operator W from :func:`weyl_operator`."""
-    if rho.n_max != w.n_max:
-        raise DimensionMismatchError(f"rho lives at n_max={rho.n_max}, W at n_max={w.n_max}")
-    return complex(np.sum(rho.matrix.T * w.matrix))  # Tr(rho W), no dense product
+def char_function_fock(rho: TruncatedOperator, z) -> complex:
+    """Tr(rho W(z)) on rho's truncated space, W(z) as in :func:`weyl_operator`, never formed.
+
+    Tr(rho W) = sum_k sum_n rho[n, n+k] W[n+k, n]: each nonzero diagonal k of rho
+    (column - row) meets W's diagonal with row - column = k, so it costs one
+    Laguerre recurrence of n_max + 1 - |k| terms and the other diagonals
+    nothing.  z is checked as :func:`weyl_operator` checks it.
+    """
+    r, phase, g0 = _weyl_start(z, rho.n_max, rho.diagonals)
+    dim = rho.n_max + 1
+    return complex(sum(
+        ph * (np.diagonal(rho.matrix, k) @ _weyl_diagonal(g, r, abs(k), dim - abs(k)))
+        for k, ph, g in zip(rho.diagonals, phase, g0)
+    ))
 
 
 def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
@@ -223,8 +272,9 @@ def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
     """
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
+    _check_cutoff(n_max)
     dim = n_max + 1
-    log_fact = _log_factorials(dim)
+    log_fact = _log_factorials(range(dim))
     j = np.arange(dim)[:, None]
     kept = np.arange(dim)[None, :]
     total = j + kept  # photons before the loss
@@ -277,7 +327,7 @@ def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
     out = np.zeros_like(m)
     padded = np.zeros(2 * dim - 1, dtype=m.dtype)
     hankel = np.lib.stride_tricks.sliding_window_view(padded, dim)  # [j, i] = padded[i + j]
-    for k in np.unique(np.diff(np.nonzero(m), axis=0)):  # rho's nonzero diagonals, col - row
+    for k in rho.diagonals:
         size = dim - abs(k)
         padded[:size] = np.diagonal(m, k)
         padded[size:] = 0.0

@@ -86,7 +86,7 @@ def test_criterion_2_g_p_certification():
     worst_grid = 0.0
     for x in np.linspace(-2.0, 2.0, 5):
         for y in np.linspace(-2.0, 2.0, 5):
-            oracle_cf = fock.char_function_fock(rho_sq, fock.weyl_operator([x, y], n_max))
+            oracle_cf = fock.char_function_fock(rho_sq, [x, y])
             closed = power_char_function(state, 2.0, [x, y])
             worst_grid = max(worst_grid, abs(oracle_cf - closed))
     elapsed = time.perf_counter() - start

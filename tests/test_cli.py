@@ -403,7 +403,7 @@ class TestCmdOracle:
 
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
         calls = {"thermal_state_fock": [], "attenuate": [], "weyl_operator": [], "doubling_check": [],
-                 "eigvalsh": [], "eigh": []}
+                 "eigvalsh": [], "eigh": [], "count_nonzero": [], "nonzero": []}
 
         def counted(module, name, size):
             original = getattr(module, name)
@@ -420,19 +420,24 @@ class TestCmdOracle:
         counted(fock, "doubling_check", lambda build, n_max: n_max)
         counted(np.linalg, "eigvalsh", len)
         counted(np.linalg, "eigh", len)
+        counted(np, "count_nonzero", np.ndim)
+        counted(np, "nonzero", np.ndim)
         assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.count(" yes") == 6
         # one doubling check over one build; per cutoff one thermal state, its one attenuated
         # state, whose one spectrum serves its trace row and its covariance density check, and
-        # its one power rho^p, which serves the tr_rho_p row and the power char function; one
-        # Weyl operator serves both char rows.  Every state is diagonal in the Fock basis, so
-        # none reaches a Fock-sized dense eigensolve
+        # its one power rho^p, which serves the tr_rho_p row and the power char function; the char
+        # rows read W only on rho's main diagonal and never form it.  Every state is diagonal in
+        # the Fock basis, so none reaches a Fock-sized dense eigensolve, and each of the three
+        # is scanned for its diagonals once (one count of the matrix, one of its diagonal)
         assert calls["doubling_check"] == [40]
         assert calls["thermal_state_fock"] == [40, 80]
         assert calls["attenuate"] == [40, 80]
-        assert calls["weyl_operator"] == [40, 80]
+        assert calls["weyl_operator"] == []
         assert [n for n in calls["eigvalsh"] if n > 2] == []
         assert [n for n in calls["eigh"] if n > 2] == []
+        assert calls["count_nonzero"] == [2, 1] * 6
+        assert calls["nonzero"] == []
 
     def test_infinite_exponent_refused_by_first_build(self, monkeypatch, capsys):
         # fock owns the oracle's exponent domain [1, inf): the coarse output build refuses p = inf
@@ -455,8 +460,18 @@ BAD_ARGUMENTS = {
     "ascending_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, [1e-3, 1e-2]),
                         "strictly descending"),
     "one_decade": (lambda fam, ch: scaling_exponent(fam, 2.0, [0.1, 0.01]), "at least two decades"),
-    "weyl_cutoff": (lambda fam, ch: fock.weyl_operator((1.0, 0.0), 0), "n_max must be >= 1"),
+    "weyl_cutoff": (lambda fam, ch: fock.weyl_operator((1.0, 0.0), 0), "Fock cutoff must be >= 1, got 0"),
     "weyl_modulus": (lambda fam, ch: fock.weyl_operator((1e3, 0.0), 10), "must be finite and <="),
+    "weyl_point": (lambda fam, ch: fock.weyl_operator([1, 2, 3], 10), "two finite reals"),
+    "char_point": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8), "ab"),
+                   "two finite reals"),
+    "char_complex_point": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8),
+                                                                   np.array([1.0 + 2j, 0.0])),
+                           "two finite reals"),
+    "char_modulus": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8), [0.0, math.nan]),
+                     "must be finite and <="),
+    "amplitude_cutoff": (lambda fam, ch: fock.attenuator_amplitudes(0.5, -2),
+                         "Fock cutoff must be >= 1, got -2"),
     "transmissivity": (lambda fam, ch: fock.attenuator_amplitudes(1.5, 10), "transmissivity"),
     "thermal_cutoff": (lambda fam, ch: fock.thermal_state_fock(1.0, -3),
                        "Fock cutoff must be >= 1, got -3"),

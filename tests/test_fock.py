@@ -1,7 +1,9 @@
 """Truncated Fock-space oracle: internal consistency and closed-form agreement."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from gaussnorm import (
     tr_rho_p,
     validate_state,
 )
+from gaussnorm import fock
 from gaussnorm.errors import (
-    DimensionMismatchError,
     DomainError,
     NotDensityOperatorError,
     TailTooLargeError,
@@ -44,6 +46,20 @@ from sampling import ladder_operators, quadratures
 def thermal_gaussian(N, s=1):
     space = standard_form(s)
     return validate_state(np.zeros(2 * s), (N + 0.5) * np.eye(2 * s), space)
+
+
+def test_oracle_imports_no_covariance_code():
+    # the oracle is a real check only while it shares no code with the closed forms
+    tree = ast.parse(Path(fock.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert parts.isdisjoint({"states", "channels", "symplectic"}), sorted(parts)
 
 
 class TestLadderOperators:
@@ -251,13 +267,13 @@ class TestDiagonalSpectrum:
 class TestCharFunctionFock:
     def test_trace_at_zero(self):
         rho = thermal_state_fock(1.0, 80)
-        got = char_function_fock(rho, weyl_operator([0.0, 0.0], 80))
+        got = char_function_fock(rho, [0.0, 0.0])
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_thermal_gaussian_value(self):
         # exp(-(1/2)(3/2)|z|^2) at z = (1, 0)
         oracle = doubling_check(
-            lambda n: char_function_fock(thermal_state_fock(1.0, n), weyl_operator([1.0, 0.0], n)),
+            lambda n: char_function_fock(thermal_state_fock(1.0, n), [1.0, 0.0]),
             80,
         )
         assert oracle == pytest.approx(math.exp(-0.75), abs=1e-10)
@@ -270,7 +286,7 @@ class TestCharFunctionFock:
             rho = thermal_state_fock(N, n_max)
             for x in np.linspace(-2.0, 2.0, 5):
                 for y in np.linspace(-2.0, 2.0, 5):
-                    got = char_function_fock(rho, weyl_operator([x, y], n_max))
+                    got = char_function_fock(rho, [x, y])
                     assert abs(got - char_function(state, [x, y])) <= 1e-8
 
     def test_normalized_square_validates_g2(self):
@@ -278,14 +294,25 @@ class TestCharFunctionFock:
         def build(n):
             squared = matrix_power_fock(thermal_state_fock(1.0, n), 2.0).matrix
             normalized = TruncatedOperator(squared / np.trace(squared).real)
-            return char_function_fock(normalized, weyl_operator([1.0, 0.0], n))
+            return char_function_fock(normalized, [1.0, 0.0])
 
         oracle = doubling_check(build, 80)
         assert oracle == pytest.approx(math.exp(-0.5 * 5.0 / 6.0), abs=1e-10)
 
-    def test_cutoff_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            char_function_fock(thermal_state_fock(1.0, 80), weyl_operator([1.0, 0.0], 40))
+    @pytest.mark.parametrize("which", ["vacuum", "thermal", "displaced thermal"])
+    def test_matches_dense_weyl_operator(self, which):
+        # reference: Tr(rho W) as an elementwise sum with the dense W, on the 5x5 grid; the
+        # displaced thermal state, which the oracle never takes, fills every diagonal
+        if which == "displaced thermal":
+            n_max, rho = 40, displaced_thermal(0.25, [0.8, -0.6], 40)
+            np.testing.assert_array_equal(rho.diagonals, np.arange(-n_max, n_max + 1))
+        else:
+            n_max, rho = 80, thermal_state_fock(0.0 if which == "vacuum" else 1.0, 80)
+            np.testing.assert_array_equal(rho.diagonals, [0])
+        for x in np.linspace(-2.0, 2.0, 5):
+            for y in np.linspace(-2.0, 2.0, 5):
+                dense = np.sum(rho.matrix.T * weyl_operator([x, y], n_max).matrix)
+                assert abs(char_function_fock(rho, [x, y]) - dense) <= 1e-15
 
 
 def displaced_thermal(N, w_vec, n_max):
@@ -341,6 +368,7 @@ class TestAttenuatorKraus:
         np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-14)
         offset = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
         np.testing.assert_array_equal(banded[~np.isin(offset, (0, 3, -3))], 0.0)
+        np.testing.assert_array_equal(rho.diagonals, [-3, 0, 3])
 
     def test_non_hermitian_input(self):
         w = weyl_operator([0.7, -0.3], 40)
@@ -462,7 +490,7 @@ class TestDoublingCheck:
         # a visibly unconverged trace: the N = 1 thermal diagonal 2^-(n+1), cut at n_max 8
         def build(n):
             rho = TruncatedOperator(np.diag(0.5 ** np.arange(1.0, n + 2)).astype(complex))
-            return char_function_fock(rho, weyl_operator([0.0, 0.0], n))
+            return char_function_fock(rho, [0.0, 0.0])
 
         with pytest.raises(TruncationInsufficientError) as err:
             doubling_check(build, 8)
@@ -485,7 +513,7 @@ class TestPowerCharFunctionAgainstOracle:
             n_max = default_n_max(N)
             rho_p = matrix_power_fock(thermal_state_fock(N, n_max), p)
             for z in ([0.0, 0.0], [1.0, 0.0], [0.5, -1.0]):
-                got = char_function_fock(rho_p, weyl_operator(z, n_max))
+                got = char_function_fock(rho_p, z)
                 assert abs(got - power_char_function(state, p, z)) <= 1e-8
 
     def test_mean_dependence_on_displaced_thermal(self):
@@ -499,5 +527,5 @@ class TestPowerCharFunctionAgainstOracle:
         displaced = TruncatedOperator(wop.matrix @ thermal_state_fock(N, n_max).matrix @ wop.matrix.conj().T)
         squared = matrix_power_fock(displaced, 2.0)
         for z in ([1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
-            got = char_function_fock(squared, weyl_operator(z, n_max))
+            got = char_function_fock(squared, z)
             assert abs(got - power_char_function(state, 2.0, z)) <= 1e-8
