@@ -145,8 +145,9 @@ def cmd_oracle(args) -> int:
     n_max = args.n_max if args.n_max is not None else fock.default_n_max(N)
     z = (1.0, 0.0)
 
-    # one thermal state per cutoff; each state's one spectrum serves all of its rows, and
-    # char_function_fock(rho, z) reads W(z) only on rho's nonzero diagonals (here the main one)
+    # one thermal state per cutoff, stored as 1x1 photon-number blocks, as are its output and
+    # its power; each state's one spectrum serves all of its rows, and char_function_fock(rho, z)
+    # reads W(z) only on the diagonals rho's blocks hold (here the main one)
     def build(n):
         rho = fock.thermal_state_fock(N, n)
         out = fock.attenuate(tau, rho)
@@ -154,15 +155,16 @@ def cmd_oracle(args) -> int:
         cov = fock.covariance_from_fock(out)[1]
         rho_p = fock.matrix_power_fock(rho, p)
         cfs = [fock.char_function_fock(r, z) for r in (rho, rho_p)]
-        return np.concatenate([[tr_out, np.trace(rho_p.matrix)], cfs, cov.ravel()])
+        return np.concatenate([[tr_out, rho_p.trace()], cfs, cov.ravel()])
 
     tr_out, tr_in, cf, power_cf, *cov = fock.doubling_check(build, n_max)
     oracle_cov = np.reshape(cov, (2, 2)).real
     space = standard_form(1)
     state = validate_state([0.0, 0.0], (N + 0.5) * np.eye(2), space)
-    channel = validate_channel(
-        math.sqrt(tau) * np.eye(2), np.zeros(2), ((1.0 - tau) / 2.0) * np.eye(2), space
-    )
+    # mu from the K passed, not from tau: fl(sqrt(tau))^2 can fall below tau, and the channel
+    # K = sqrt(tau) I, mu = (1 - tau)/2 I is then non-CP by one rounding
+    k = math.sqrt(tau)
+    channel = validate_channel(k * np.eye(2), np.zeros(2), ((1.0 - k * k) / 2.0) * np.eye(2), space)
     out_state = apply_channel(channel, state)
     rows = [
         ("tr_rho_p", tr_rho_p(state, p), float(tr_in.real)),

@@ -1,29 +1,32 @@
 """Single-mode truncated Fock-space oracle.
 
-Brute-force counterpart of the closed forms on the basis {|0>, ..., |n_max>}:
-a :class:`TruncatedOperator` is a dense complex matrix, its cutoff read from
-its shape.  Nothing is imported from ``states``, ``channels`` or
-``symplectic``, so agreement with the covariance code is a real check.
+Brute-force counterpart of the closed forms on the basis {|0>, ..., |n_max>}.
+A :class:`TruncatedOperator` is a stack of photon-number blocks on its
+diagonal, in Fock order, its cutoff read from the stack's shape; its builder
+sets the layout.  A phase-covariant operator (a thermal state, its powers, its
+attenuated output: Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)) is n_max + 1
+blocks of 1x1, any other one dense block.  Nothing is imported from
+``states``, ``channels`` or ``symplectic``, so agreement with the covariance
+code is a real check.
 
 Weyl operators W(z) come from their exact Laguerre matrix elements (Cahill &
 Glauber, Phys. Rev. 177, 1857 (1969)), one diagonal at a time by one
-three-term recurrence.  :func:`char_function_fock` takes Tr(rho W(z)) from
-rho's nonzero diagonals alone, each against the matching diagonal of W(z),
-and never forms W; the dense :func:`weyl_operator` is its reference.
-Moments come from rho's diagonals 0, +-1 and +-2 (:func:`covariance_from_fock`).
-An operator finds its nonzero diagonals once, on first use
-(:attr:`TruncatedOperator.diagonals`).  The attenuator's Kraus operator A_j
-lives on the j-th superdiagonal, so one table B[j, m] = <m|A_j|m+j> holds the
-channel by diagonal (:func:`attenuator_amplitudes`), and :func:`attenuate`
-maps each nonzero diagonal of rho to the same diagonal.  The dense Kraus
-family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its reference, kept
-in the package only while ``perfbench`` traces both names.
+three-term recurrence.  :func:`char_function_fock` takes Tr(rho W(z)) from the
+diagonals rho's blocks hold (only the main one for 1x1 blocks), each against
+the matching diagonal of W(z), and never forms W; the dense
+:func:`weyl_operator` is its reference.  Moments come from rho's diagonals 0,
++-1 and +-2 (:func:`covariance_from_fock`).  The attenuator's Kraus operator
+A_j lives on the j-th superdiagonal, so one table B[j, m] = <m|A_j|m+j> holds
+the channel by diagonal (:func:`attenuator_amplitudes`), and
+:func:`attenuate` maps each diagonal of rho to the same diagonal, in the same
+layout.  The dense Kraus family (:func:`attenuator_kraus`,
+:func:`apply_kraus`) is its reference, kept in the package only while
+``perfbench`` traces both names.
 
 Every spectrum comes with a density check (finite, Hermitian, unit trace, no
-negative eigenvalue).  A diagonal operator (a thermal state, its powers, its
-attenuated output) is checked on its diagonal and takes its spectrum from it,
-since its eigenbasis is the Fock basis; only other operators reach a dense
-Hermitian eigensolve.  Truncation error is controlled by recomputing the final
+negative eigenvalue) over all blocks at once, and one batched Hermitian
+eigensolve serves the check and the caller; on 1x1 blocks it returns the
+diagonal itself.  Truncation error is controlled by recomputing the final
 scalar or small array at 2 * n_max (:func:`doubling_check`).
 """
 
@@ -53,26 +56,62 @@ MAX_WEYL_R = 1400.0  # e^(-r/2) stays a normal double
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Dense complex matrix on the Fock basis {|0>, ..., |n_max>}."""
+    """Operator on the Fock basis {|0>, ..., |n_max>} as a (B, b, b) complex stack of blocks.
 
-    matrix: np.ndarray
+    The blocks sit on the diagonal in photon-number order, B * b = n_max + 1.
+    A phase-covariant operator is (n_max + 1, 1, 1), any other one dense block
+    (1, n_max + 1, n_max + 1); the builder chooses, and nothing reads the
+    layout back from the entries.
+    """
+
+    blocks: np.ndarray
 
     @property
     def n_max(self) -> int:
-        return self.matrix.shape[0] - 1
+        count, size, _ = self.blocks.shape
+        return count * size - 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, assembled from the blocks (for tests and the dense references)."""
+        count, size, _ = self.blocks.shape
+        dense = np.zeros((count, size, count, size), dtype=self.blocks.dtype)
+        index = np.arange(count)
+        dense[index, :, index, :] = self.blocks
+        return dense.reshape(count * size, count * size)
+
+    def trace(self) -> complex:
+        """Sum of the block traces, in Fock order."""
+        return _diagonal(self.blocks, 0).sum()
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending, after the density check; computed on first use."""
-        return np.sort(_density_spectrum(self)[0])
+        return np.sort(_density_spectrum(self)[0].reshape(-1))
 
-    @cached_property
-    def diagonals(self) -> np.ndarray:
-        """Offsets column - row of the nonzero diagonals, ascending ([0] if diagonal); found on first use."""
-        m = self.matrix
-        if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
-            return np.zeros(1, dtype=int)
-        return np.unique(np.diff(np.nonzero(m), axis=0))
+
+def _diagonal(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Diagonal k (column - row) in Fock order: a writable view, or zeros where no block holds it.
+
+    Exact at k = 0 for any stack, and at every k for one block or 1x1 blocks.
+    """
+    count, size, _ = blocks.shape
+    if abs(k) >= size:
+        return np.zeros(count * size - abs(k), dtype=blocks.dtype)
+    lo, hi = max(-k, 0), max(k, 0)
+    return np.einsum("ijj->ij", blocks[:, lo : size - hi, hi : size - lo]).reshape(-1)
+
+
+def _dot(diagonal: np.ndarray, weights) -> complex:
+    """diagonal @ weights for real weights, summed in index order whatever the layout.
+
+    BLAS sums two contiguous vectors in SIMD lanes and a strided pair in index
+    order; 1x1 blocks' diagonals are contiguous and a dense block's strided, so
+    the weights go in strided and every layout gets the same bits.
+    """
+    strided = np.zeros(2 * len(weights), dtype=complex)[::2]
+    strided[:] = weights
+    return diagonal @ strided
 
 
 def _log_factorials(ms) -> np.ndarray:
@@ -142,7 +181,7 @@ def weyl_operator(z, n_max: int) -> TruncatedOperator:
     for k in range(dim):
         g[: dim - k, k] = _weyl_diagonal(g0[n_max + k], r, k, dim - k)
     row, col = np.arange(dim)[:, None], np.arange(dim)[None, :]
-    return TruncatedOperator(g[np.minimum(row, col), np.abs(row - col)] * phase[n_max + row - col])
+    return TruncatedOperator((g[np.minimum(row, col), np.abs(row - col)] * phase[n_max + row - col])[None])
 
 
 def thermal_state_fock(N: float, n_max: int) -> TruncatedOperator:
@@ -161,8 +200,8 @@ def thermal_state_fock(N: float, n_max: int) -> TruncatedOperator:
             f"{math.ceil(-math.log(TAIL_BOUND) / math.log1p(1.0 / N)) if N > 0 else n_max}"
         )
     ns = np.arange(n_max + 1)
-    pn = np.exp(ns * math.log(N) - (ns + 1) * math.log(N + 1.0)) if N > 0.0 else np.eye(n_max + 1)[0]
-    return TruncatedOperator(np.diag(pn.astype(complex)))
+    pn = np.exp(ns * math.log(N) - (ns + 1) * math.log(N + 1.0)) if N > 0.0 else (ns == 0) * 1.0
+    return TruncatedOperator(pn.astype(complex).reshape(-1, 1, 1))
 
 
 def default_n_max(N: float) -> int:
@@ -188,33 +227,24 @@ def default_n_max(N: float) -> int:
 
 
 def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
-    """Eigenvalues and, if asked, eigenvectors of a checked density operator.
+    """Eigenvalues (B, b) and, if asked, eigenvectors (B, b, b) of a checked density operator.
 
-    Finite, Hermitian within 1e-12 (Frobenius, relative), trace within TAIL_BOUND
-    of 1, eigenvalues >= -1e-12; every test fails on NaN, and the one
-    decomposition serves both the check and the caller.  A diagonal operator's
-    eigenbasis is the Fock basis: it is checked on its diagonal alone (m - m^H
-    is 2i Im diag there), its eigenvalues are its real diagonal in Fock order and
-    its eigenvectors come back as None.  Any other operator's are ascending.
+    Finite, Hermitian within 1e-12 (Frobenius over all blocks, relative), trace
+    within TAIL_BOUND of 1, eigenvalues >= -1e-12; every test fails on NaN, and
+    one batched decomposition serves both the check and the caller.  On a 1x1
+    block LAPACK returns the real part and the eigenvector 1 exactly, so 1x1
+    blocks give their real diagonal in Fock order; a larger block's are ascending.
     """
-    m = rho.matrix
-    diag = np.diagonal(m)
-    diagonal = not rho.diagonals.any()
-    if diagonal:
-        size, residual = np.linalg.norm(diag), 2.0 * np.linalg.norm(diag.imag)
-    else:
-        size, residual = np.linalg.norm(m), np.linalg.norm(m - m.conj().T)
+    blocks = rho.blocks
+    size = np.linalg.norm(blocks)
     if not np.isfinite(size):
         raise NotDensityOperatorError(f"matrix is not finite: Frobenius norm {float(size)}")
-    if not residual <= HERM_TOL * max(size, 1e-300):
+    if not np.linalg.norm(blocks - blocks.conj().swapaxes(-1, -2)) <= HERM_TOL * max(size, 1e-300):
         raise NotDensityOperatorError("matrix is not Hermitian within 1e-12")
-    trace = diag.sum().real
+    trace = rho.trace().real
     if not abs(trace - 1.0) <= TAIL_BOUND:
         raise NotDensityOperatorError(f"trace {trace!r} deviates from 1 beyond the tail bound")
-    if diagonal:
-        lam, u = diag.real, None
-    else:
-        lam, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    lam, u = np.linalg.eigh(blocks) if vectors else (np.linalg.eigvalsh(blocks), None)
     if not -HERM_TOL <= lam.min():
         raise NotDensityOperatorError(f"negative eigenvalue {float(lam.min()):.3e}")
     return lam, u
@@ -240,26 +270,27 @@ def tr_power_fock(rho: TruncatedOperator, p: float) -> float:
 
 
 def matrix_power_fock(rho: TruncatedOperator, p: float) -> TruncatedOperator:
-    """rho^p, p in [1, inf), on rho's eigenbasis (the Fock basis if rho is diagonal); not normalized."""
+    """rho^p, p in [1, inf), block by block on rho's eigenbasis, in rho's layout; not normalized."""
     _check_p(p)
     lam, u = _density_spectrum(rho, vectors=True)
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
-    return TruncatedOperator(np.diag((lam**p).astype(complex)) if u is None else (u * lam**p) @ u.conj().T)
+    return TruncatedOperator((u * lam[..., None, :] ** p) @ u.conj().swapaxes(-1, -2))
 
 
 def char_function_fock(rho: TruncatedOperator, z) -> complex:
     """Tr(rho W(z)) on rho's truncated space, W(z) as in :func:`weyl_operator`, never formed.
 
-    Tr(rho W) = sum_k sum_n rho[n, n+k] W[n+k, n]: each nonzero diagonal k of rho
-    (column - row) meets W's diagonal with row - column = k, so it costs one
-    Laguerre recurrence of n_max + 1 - |k| terms and the other diagonals
-    nothing.  z is checked as :func:`weyl_operator` checks it.
+    Tr(rho W) = sum_k sum_n rho[n, n+k] W[n+k, n]: each diagonal k (column - row)
+    that rho's blocks hold meets W's diagonal with row - column = k, so it costs
+    one Laguerre recurrence of n_max + 1 - |k| terms, and 1x1 blocks cost one
+    in all.  z is checked as :func:`weyl_operator` checks it.
     """
-    r, phase, g0 = _weyl_start(z, rho.n_max, rho.diagonals)
+    offsets = np.arange(1 - rho.blocks.shape[-1], rho.blocks.shape[-1])  # 0 alone for 1x1 blocks
+    r, phase, g0 = _weyl_start(z, rho.n_max, offsets)
     dim = rho.n_max + 1
     return complex(sum(
-        ph * (np.diagonal(rho.matrix, k) @ _weyl_diagonal(g, r, abs(k), dim - abs(k)))
-        for k, ph, g in zip(rho.diagonals, phase, g0)
+        ph * _dot(_diagonal(rho.blocks, k), _weyl_diagonal(g, r, abs(k), dim - abs(k)))
+        for k, ph, g in zip(offsets, phase, g0)
     ))
 
 
@@ -283,11 +314,15 @@ def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
     loss[0] = 0.0
     if tau < 1.0:
         loss[1:] = np.arange(1, dim) * math.log1p(-tau)
-    log_amp = 0.5 * (
-        log_fact[np.minimum(total, n_max)] - log_fact[j] - log_fact[kept]
-        + kept * math.log(tau) + loss[:, None]
-    )
-    return np.exp(np.where(total <= n_max, log_amp, -math.inf))
+    # one table, updated in place in the order 0.5 * (f[total] - f[j] - f[kept] + kept log tau + loss)
+    log_amp = log_fact[np.minimum(total, n_max)]
+    log_amp -= log_fact[j]
+    log_amp -= log_fact[kept]
+    log_amp += kept * math.log(tau)
+    log_amp += loss[:, None]
+    log_amp *= 0.5
+    log_amp[total > n_max] = -math.inf
+    return np.exp(log_amp, out=log_amp)
 
 
 def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
@@ -298,7 +333,7 @@ def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
     for :func:`attenuate`, which applies the same channel without forming them.
     """
     return [
-        TruncatedOperator(np.diag(row[: n_max + 1 - j].astype(complex), k=j))
+        TruncatedOperator(np.diag(row[: n_max + 1 - j].astype(complex), k=j)[None])
         for j, row in enumerate(attenuator_amplitudes(tau, n_max))
         if row.any()
     ]
@@ -308,10 +343,12 @@ def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> Trunc
     """sum_j A_j rho A_j^dag."""
     if any(op.n_max != rho.n_max for op in kraus):
         raise DimensionMismatchError("Kraus operators and state have different cutoffs")
-    out = np.zeros_like(rho.matrix)
+    m = rho.matrix
+    out = np.zeros_like(m)
     for op in kraus:
-        out = out + op.matrix @ rho.matrix @ op.matrix.conj().T
-    return TruncatedOperator(out)
+        a = op.matrix
+        out = out + a @ m @ a.conj().T
+    return TruncatedOperator(out[None])
 
 
 def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
@@ -319,20 +356,21 @@ def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
 
     A_j keeps n - m, so with the amplitude table B output diagonal k is out_k[m] =
     sum_j B[j, m] B[j, m+|k|] rho_k[m+j], summed over j in order as the Kraus sum is: O(n^2)
-    per nonzero diagonal of rho.  Same channel as ``apply_kraus(attenuator_kraus(tau, n), rho)``.
+    per diagonal rho's blocks hold, and the output keeps rho's layout.  Same channel as
+    ``apply_kraus(attenuator_kraus(tau, n), rho)``.
     """
     dim = rho.n_max + 1
     b = attenuator_amplitudes(tau, rho.n_max)
-    m = rho.matrix
-    out = np.zeros_like(m)
-    padded = np.zeros(2 * dim - 1, dtype=m.dtype)
+    blocks = rho.blocks
+    out = np.zeros_like(blocks)
+    padded = np.zeros(2 * dim - 1, dtype=blocks.dtype)
     hankel = np.lib.stride_tricks.sliding_window_view(padded, dim)  # [j, i] = padded[i + j]
-    for k in rho.diagonals:
+    for k in range(1 - blocks.shape[-1], blocks.shape[-1]):
         size = dim - abs(k)
-        padded[:size] = np.diagonal(m, k)
+        padded[:size] = _diagonal(blocks, k)
         padded[size:] = 0.0
         terms = hankel[:size, :size] * (b[:size, :size] * b[:size, abs(k) :])
-        np.fill_diagonal(out[max(-k, 0) :, max(k, 0) :], terms.sum(axis=0))
+        _diagonal(out, k)[:] = terms.sum(axis=0)
     return TruncatedOperator(out)
 
 
@@ -347,23 +385,23 @@ def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray
     rho must pass the density check (:attr:`TruncatedOperator.spectrum`).
     """
     rho.spectrum  # the density check; tr_power_fock reuses the cached eigenvalues
-    m = rho.matrix
+    blocks = rho.blocks
     n = np.arange(1.0, rho.n_max + 1)
     # Tr(rho X) = sum_ij rho[i, j] X[j, i]; a has sqrt(n) at [n-1, n], a a at [n-2, n]
-    a = np.diagonal(m, -1) @ np.sqrt(n)
-    a_dag = np.diagonal(m, 1) @ np.sqrt(n)
+    a = _dot(_diagonal(blocks, -1), np.sqrt(n))
+    a_dag = _dot(_diagonal(blocks, 1), np.sqrt(n))
     root_pairs = np.sqrt(n[1:] * n[:-1])
-    aa = np.diagonal(m, -2) @ root_pairs
-    aa_dag = np.diagonal(m, 2) @ root_pairs
+    aa = _dot(_diagonal(blocks, -2), root_pairs)
+    aa_dag = _dot(_diagonal(blocks, 2), root_pairs)
     # diagonal of a a^dag + a^dag a: 2n + 1 below the cutoff, n_max at it
-    sym = np.diagonal(m) @ np.append(2.0 * np.arange(rho.n_max) + 1.0, rho.n_max)
+    sym = _dot(_diagonal(blocks, 0), np.append(2.0 * np.arange(rho.n_max) + 1.0, rho.n_max))
     mean = np.array([(a + a_dag).real, (1j * (a_dag - a)).real]) / math.sqrt(2.0)
     # Tr rho (R_i R_k + R_k R_i)/2, then centre: the identity carries Tr rho, not 1
     raw = 0.5 * np.array([
         [(sym + aa + aa_dag).real, (1j * (aa_dag - aa)).real],
         [(1j * (aa_dag - aa)).real, (sym - aa - aa_dag).real],
     ])
-    cov = raw - (2.0 - np.trace(m).real) * np.outer(mean, mean)
+    cov = raw - (2.0 - rho.trace().real) * np.outer(mean, mean)
     return mean, cov
 
 

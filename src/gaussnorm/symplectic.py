@@ -175,14 +175,16 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
 
     ``alpha`` may be a stack (..., 2s, 2s); the spectra come back as (..., s).
     Each +-d_j pair of the Williamson form's eigenvalues is averaged into one
-    d_j.  A failed Cholesky factorization of any matrix raises DomainError.
+    d_j, halved before the difference so that it cannot overflow.  A failed
+    Cholesky factorization of any matrix raises DomainError.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
     w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
-    return 0.5 * (w[..., space.s:] - w[..., space.s - 1::-1])
+    w *= 0.5
+    return w[..., space.s:] - w[..., space.s - 1::-1]
 
 
 def _cot(z: complex) -> complex:
@@ -246,5 +248,6 @@ def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:
     h = np.asarray(h, dtype=complex)
     if abs(h - h.conj().T).max() > TOL_HERM * abs(h).max():
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min())
+    half = 0.5 * h  # halved first: h + h^H can overflow where H's entries do not
+    lam_min = float(np.linalg.eigvalsh(half + half.conj().T).min())
     return lam_min >= -tol, lam_min

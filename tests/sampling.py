@@ -141,8 +141,8 @@ def ladder_operators(n_max: int) -> tuple[TruncatedOperator, TruncatedOperator]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
     return (
-        TruncatedOperator(a),
-        TruncatedOperator(a.conj().T),
+        TruncatedOperator(a[None]),
+        TruncatedOperator(a.conj().T[None]),
     )
 
 

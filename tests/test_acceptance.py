@@ -72,8 +72,8 @@ def test_criterion_2_g_p_certification():
     d = 1.5
 
     def oracle_power_eigenvalue(n):
-        squared = fock.matrix_power_fock(fock.thermal_state_fock(1.0, n), 2.0).matrix
-        _, cov = fock.covariance_from_fock(fock.TruncatedOperator(squared / np.trace(squared).real))
+        squared = fock.matrix_power_fock(fock.thermal_state_fock(1.0, n), 2.0)
+        _, cov = fock.covariance_from_fock(fock.TruncatedOperator(squared.blocks / squared.trace().real))
         return math.sqrt(np.linalg.det(cov))
 
     oracle_d2 = fock.doubling_check(oracle_power_eigenvalue, 80)
@@ -163,7 +163,7 @@ def test_criterion_5_kraus_covariance_equivalence():
     def displaced(n):
         vac = fock.thermal_state_fock(0.0, n)
         wop = fock.weyl_operator(w_vec, n)
-        return fock.TruncatedOperator(wop.matrix @ vac.matrix @ wop.matrix.conj().T)
+        return fock.TruncatedOperator((wop.matrix @ vac.matrix @ wop.matrix.conj().T)[None])
 
     mean0 = fock.doubling_check(lambda n: fock.covariance_from_fock(displaced(n))[0], 60)
     tau = 0.5

@@ -81,6 +81,16 @@ class TestValidateChannel:
             )
         assert err.value.lambda_min == pytest.approx(-0.15, abs=1e-12)
 
+    def test_noise_near_top_of_double_range_accepted(self):
+        # a CP channel: each CP branch is 1e308 I + (i/4) Delta, whose symmetrisation
+        # 0.5 * (H + H^H) overflowed to inf and gave lambda_min = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            channel = validate_channel(math.sqrt(0.5) * np.eye(2), np.zeros(2), 1e308 * np.eye(2),
+                                       standard_form(1))
+            for ok, lam in cp_branches(channel.K, channel.mu, channel.space):
+                assert ok and lam == pytest.approx(1e308, rel=1e-14)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["K", "l", "mu"])
     def test_non_finite_rejected_by_name(self, name, bad):

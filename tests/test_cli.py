@@ -401,6 +401,13 @@ class TestCmdOracle:
         assert captured.err == f"error: exponent must be >= 1, got {float(p)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tau", ["0.9999993", "0.99999999", "0.999999999999"])
+    def test_transmissivity_near_one_passes(self, tau, capsys):
+        # mu = (1 - tau)/2 with K = fl(sqrt(tau)) was non-CP by one rounding where fl(sqrt(tau))^2 < tau
+        assert main(["oracle", "--tau", tau]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count(" yes\n") == 6 and captured.err == ""
+
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
         calls = {"thermal_state_fock": [], "attenuate": [], "weyl_operator": [], "doubling_check": [],
                  "eigvalsh": [], "eigh": [], "count_nonzero": [], "nonzero": []}
@@ -418,25 +425,30 @@ class TestCmdOracle:
         counted(fock, "attenuate", lambda tau, rho: rho.n_max)
         counted(fock, "weyl_operator", lambda z, n_max: n_max)
         counted(fock, "doubling_check", lambda build, n_max: n_max)
-        counted(np.linalg, "eigvalsh", len)
-        counted(np.linalg, "eigh", len)
+        counted(np.linalg, "eigvalsh", lambda a: a.shape[-1])
+        counted(np.linalg, "eigh", lambda a: a.shape[-1])
         counted(np, "count_nonzero", np.ndim)
         counted(np, "nonzero", np.ndim)
+
+        def dense(op):
+            raise AssertionError("the oracle assembled a dense matrix")
+
+        monkeypatch.setattr(fock.TruncatedOperator, "matrix", property(dense))
         assert main(["oracle", "--N", "1", "--n-max", "40"]) == 0
         assert capsys.readouterr().out.count(" yes") == 6
         # one doubling check over one build; per cutoff one thermal state, its one attenuated
         # state, whose one spectrum serves its trace row and its covariance density check, and
         # its one power rho^p, which serves the tr_rho_p row and the power char function; the char
-        # rows read W only on rho's main diagonal and never form it.  Every state is diagonal in
-        # the Fock basis, so none reaches a Fock-sized dense eigensolve, and each of the three
-        # is scanned for its diagonals once (one count of the matrix, one of its diagonal)
+        # rows read W only on rho's main diagonal and never form it.  Every state is stored as
+        # 1x1 photon-number blocks, so each eigensolve is sized by its block (the closed forms'
+        # are 2x2), none is larger than 1x1, and nothing scans the entries for a layout
         assert calls["doubling_check"] == [40]
         assert calls["thermal_state_fock"] == [40, 80]
         assert calls["attenuate"] == [40, 80]
         assert calls["weyl_operator"] == []
-        assert [n for n in calls["eigvalsh"] if n > 2] == []
-        assert [n for n in calls["eigh"] if n > 2] == []
-        assert calls["count_nonzero"] == [2, 1] * 6
+        assert [n for n in calls["eigvalsh"] if n != 2] == [1, 1]
+        assert [n for n in calls["eigh"] if n != 2] == [1, 1]
+        assert calls["count_nonzero"] == []
         assert calls["nonzero"] == []
 
     def test_infinite_exponent_refused_by_first_build(self, monkeypatch, capsys):

@@ -194,21 +194,26 @@ class TestTrPowerFock:
             (np.diag([math.inf, 0.5, 0.5]), "not finite"),
             (np.array([[0.5, nan, 0.0], [nan, 0.5, 0.0], [0.0, 0.0, 0.0]]), "not finite"),
         ):
-            bad = TruncatedOperator(matrix.astype(complex))
-            with pytest.raises(NotDensityOperatorError, match=message):
-                tr_power_fock(bad, 2.0)
-            with pytest.raises(NotDensityOperatorError, match=message):
-                matrix_power_fock(bad, 2.0)
-            with pytest.raises(NotDensityOperatorError, match=message):
-                covariance_from_fock(bad)
+            # as one dense block, and a diagonal matrix also as 1x1 blocks
+            layouts = [matrix[None]]
+            if not np.any(matrix[~np.eye(3, dtype=bool)]):
+                layouts.append(np.diagonal(matrix).reshape(-1, 1, 1))
+            for blocks in layouts:
+                bad = TruncatedOperator(blocks.astype(complex))
+                with pytest.raises(NotDensityOperatorError, match=message):
+                    tr_power_fock(bad, 2.0)
+                with pytest.raises(NotDensityOperatorError, match=message):
+                    matrix_power_fock(bad, 2.0)
+                with pytest.raises(NotDensityOperatorError, match=message):
+                    covariance_from_fock(bad)
 
     def test_diagonal_just_inside_hermitian_tolerance_accepted(self):
-        # a diagonal is checked on 2 |Im diag| against 1e-12 |diag|; an imaginary part at 0.99
-        # of the dense check's own limit |m - m^H| <= 1e-12 |m| still passes
+        # 1x1 blocks are checked on |B - B^H| = 2 |Im diag| against 1e-12 |diag|; an imaginary part
+        # at 0.99 of the dense check's own limit |m - m^H| <= 1e-12 |m| still passes
         matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
         matrix[0, 0] += 0.99e-12 * np.linalg.norm(matrix) / 2.0 * 1j
         assert np.linalg.norm(matrix - matrix.conj().T) <= 1e-12 * np.linalg.norm(matrix)
-        rho = TruncatedOperator(matrix)
+        rho = TruncatedOperator(np.diagonal(matrix).reshape(-1, 1, 1))
         assert tr_power_fock(rho, 2.0) == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_array_equal(matrix_power_fock(rho, 1.0).matrix, np.diag([0.5, 0.5, 0.0]))
         covariance_from_fock(rho)
@@ -226,7 +231,7 @@ class TestTrPowerFock:
 
 
 class TestDiagonalSpectrum:
-    """A diagonal operator's spectrum comes from its diagonal, bit for bit as LAPACK's."""
+    """1x1 blocks give their diagonal as the spectrum, bit for bit as a dense eigensolve does."""
 
     @staticmethod
     def diagonal_states():
@@ -236,7 +241,7 @@ class TestDiagonalSpectrum:
             yield attenuate(tau, thermal_state_fock(1.0, 80))
         # repeated entries, and entries below EIG_CLAMP, one of them slightly negative
         d = [0.3, 0.2, 0.3, 0.0, 0.2, 4e-16, 1e-16, -1e-14, 0.0, 2e-17]
-        yield TruncatedOperator(np.diag(np.array(d, dtype=complex)))
+        yield TruncatedOperator(np.array(d, dtype=complex).reshape(-1, 1, 1))
 
     def test_spectrum_and_powers_match_dense_eigensolve(self):
         for rho in self.diagonal_states():
@@ -252,16 +257,55 @@ class TestDiagonalSpectrum:
         eigh = np.linalg.eigh
 
         def counted(m):
-            calls.append(len(m))
+            calls.append(m.shape)
             return eigh(m)
 
+        # the layout, set by the builder, decides: 1x1 blocks take 1x1 eigensolves, and a dense
+        # block a dense one, however small its off-diagonal entries
         monkeypatch.setattr(np.linalg, "eigh", counted)
         matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        matrix_power_fock(TruncatedOperator(matrix), 2.0)
-        assert calls == []
+        matrix_power_fock(TruncatedOperator(np.diagonal(matrix).reshape(-1, 1, 1)), 2.0)
+        assert calls == [(3, 1, 1)]
         matrix[0, 1] = matrix[1, 0] = 1e-300
-        matrix_power_fock(TruncatedOperator(matrix), 2.0)
-        assert calls == [3]
+        matrix_power_fock(TruncatedOperator(matrix[None]), 2.0)
+        assert calls == [(3, 1, 1), (1, 3, 3)]
+
+
+def assert_same_bits(a, b):
+    # bit for bit, the sign of every zero included
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestLayouts:
+    """A phase-covariant state as 1x1 blocks and as one dense block: every fock function agrees bit for bit."""
+
+    @pytest.mark.parametrize("n_max", [1, 40, 160])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("which", ["thermal", "power", "attenuated"])
+    def test_one_dense_block_gives_the_same_bits(self, which, tau, n_max):
+        N = {1: 1e-7, 40: 0.5, 160: 3.0}[n_max]  # each within the tail bound at its cutoff
+        rho = thermal_state_fock(N, n_max)
+        if which == "power":
+            power = matrix_power_fock(rho, 2.5)
+            rho = TruncatedOperator(power.blocks / power.trace().real)
+        elif which == "attenuated":
+            rho = attenuate(tau, rho)
+        dense = TruncatedOperator(rho.matrix[None])
+        assert rho.blocks.shape == (n_max + 1, 1, 1)
+        assert_same_bits(rho.trace(), dense.trace())
+        assert_same_bits(rho.spectrum, dense.spectrum)
+        for p in (1.0, 1.5, 2.0, 7.3):
+            assert_same_bits(tr_power_fock(rho, p), tr_power_fock(dense, p))
+            assert_same_bits(matrix_power_fock(rho, p).matrix, matrix_power_fock(dense, p).matrix)
+        out, dense_out = attenuate(tau, rho), attenuate(tau, dense)
+        assert out.blocks.shape == rho.blocks.shape and dense_out.blocks.shape == dense.blocks.shape
+        assert_same_bits(out.matrix, dense_out.matrix)
+        for z in ([0.0, 0.0], [1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
+            assert_same_bits(char_function_fock(rho, z), char_function_fock(dense, z))
+        for got, ref in zip(covariance_from_fock(rho), covariance_from_fock(dense)):
+            assert_same_bits(got, ref)
 
 
 class TestCharFunctionFock:
@@ -292,8 +336,8 @@ class TestCharFunctionFock:
     def test_normalized_square_validates_g2(self):
         # rho^2 normalized is thermal with symplectic eigenvalue 5/6 at N = 1
         def build(n):
-            squared = matrix_power_fock(thermal_state_fock(1.0, n), 2.0).matrix
-            normalized = TruncatedOperator(squared / np.trace(squared).real)
+            squared = matrix_power_fock(thermal_state_fock(1.0, n), 2.0)
+            normalized = TruncatedOperator(squared.blocks / squared.trace().real)
             return char_function_fock(normalized, [1.0, 0.0])
 
         oracle = doubling_check(build, 80)
@@ -302,13 +346,13 @@ class TestCharFunctionFock:
     @pytest.mark.parametrize("which", ["vacuum", "thermal", "displaced thermal"])
     def test_matches_dense_weyl_operator(self, which):
         # reference: Tr(rho W) as an elementwise sum with the dense W, on the 5x5 grid; the
-        # displaced thermal state, which the oracle never takes, fills every diagonal
+        # displaced thermal state, which the oracle never takes, is one dense block
         if which == "displaced thermal":
             n_max, rho = 40, displaced_thermal(0.25, [0.8, -0.6], 40)
-            np.testing.assert_array_equal(rho.diagonals, np.arange(-n_max, n_max + 1))
+            assert rho.blocks.shape == (1, n_max + 1, n_max + 1)
         else:
             n_max, rho = 80, thermal_state_fock(0.0 if which == "vacuum" else 1.0, 80)
-            np.testing.assert_array_equal(rho.diagonals, [0])
+            assert rho.blocks.shape == (n_max + 1, 1, 1)
         for x in np.linspace(-2.0, 2.0, 5):
             for y in np.linspace(-2.0, 2.0, 5):
                 dense = np.sum(rho.matrix.T * weyl_operator([x, y], n_max).matrix)
@@ -317,7 +361,7 @@ class TestCharFunctionFock:
 
 def displaced_thermal(N, w_vec, n_max):
     wop = weyl_operator(w_vec, n_max).matrix
-    return TruncatedOperator(wop @ thermal_state_fock(N, n_max).matrix @ wop.conj().T)
+    return TruncatedOperator((wop @ thermal_state_fock(N, n_max).matrix @ wop.conj().T)[None])
 
 
 class TestAttenuatorKraus:
@@ -362,13 +406,15 @@ class TestAttenuatorKraus:
         for k in (0, 3, -3):
             size = n_max + 1 - abs(k)
             matrix += np.diag(rng.standard_normal(size) + 1j * rng.standard_normal(size), k)
-        rho = TruncatedOperator(matrix)
-        banded = attenuate(0.4, rho).matrix
+        rho = TruncatedOperator(matrix[None])
+        out = attenuate(0.4, rho)
+        banded = out.matrix
         dense = apply_kraus(attenuator_kraus(0.4, n_max), rho).matrix
         np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-14)
         offset = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
         np.testing.assert_array_equal(banded[~np.isin(offset, (0, 3, -3))], 0.0)
-        np.testing.assert_array_equal(rho.diagonals, [-3, 0, 3])
+        # the output keeps the input's layout: one dense block
+        assert out.blocks.shape == (1, n_max + 1, n_max + 1)
 
     def test_non_hermitian_input(self):
         w = weyl_operator([0.7, -0.3], 40)
@@ -450,7 +496,7 @@ class TestCovarianceFromFock:
         def displaced(n):
             vac = thermal_state_fock(0.0, n)
             wop = weyl_operator(w_vec, n)
-            return TruncatedOperator(wop.matrix @ vac.matrix @ wop.matrix.conj().T)
+            return TruncatedOperator((wop.matrix @ vac.matrix @ wop.matrix.conj().T)[None])
 
         mean = doubling_check(lambda n: covariance_from_fock(displaced(n))[0], 60)
         np.testing.assert_allclose(mean, expected_mean, atol=1e-8)
@@ -489,7 +535,7 @@ class TestDoublingCheck:
     def test_insufficient_truncation_detected(self):
         # a visibly unconverged trace: the N = 1 thermal diagonal 2^-(n+1), cut at n_max 8
         def build(n):
-            rho = TruncatedOperator(np.diag(0.5 ** np.arange(1.0, n + 2)).astype(complex))
+            rho = TruncatedOperator((0.5 ** np.arange(1.0, n + 2)).astype(complex).reshape(-1, 1, 1))
             return char_function_fock(rho, [0.0, 0.0])
 
         with pytest.raises(TruncationInsufficientError) as err:
@@ -524,7 +570,7 @@ class TestPowerCharFunctionAgainstOracle:
         N, n_max = 1.0, 120
         state = validate_state(-space.delta @ w_vec, (N + 0.5) * np.eye(2), space)
         wop = weyl_operator(w_vec, n_max)
-        displaced = TruncatedOperator(wop.matrix @ thermal_state_fock(N, n_max).matrix @ wop.matrix.conj().T)
+        displaced = TruncatedOperator((wop.matrix @ thermal_state_fock(N, n_max).matrix @ wop.matrix.conj().T)[None])
         squared = matrix_power_fock(displaced, 2.0)
         for z in ([1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
             got = char_function_fock(squared, z)

@@ -1,6 +1,7 @@
 """Gaussian states, spectral functions, Schatten powers, Gibbs families."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -206,6 +207,14 @@ class TestValidateState:
         with np.errstate(over="ignore"), pytest.raises(UncertaintyViolatedError) as err:
             validate_state([0.0, 0.0], np.diag([1e200, -1e200]), standard_form(1))
         assert err.value.lambda_min == -1e200
+
+    def test_spectrum_near_top_of_double_range(self):
+        # the Williamson eigenvalues are +-1e308; averaging a pair as 0.5 * (d - (-d)) overflowed to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = validate_state([0.0, 0.0], 1e308 * np.eye(2), standard_form(1))
+            np.testing.assert_array_equal(state.spectrum, [1e308])
+            assert schatten_norm(state, 2.0) == pytest.approx(math.sqrt(0.5e-308), rel=1e-14)
 
 
 class TestCharFunction:
