@@ -248,6 +248,7 @@ def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:
     h = np.asarray(h, dtype=complex)
     if abs(h - h.conj().T).max() > TOL_HERM * abs(h).max():
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    half = 0.5 * h  # halved first: h + h^H can overflow where H's entries do not
-    lam_min = float(np.linalg.eigvalsh(half + half.conj().T).min())
+    # h + (h^H - h)/2, not (h + h^H)/2: the sum can overflow where H's entries
+    # do not, and halving h first rounds a subnormal diagonal entry to zero
+    lam_min = float(np.linalg.eigvalsh(h + 0.5 * (h.conj().T - h)).min())
     return lam_min >= -tol, lam_min
