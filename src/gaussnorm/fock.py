@@ -16,12 +16,13 @@ diagonals rho's blocks hold (only the main one for 1x1 blocks), each against
 the matching diagonal of W(z), and never forms W; the dense
 :func:`weyl_operator` is its reference.  Moments come from rho's diagonals 0,
 +-1 and +-2 (:func:`covariance_from_fock`).  The attenuator's Kraus operator
-A_j lives on the j-th superdiagonal, so one table B[j, m] = <m|A_j|m+j> holds
-the channel by diagonal (:func:`attenuator_amplitudes`), and
-:func:`attenuate` maps each diagonal of rho to the same diagonal, in the same
-layout.  The dense Kraus family (:func:`attenuator_kraus`,
-:func:`apply_kraus`) is its reference, kept in the package only while
-``perfbench`` traces both names.
+A_j lives on the j-th superdiagonal, so one upper-triangular table
+C[m, i] = <m|A_(i-m)|i>, the matrix sum_j A_j, holds the channel
+(:func:`attenuator_amplitudes`), and :func:`attenuate` maps each diagonal of
+rho to the same diagonal, in the same layout, by one BLAS product with a
+product of two slices of C (C * C, the transfer matrix, for the main one).
+The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its
+reference, kept in the package only while ``perfbench`` traces both names.
 
 Every spectrum comes with a density check (finite, Hermitian, unit trace, no
 negative eigenvalue) over all blocks at once, and one batched Hermitian
@@ -61,10 +62,17 @@ class TruncatedOperator:
     The blocks sit on the diagonal in photon-number order, B * b = n_max + 1.
     A phase-covariant operator is (n_max + 1, 1, 1), any other one dense block
     (1, n_max + 1, n_max + 1); the builder chooses, and nothing reads the
-    layout back from the entries.
+    layout back from the entries.  A real stack is stored as complex; any
+    other shape, B or b = 0 included, raises DomainError.
     """
 
     blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        blocks = np.asarray(self.blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or 0 in blocks.shape:
+            raise DomainError(f"blocks must be a (B, b, b) stack with B, b >= 1, got shape {blocks.shape}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_max(self) -> int:
@@ -295,48 +303,49 @@ def char_function_fock(rho: TruncatedOperator, z) -> complex:
 
 
 def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
-    """Table B[j, m] = <m| A_j |m+j> = sqrt(C(m+j, j)) tau^(m/2) (1-tau)^(j/2), by diagonal.
+    """Table C[m, i] = <m| A_(i-m) |i> = sqrt(binom(i, m) tau^m (1-tau)^(i-m)): the matrix sum_j A_j.
 
     A_j is the binomial Kraus operator of the attenuation channel K = sqrt(tau) I
-    that removes j photons; row j is its j-th superdiagonal, B[j, m] = 0 where
-    m + j > n_max, and for j >= 1 at tau = 1.
+    that removes j photons, and C's j-th superdiagonal; C is zero below its
+    diagonal, and above it at tau = 1.  C * C is the transfer matrix T of a
+    diagonal input, out = T @ p, whose columns sum to 1.
     """
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"transmissivity must be in (0, 1], got {tau}")
     _check_cutoff(n_max)
     dim = n_max + 1
-    log_fact = _log_factorials(range(dim))
-    j = np.arange(dim)[:, None]
-    kept = np.arange(dim)[None, :]
-    total = j + kept  # photons before the loss
-    # j log(1 - tau), spelled out at tau = 1 so that 0 * (-inf) never forms
-    loss = np.full(dim, -math.inf)
-    loss[0] = 0.0
-    if tau < 1.0:
-        loss[1:] = np.arange(1, dim) * math.log1p(-tau)
-    # one table, updated in place in the order 0.5 * (f[total] - f[j] - f[kept] + kept log tau + loss)
-    log_amp = log_fact[np.minimum(total, n_max)]
-    log_amp -= log_fact[j]
-    log_amp -= log_fact[kept]
-    log_amp += kept * math.log(tau)
-    log_amp += loss[:, None]
-    log_amp *= 0.5
-    log_amp[total > n_max] = -math.inf
-    return np.exp(log_amp, out=log_amp)
+
+    def toeplitz(values: np.ndarray, below) -> np.ndarray:
+        """[m, i] = values[i - m], or below where m > i: a view of one padded vector, row stride -1."""
+        padded = np.concatenate((np.full(n_max, below, dtype=values.dtype), values))
+        step = padded.itemsize
+        return np.ndarray((dim, dim), padded.dtype, padded, n_max * step, (-step, step))
+
+    # 0.5 (f[i] - f[i - m] - f[m] + m log tau + (i - m) log(1 - tau)) in that order, from halved terms:
+    # the binomial is exactly 0 on the diagonal and in row 0, so m log tau and i log(1 - tau) never round
+    # against a log factorial near tau = 1 or 0.  The loss starts at i - m = 1: no 0 * (-inf) at tau = 1.
+    half_fact = 0.5 * _log_factorials(range(dim))
+    half_loss = 0.5 * np.arange(1, dim) * (math.log1p(-tau) if tau < 1.0 else -math.inf)
+    amp = half_fact - toeplitz(half_fact, 0.0)
+    amp -= half_fact[:, None]
+    amp += (0.5 * np.arange(dim) * math.log(tau))[:, None]
+    amp += toeplitz(np.append(0.0, half_loss), 0.0)
+    # in place and only where the table is defined: exp(-inf) would take numpy's slow scalar path
+    np.exp(amp, out=amp, where=toeplitz(np.ones(dim, dtype=bool), False))
+    np.copyto(amp, 0.0, where=toeplitz(np.zeros(dim, dtype=bool), True))
+    return amp
 
 
 def attenuator_kraus(tau: float, n_max: int) -> list[TruncatedOperator]:
     """Binomial Kraus family of the attenuation channel K = sqrt(tau) I, as dense matrices.
 
-    A_j carries row j of :func:`attenuator_amplitudes` on its j-th superdiagonal;
-    identically zero operators (j >= 1 at tau = 1) are dropped.  The reference
-    for :func:`attenuate`, which applies the same channel without forming them.
+    A_j is the j-th superdiagonal of :func:`attenuator_amplitudes`; identically
+    zero operators (j >= 1 at tau = 1) are dropped.  The reference for
+    :func:`attenuate`, which applies the same channel without forming them.
     """
-    return [
-        TruncatedOperator(np.diag(row[: n_max + 1 - j].astype(complex), k=j)[None])
-        for j, row in enumerate(attenuator_amplitudes(tau, n_max))
-        if row.any()
-    ]
+    amp = attenuator_amplitudes(tau, n_max)
+    rows = (np.diagonal(amp, j) for j in range(n_max + 1))
+    return [TruncatedOperator(np.diag(row, k=j)[None]) for j, row in enumerate(rows) if row.any()]
 
 
 def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> TruncatedOperator:
@@ -354,23 +363,25 @@ def apply_kraus(kraus: list[TruncatedOperator], rho: TruncatedOperator) -> Trunc
 def attenuate(tau: float, rho: TruncatedOperator) -> TruncatedOperator:
     """Attenuation channel K = sqrt(tau) I, sum_j A_j rho A_j^dag, one diagonal of rho at a time.
 
-    A_j keeps n - m, so with the amplitude table B output diagonal k is out_k[m] =
-    sum_j B[j, m] B[j, m+|k|] rho_k[m+j], summed over j in order as the Kraus sum is: O(n^2)
-    per diagonal rho's blocks hold, and the output keeps rho's layout.  Same channel as
-    ``apply_kraus(attenuator_kraus(tau, n), rho)``.
+    A_j keeps n - m, so with the amplitude table C output diagonal k is
+    out_k[m] = sum_i C[m, i] C[m+|k|, i+|k|] rho_k[i]: one elementwise product of two
+    slices of C and one BLAS product per diagonal rho's blocks hold, O(n^2) each, with
+    the real and imaginary parts as two columns.  At k = 0 the product is C * C.  The
+    output keeps rho's layout.  Same channel as ``apply_kraus(attenuator_kraus(tau, n), rho)``.
     """
     dim = rho.n_max + 1
-    b = attenuator_amplitudes(tau, rho.n_max)
+    amp = attenuator_amplitudes(tau, rho.n_max)
     blocks = rho.blocks
     out = np.zeros_like(blocks)
-    padded = np.zeros(2 * dim - 1, dtype=blocks.dtype)
-    hankel = np.lib.stride_tricks.sliding_window_view(padded, dim)  # [j, i] = padded[i + j]
-    for k in range(1 - blocks.shape[-1], blocks.shape[-1]):
+    # a contiguous copy of each diagonal, so that BLAS sums it the same way in every layout
+    column = np.zeros(dim, dtype=complex)
+    pairs = column.view(float).reshape(dim, 2)
+    # k = 0 last, so that its product C * C can overwrite the table instead of taking new memory
+    for k in sorted(range(1 - blocks.shape[-1], blocks.shape[-1]), key=abs, reverse=True):
         size = dim - abs(k)
-        padded[:size] = _diagonal(blocks, k)
-        padded[size:] = 0.0
-        terms = hankel[:size, :size] * (b[:size, :size] * b[:size, abs(k) :])
-        _diagonal(out, k)[:] = terms.sum(axis=0)
+        column[:size] = _diagonal(blocks, k)
+        transfer = np.multiply(amp[:size, :size], amp[abs(k) :, abs(k) :], out=amp if k == 0 else None)
+        _diagonal(out, k)[:] = (transfer @ pairs[:size]).view(complex).reshape(-1)
     return TruncatedOperator(out)
 
 

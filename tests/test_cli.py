@@ -485,6 +485,11 @@ BAD_ARGUMENTS = {
     "amplitude_cutoff": (lambda fam, ch: fock.attenuator_amplitudes(0.5, -2),
                          "Fock cutoff must be >= 1, got -2"),
     "transmissivity": (lambda fam, ch: fock.attenuator_amplitudes(1.5, 10), "transmissivity"),
+    # a Fock operator is a (B, b, b) stack of blocks with B, b >= 1, checked when it is built
+    "stack_matrix": (lambda fam, ch: fock.TruncatedOperator(np.eye(3) / 3), r"got shape \(3, 3\)"),
+    "stack_not_square": (lambda fam, ch: fock.TruncatedOperator(np.zeros((2, 3, 4))), r"got shape \(2, 3, 4\)"),
+    "stack_4d": (lambda fam, ch: fock.TruncatedOperator(np.zeros((1, 2, 2, 2))), r"got shape \(1, 2, 2, 2\)"),
+    "stack_empty": (lambda fam, ch: fock.TruncatedOperator(np.zeros((0, 1, 1))), r"got shape \(0, 1, 1\)"),
     "thermal_cutoff": (lambda fam, ch: fock.thermal_state_fock(1.0, -3),
                        "Fock cutoff must be >= 1, got -3"),
     "gibbs_beta": (lambda fam, ch: gibbs_state(fam, 0.0), "inverse temperature"),

@@ -5,6 +5,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -307,6 +308,25 @@ class TestLayouts:
         for got, ref in zip(covariance_from_fock(rho), covariance_from_fock(dense)):
             assert_same_bits(got, ref)
 
+    @pytest.mark.parametrize("layout", ["1x1 blocks", "one dense block"])
+    def test_real_stack_gives_the_complex_results(self, layout):
+        # a real stack is stored as complex, so every fock function sees the same operator
+        if layout == "1x1 blocks":
+            real = np.full((5, 1, 1), 0.2)
+        else:
+            # displaced along a real alpha: the matrix of W has no imaginary part
+            real = displaced_thermal(0.25, [0.0, -0.6], 40).matrix.real[None]
+        rho, twin = TruncatedOperator(real), TruncatedOperator(real.astype(complex))
+        assert rho.blocks.dtype == complex and rho.blocks.shape == real.shape
+        assert_same_bits(attenuate(0.5, rho).matrix, attenuate(0.5, twin).matrix)
+        assert_same_bits(rho.spectrum, twin.spectrum)
+        for got, ref in zip(covariance_from_fock(rho), covariance_from_fock(twin)):
+            assert_same_bits(got, ref)
+        if layout == "1x1 blocks":
+            # out[m] = 0.2 sum_{i >= m} binom(i, m) / 2^i
+            expected = [0.3875, 0.325, 0.2, 0.075, 0.0125]
+            np.testing.assert_allclose(attenuate(0.5, rho).blocks.ravel(), expected, rtol=0, atol=1e-16)
+
 
 class TestCharFunctionFock:
     def test_trace_at_zero(self):
@@ -372,22 +392,54 @@ class TestAttenuatorKraus:
             amp = attenuator_amplitudes(1.0, 20)
         assert len(ops) == 1
         np.testing.assert_allclose(ops[0].matrix, np.eye(21), atol=1e-14)
-        np.testing.assert_array_equal(amp[0], np.ones(21))
-        np.testing.assert_array_equal(amp[1:], 0.0)
-        # the table by diagonal, B[j, m] = <m|A_j|m+j>: below full transmission row j fills
-        # m <= n_max - j, is zero past it, and is A_j's j-th superdiagonal
+        assert_same_bits(amp, np.eye(21))
+        # the table in matrix layout, C[m, i] = <m|A_(i-m)|i>: below full transmission it fills
+        # i >= m, is +0.0 below the diagonal, and its j-th superdiagonal is A_j's
         amp = attenuator_amplitudes(0.5, 20)
-        inside = np.add.outer(np.arange(21), np.arange(21)) <= 20
-        assert np.all(amp[inside] > 0.0) and np.all(amp[~inside] == 0.0)
+        upper = np.subtract.outer(np.arange(21), np.arange(21)) <= 0
+        assert np.all(amp[upper] > 0.0)
+        assert_same_bits(amp[~upper], np.zeros(np.count_nonzero(~upper)))
         for j, op in enumerate(attenuator_kraus(0.5, 20)):
-            np.testing.assert_array_equal(np.diagonal(op.matrix, j), amp[j, : 21 - j])
+            np.testing.assert_array_equal(np.diagonal(op.matrix, j), np.diagonal(amp, j))
 
     def test_amplitude_completeness(self):
-        # sum_j A_j^dag A_j = I: <n|...|n> = sum_j B[j, n - j]^2, the table's anti-diagonal n
+        # sum_j A_j^dag A_j = I: <i|...|i> = sum_m C[m, i]^2, column i of the transfer matrix C * C
         for tau in (0.3, 0.5, 0.9, 1.0):
             amp = attenuator_amplitudes(tau, 160)
-            totals = [sum(amp[j, n - j] ** 2 for j in range(n + 1)) for n in range(161)]
-            np.testing.assert_allclose(totals, np.ones(161), rtol=0, atol=1e-12)
+            np.testing.assert_allclose((amp * amp).sum(axis=0), np.ones(161), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_max", [160, 1280])
+    @pytest.mark.parametrize("tau", [1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-12])
+    def test_transfer_matrix_column_identities(self, tau, n_max):
+        # column i of T = C * C is the binomial law of the photons kept out of i: it sums to 1 and
+        # has mean tau i.  At the extremes of tau these hold to 1e-14, which an exponent that rounds
+        # m log tau or i log(1 - tau) against a log factorial (or against each other) does not reach
+        transfer = attenuator_amplitudes(tau, n_max) ** 2
+        i = np.arange(n_max + 1.0)
+        tol = 4e-15 * (n_max + 1) if 0.01 < tau < 0.99 else 1e-14
+        assert np.max(np.abs(transfer.sum(axis=0) - 1.0)) <= tol
+        assert np.max(np.abs(i @ transfer - tau * i) / np.maximum(i, 1.0)) <= tol
+
+    @pytest.mark.parametrize("n_max, N", [(160, 3.0), (640, 12.0)])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_thermal_output_matches_exact_binomial_sum(self, tau, n_max, N):
+        # independent of the table: out[m] = sum_i binom(i, m) tau^m (1 - tau)^(i - m) p_i at 40
+        # digits, on the very p_i attenuate reads, every 16th row.  The relative bound holds where
+        # the exact value is a normal double; deeper rows underflow, as tau^m does at tau = 0.1
+        rho = thermal_state_fock(N, n_max)
+        p, got = rho.blocks.real.ravel(), attenuate(tau, rho).blocks.ravel()
+        assert not got.imag.any()
+        with mpmath.workdps(40):
+            kept, lost = mpmath.mpf(tau), 1 - mpmath.mpf(tau)
+            for m in range(0, n_max + 1, 16):
+                weight, exact = kept**m, mpmath.mpf(0)  # binom(i, m) tau^m (1 - tau)^(i - m) from i = m
+                for i in range(m, n_max + 1):
+                    exact += weight * p[i]
+                    weight *= mpmath.mpf(i + 1) / (i + 1 - m) * lost
+                error = abs(mpmath.mpf(got.real[m]) - exact)
+                assert error <= 1e-15, m
+                if exact >= np.finfo(float).tiny:
+                    assert error <= 2e-12 * exact, m
 
     @pytest.mark.parametrize("n_max", [20, 40])
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.9, 1.0])
