@@ -4,8 +4,8 @@ Brute-force counterpart of the closed forms on the basis {|0>, ..., |n_max>}.
 A :class:`TruncatedOperator` is a stack of photon-number blocks on its
 diagonal, in Fock order, its cutoff read from the stack's shape; its builder
 sets the layout.  A phase-covariant operator (a thermal state, its powers, its
-attenuated output: Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)) is n_max + 1
-blocks of 1x1, any other one dense block.  Nothing is imported from
+attenuated output: Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)) is
+(n_max+1, 1, 1), any other (1, n_max+1, n_max+1).  Nothing is imported from
 ``states``, ``channels`` or ``symplectic``, so agreement with the covariance
 code is a real check.
 
@@ -60,18 +60,18 @@ class TruncatedOperator:
     """Operator on the Fock basis {|0>, ..., |n_max>} as a (B, b, b) complex stack of blocks.
 
     The blocks sit on the diagonal in photon-number order, B * b = n_max + 1.
-    A phase-covariant operator is (n_max + 1, 1, 1), any other one dense block
-    (1, n_max + 1, n_max + 1); the builder chooses, and nothing reads the
-    layout back from the entries.  A real stack is stored as complex; any
-    other shape, B or b = 0 included, raises DomainError.
+    The stack is (n_max+1, 1, 1) for a phase-covariant operator, or one dense
+    block (1, n_max+1, n_max+1); the builder chooses, and nothing reads the
+    layout back from the entries.  A real stack is stored as complex; any other
+    shape (B or b = 0, or B > 1 and b > 1) raises DomainError.
     """
 
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
         blocks = np.asarray(self.blocks, dtype=complex)
-        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or 0 in blocks.shape:
-            raise DomainError(f"blocks must be a (B, b, b) stack with B, b >= 1, got shape {blocks.shape}")
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or min(blocks.shape) != 1:
+            raise DomainError(f"blocks must be (n_max+1, 1, 1) or (1, n_max+1, n_max+1), got shape {blocks.shape}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -99,10 +99,7 @@ class TruncatedOperator:
 
 
 def _diagonal(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Diagonal k (column - row) in Fock order: a writable view, or zeros where no block holds it.
-
-    Exact at k = 0 for any stack, and at every k for one block or 1x1 blocks.
-    """
+    """Diagonal k (column - row) in Fock order, of one block or 1x1 blocks: a writable view, or zeros."""
     count, size, _ = blocks.shape
     if abs(k) >= size:
         return np.zeros(count * size - abs(k), dtype=blocks.dtype)

@@ -219,7 +219,7 @@ def _log_schatten_norm(spectra: np.ndarray, p: float):
     _check_p(p, allow_inf=True)
     if p == math.inf:
         return -np.log(spectra + 0.5).sum(axis=-1)
-    return _log_tr_rho_p(spectra, p) / p
+    return -_log_f_p(spectra, p).sum(axis=-1) / p
 
 
 def tr_rho_p(state: GaussianState, p: float) -> float:

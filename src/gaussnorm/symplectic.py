@@ -233,22 +233,21 @@ def check_symmetric(x: np.ndarray, what: str) -> None:
 def check_psd_branches(x: np.ndarray, f: np.ndarray) -> list[tuple[bool, float]]:
     """(ok, lambda_min) of X + (i/2) F >= 0 and of X - (i/2) F >= 0, in that order.
 
-    For real symmetric X and antisymmetric F the branches are complex
-    conjugates; both are checked, each with slack PSD_SLACK * max |H_ij|.
+    For real X and F, X - (i/2) F is exactly the complex conjugate of
+    H = X + (i/2) F: same spectrum, same max |H_ij|, same Hermiticity residual.
+    One check of H, with slack PSD_SLACK * max |H_ij|, answers both branches.
     """
-    branches = []
-    for sign in (+1.0, -1.0):
-        h = x + sign * 0.5j * f
-        branches.append(check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max()))
-    return branches
+    h = x + 0.5j * f
+    return [check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max())] * 2
 
 
 def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:
     """Check lambda_min(H) >= -tol for complex Hermitian H; returns (ok, lambda_min)."""
     h = np.asarray(h, dtype=complex)
-    if abs(h - h.conj().T).max() > TOL_HERM * abs(h).max():
+    skew = h.conj().T - h
+    if abs(skew).max() > TOL_HERM * abs(h).max():
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     # h + (h^H - h)/2, not (h + h^H)/2: the sum can overflow where H's entries
     # do not, and halving h first rounds a subnormal diagonal entry to zero
-    lam_min = float(np.linalg.eigvalsh(h + 0.5 * (h.conj().T - h)).min())
+    lam_min = float(np.linalg.eigvalsh(h + 0.5 * skew).min())
     return lam_min >= -tol, lam_min

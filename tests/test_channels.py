@@ -81,6 +81,18 @@ class TestValidateChannel:
             )
         assert err.value.lambda_min == pytest.approx(-0.15, abs=1e-12)
 
+    def test_one_eigensolve_per_cp_check(self, monkeypatch):
+        # the - branch is the complex conjugate of the + branch: one eigvalsh answers both
+        calls, original = [], np.linalg.eigvalsh
+
+        def counted(h, *args, **kwargs):
+            calls.append(h.shape)
+            return original(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        validate_channel(math.sqrt(0.5) * np.eye(4), np.zeros(4), 0.25 * np.eye(4), standard_form(2))
+        assert calls == [(4, 4)]
+
     def test_noise_near_top_of_double_range_accepted(self):
         # a CP channel: each CP branch is 1e308 I + (i/4) Delta, whose symmetrisation
         # 0.5 * (H + H^H) overflowed to inf and gave lambda_min = nan
@@ -506,8 +518,8 @@ class TestOncePerFamilyPipeline:
         assert counts["symplectic_spectrum"]["calls"] == 2
         # one symmetry and finiteness test per output stack, plus epsilon's and the channel's mu
         assert counts["check_symmetric"]["calls"] == 2 + 2
-        # only the attenuator's two CP branches; every state is decided by its spectrum
-        assert counts["check_psd_hermitian"]["calls"] == 2
+        # only the attenuator's one CP eigensolve; every state is decided by its spectrum
+        assert counts["check_psd_hermitian"]["calls"] == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8),

@@ -12,6 +12,9 @@ import pytest
 
 import gaussnorm
 from gaussnorm import (
+    GibbsFamily,
+    apply_channel,
+    compose,
     fock,
     gibbs_asymptotic,
     gibbs_state,
@@ -19,10 +22,12 @@ from gaussnorm import (
     scaling_exponent,
     standard_form,
     symplectic_spectrum,
+    validate_channel,
+    validate_state,
 )
 from gaussnorm.cli import CSV_HEADER, build_parser, main
 from gaussnorm.config import ChannelSpec, SweepSpec, parse_config, serialize_config
-from gaussnorm.errors import ConfigError, DomainError
+from gaussnorm.errors import ConfigError, DimensionMismatchError, DomainError
 from sampling import random_symplectic
 
 
@@ -326,6 +331,21 @@ class TestCmdConverge:
         err = capsys.readouterr().err
         assert err == "error: betas must be strictly descending\n" and not out.exists()
 
+    @pytest.mark.parametrize("epsilon, args, message", [
+        (None, ["--p", "abc"], "cannot parse exponent 'abc'"),
+        (None, ["--out", "{tmp}/missing/r.csv"], "cannot write report {tmp}/missing/r.csv"),
+        ([1.0, 0.0, 1.0], [], "epsilon must have 4 entries for s=1, got 3"),
+    ], ids=["unparsable_p", "missing_out_dir", "epsilon_length"])
+    def test_refused_input_exit_two(self, epsilon, args, message, tmp_path, capsys):
+        # an option or sweep entry the sweep cannot use: one error line, exit 2, no CSV written
+        out = tmp_path / "never.csv"
+        cfg = write_config(tmp_path / "att.json", attenuator_spec(),
+                           SweepSpec(epsilon=epsilon, output_path=str(out)))
+        assert main(["converge", cfg, *(arg.format(tmp=tmp_path) for arg in args)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(tmp=tmp_path)) and err.count("error:") == 1
+        assert not out.exists() and not (tmp_path / "missing").exists()
+
 
 class TestCmdScaling:
     def test_scaling_fit_output(self, tmp_path, capsys):
@@ -468,47 +488,74 @@ class TestCmdOracle:
 
 
 BAD_ARGUMENTS = {
-    "empty_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, []), "non-empty 1-D list"),
-    "ascending_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, [1e-3, 1e-2]),
+    "empty_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, []), DomainError, "non-empty 1-D list"),
+    "ascending_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, [1e-3, 1e-2]), DomainError,
                         "strictly descending"),
-    "one_decade": (lambda fam, ch: scaling_exponent(fam, 2.0, [0.1, 0.01]), "at least two decades"),
-    "weyl_cutoff": (lambda fam, ch: fock.weyl_operator((1.0, 0.0), 0), "Fock cutoff must be >= 1, got 0"),
-    "weyl_modulus": (lambda fam, ch: fock.weyl_operator((1e3, 0.0), 10), "must be finite and <="),
-    "weyl_point": (lambda fam, ch: fock.weyl_operator([1, 2, 3], 10), "two finite reals"),
-    "char_point": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8), "ab"),
+    "one_decade": (lambda fam, ch: scaling_exponent(fam, 2.0, [0.1, 0.01]), DomainError, "at least two decades"),
+    "weyl_cutoff": (lambda fam, ch: fock.weyl_operator((1.0, 0.0), 0), DomainError,
+                    "Fock cutoff must be >= 1, got 0"),
+    "weyl_modulus": (lambda fam, ch: fock.weyl_operator((1e3, 0.0), 10), DomainError, "must be finite and <="),
+    "weyl_point": (lambda fam, ch: fock.weyl_operator([1, 2, 3], 10), DomainError, "two finite reals"),
+    "char_point": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8), "ab"), DomainError,
                    "two finite reals"),
     "char_complex_point": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8),
                                                                    np.array([1.0 + 2j, 0.0])),
-                           "two finite reals"),
+                           DomainError, "two finite reals"),
     "char_modulus": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8), [0.0, math.nan]),
-                     "must be finite and <="),
-    "amplitude_cutoff": (lambda fam, ch: fock.attenuator_amplitudes(0.5, -2),
+                     DomainError, "must be finite and <="),
+    "amplitude_cutoff": (lambda fam, ch: fock.attenuator_amplitudes(0.5, -2), DomainError,
                          "Fock cutoff must be >= 1, got -2"),
-    "transmissivity": (lambda fam, ch: fock.attenuator_amplitudes(1.5, 10), "transmissivity"),
-    # a Fock operator is a (B, b, b) stack of blocks with B, b >= 1, checked when it is built
-    "stack_matrix": (lambda fam, ch: fock.TruncatedOperator(np.eye(3) / 3), r"got shape \(3, 3\)"),
-    "stack_not_square": (lambda fam, ch: fock.TruncatedOperator(np.zeros((2, 3, 4))), r"got shape \(2, 3, 4\)"),
-    "stack_4d": (lambda fam, ch: fock.TruncatedOperator(np.zeros((1, 2, 2, 2))), r"got shape \(1, 2, 2, 2\)"),
-    "stack_empty": (lambda fam, ch: fock.TruncatedOperator(np.zeros((0, 1, 1))), r"got shape \(0, 1, 1\)"),
-    "thermal_cutoff": (lambda fam, ch: fock.thermal_state_fock(1.0, -3),
+    "transmissivity": (lambda fam, ch: fock.attenuator_amplitudes(1.5, 10), DomainError, "transmissivity"),
+    # a Fock operator is an (n_max+1, 1, 1) or (1, n_max+1, n_max+1) stack, checked when it is built
+    "stack_matrix": (lambda fam, ch: fock.TruncatedOperator(np.eye(3) / 3), DomainError, r"got shape \(3, 3\)"),
+    "stack_not_square": (lambda fam, ch: fock.TruncatedOperator(np.zeros((2, 3, 4))), DomainError,
+                         r"got shape \(2, 3, 4\)"),
+    "stack_4d": (lambda fam, ch: fock.TruncatedOperator(np.zeros((1, 2, 2, 2))), DomainError,
+                 r"got shape \(1, 2, 2, 2\)"),
+    "stack_empty": (lambda fam, ch: fock.TruncatedOperator(np.zeros((0, 1, 1))), DomainError,
+                    r"got shape \(0, 1, 1\)"),
+    "stack_blocks_of_two": (lambda fam, ch: fock.TruncatedOperator(np.stack([np.eye(2) / 4] * 2)), DomainError,
+                            r"got shape \(2, 2, 2\)"),
+    "thermal_cutoff": (lambda fam, ch: fock.thermal_state_fock(1.0, -3), DomainError,
                        "Fock cutoff must be >= 1, got -3"),
-    "gibbs_beta": (lambda fam, ch: gibbs_state(fam, 0.0), "inverse temperature"),
-    "asymptotic_beta": (lambda fam, ch: gibbs_asymptotic(fam, math.inf), "inverse temperature"),
-    "mode_count": (lambda fam, ch: standard_form(0), "mode count"),
-    "spectrum_shape": (lambda fam, ch: symplectic_spectrum(np.eye(3), standard_form(1)),
+    "gibbs_beta": (lambda fam, ch: gibbs_state(fam, 0.0), DomainError, "inverse temperature"),
+    "asymptotic_beta": (lambda fam, ch: gibbs_asymptotic(fam, math.inf), DomainError, "inverse temperature"),
+    "mode_count": (lambda fam, ch: standard_form(0), DomainError, "mode count"),
+    "spectrum_shape": (lambda fam, ch: symplectic_spectrum(np.eye(3), standard_form(1)), DomainError,
                        "expected shape"),
     "fock_trace_exponent": (lambda fam, ch: fock.tr_power_fock(fock.thermal_state_fock(0.0, 8), math.inf),
-                            r"must lie in \[1, inf\), got inf"),
+                            DomainError, r"must lie in \[1, inf\), got inf"),
     "fock_power_exponent": (lambda fam, ch: fock.matrix_power_fock(fock.thermal_state_fock(0.0, 8), math.nan),
-                            r"must lie in \[1, inf\), got nan"),
+                            DomainError, r"must lie in \[1, inf\), got nan"),
+    # objects built on different spaces or cutoffs
+    "channel_shapes": (lambda fam, ch: validate_channel(np.eye(4), np.zeros(2), np.eye(2), standard_form(1)),
+                       DimensionMismatchError, r"expected K and mu \(2, 2\)"),
+    "state_space": (lambda fam, ch: apply_channel(ch, validate_state(np.zeros(4), np.eye(4) / 2,
+                                                                     standard_form(2))),
+                    DimensionMismatchError, "different spaces"),
+    "compose_spaces": (lambda fam, ch: compose(ch, validate_channel(np.eye(4), np.zeros(4), np.zeros((4, 4)),
+                                                                    standard_form(2))),
+                       DimensionMismatchError, "channels live on different spaces"),
+    "epsilon_shape": (lambda fam, ch: GibbsFamily(standard_form(1), np.eye(4)), DimensionMismatchError,
+                      r"epsilon shape \(4, 4\)"),
+    "kraus_cutoff": (lambda fam, ch: fock.apply_kraus(fock.attenuator_kraus(0.5, 3),
+                                                      fock.thermal_state_fock(0.0, 4)),
+                     DimensionMismatchError, "different cutoffs"),
+    # config documents without a channel object, and a channel section missing its fields
+    "config_array": (lambda fam, ch: parse_config("[]"), ConfigError, 'must be an object with a "channel" section'),
+    "config_channel_array": (lambda fam, ch: parse_config('{"channel": []}'), ConfigError,
+                             "channel section must be an object"),
+    "config_channel_fields": (lambda fam, ch: parse_config('{"channel": {"s": 1}}'), ConfigError,
+                              "bad channel section"),
 }
 
 
-@pytest.mark.parametrize("call, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
-def test_bad_arguments_raise_domain_error(call, message):
-    # the one error type main reports as an "error:" line with exit code 1
+@pytest.mark.parametrize("call, error, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise_domain_error(call, error, message):
+    # DomainError and the other refusals main reports as one "error:" line: exit 2 for
+    # ConfigError, exit 1 for the rest
     spec = attenuator_spec()
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(error, match=message):
         call(SweepSpec().family(spec.space()), spec.to_channel())
 
 

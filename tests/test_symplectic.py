@@ -21,8 +21,8 @@ from gaussnorm.errors import (
     SpectralPoleError,
     SpectrumNotImaginaryError,
 )
-from sampling import random_covariance, random_spd, random_symplectic
-from gaussnorm.symplectic import TOL_RECONSTRUCT, TOL_SPEC, TOL_SYM
+from sampling import random_channel, random_covariance, random_spd, random_symplectic
+from gaussnorm.symplectic import PSD_SLACK, TOL_RECONSTRUCT, TOL_SPEC, TOL_SYM, check_psd_branches
 
 
 BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -255,3 +255,26 @@ class TestCheckPsdHermitian:
         ok, lam = check_psd_hermitian(np.diag(diag), tol=0.0)
         assert lam == pytest.approx(min(diag), rel=1e-12, abs=1e-12)
         assert ok == (min(diag) >= 0.0)
+
+    def test_branches_match_two_call_reference(self):
+        # X - (i/2) F is exactly conj(X + (i/2) F) for real X and F, so one check of the
+        # + branch gives both verdicts, bit for bit: CP branches of random channels with K
+        # scaled by 1e-3, 1 and 1e3, and uncertainty branches at d_min = 1/2 + k eps
+        rng = np.random.default_rng(1707)
+        pairs = []
+        for s in (1, 2, 16, 40):
+            space = standard_form(s)
+            for scale in (1e-3, 1.0, 1e3):
+                channel = random_channel(rng, space, noise_scale=0.2)
+                k = scale * channel.K
+                pairs.append((channel.mu, space.delta - k.T @ space.delta @ k))
+            for k in (0.0, 1.0, -1.0, 1e3, -1e3, 1e8, -1e8):
+                d = np.sort(rng.uniform(0.5, 5.0, size=s))
+                d[0] = 0.5 + k * np.finfo(float).eps
+                s_mat = random_symplectic(rng, space)
+                alpha = s_mat.T @ np.diag(np.repeat(d, 2)) @ s_mat
+                pairs.append((0.5 * (alpha + alpha.T), space.delta))
+        for x, f in pairs:
+            reference = [check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max())
+                         for h in (x + 0.5j * f, x - 0.5j * f)]
+            assert check_psd_branches(x, f) == reference
