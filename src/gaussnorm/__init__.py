@@ -35,7 +35,6 @@ from .states import (
     validate_state,
 )
 from .symplectic import (
-    SpectralDecomposition,
     SymplecticSpace,
     apply_spectral_function,
     check_psd_hermitian,
@@ -56,7 +55,6 @@ __all__ = [
     "GaussianState",
     "GibbsFamily",
     "ScalingFit",
-    "SpectralDecomposition",
     "SweepSpec",
     "SymplecticSpace",
     "apply_channel",

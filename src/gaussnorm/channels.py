@@ -37,7 +37,7 @@ from .states import (
     _log_tr_rho_p,
     validate_state,
 )
-from .symplectic import SymplecticSpace, check_finite, check_psd_branches, check_symmetric
+from .symplectic import SymplecticSpace, check_finite, check_psd_pair, check_symmetric
 
 DIVERGENCE_SLOPE = 1e-3  # a divergence verdict needs a fitted slope below -DIVERGENCE_SLOPE
 
@@ -91,14 +91,21 @@ class DivergenceFit:
     verdict: str  # "diverges" or "bounded"
 
 
-def cp_branches(K: np.ndarray, mu: np.ndarray, space: SymplecticSpace) -> list[tuple[bool, float]]:
-    """(ok, lambda_min) of mu +- (i/2)(Delta - K^T Delta K) >= 0, + branch first.
+def cp_check(K: np.ndarray, mu: np.ndarray, space: SymplecticSpace) -> tuple[bool, float]:
+    """(ok, lambda_min) of mu +- (i/2)(Delta - K^T Delta K) >= 0: one verdict for both signs.
 
     K and mu are 2s x 2s float arrays; K must be finite, mu finite and symmetric.
+    F = Delta - K^T Delta K enters by its antisymmetric part, and the slack also
+    scales with max (|K|^T |Delta K|)_ij, the size of the terms summed into
+    K^T Delta K: where F cancels to rounding (Gaussian unitaries, attenuators
+    near tau = 1) that rounding is not refused as non-Hermitian or non-CP.
     """
     check_finite(K, "K", np.linalg.norm(K))
     check_symmetric(mu, "mu")
-    return check_psd_branches(mu, space.delta - K.T @ space.delta @ K)
+    dk = space.delta @ K  # exact: Delta is a signed permutation
+    f = space.delta - K.T @ dk
+    # f/2 - f^T/2, not (f - f^T)/2, which can overflow where f does not
+    return check_psd_pair(mu, 0.5 * f - 0.5 * f.T, scale=(abs(K.T) @ abs(dk)).max())
 
 
 def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
@@ -112,14 +119,12 @@ def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
             f"expected K and mu ({n}, {n}) and l ({n},); got {K.shape}, {mu.shape}, {l.shape}"
         )
     check_finite(l, "l", sum(l.tolist()))
-    for sign, (ok, lam_min) in zip((1, -1), cp_branches(K, mu, space)):
-        if not ok:
-            raise NotCPError(
-                f"complete positivity fails on the {'+' if sign > 0 else '-'} branch: "
-                f"lambda_min = {lam_min:.6e}",
-                lambda_min=lam_min,
-                sign=sign,
-            )
+    ok, lam_min = cp_check(K, mu, space)
+    if not ok:
+        raise NotCPError(
+            f"complete positivity fails on the + branch: lambda_min = {lam_min:.6e}",
+            lambda_min=lam_min,
+        )
     return GaussianChannel(space=space, K=K, l=l, mu=mu)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import fock
 from .channels import (
     apply_channel,
-    cp_branches,
+    cp_check,
     divergence_exponent,
     norm_pp,
     ratio_sequence,
@@ -61,18 +61,16 @@ def cmd_check(args) -> int:
     space = spec.space()
     name = spec.name or args.config
     K, l, mu = spec.matrices()
-    status = EXIT_OK
-    for label, (ok, lam_min) in zip("+-", cp_branches(K, mu, space)):
+    ok, lam_min = cp_check(K, mu, space)
+    for label in "+-":  # one verdict: the - branch is the complex conjugate of the + branch
         print(f"{name}: CP branch {label}: lambda_min = {_fmt(lam_min)} -> {'ok' if ok else 'VIOLATED'}")
-        if not ok:
-            status = EXIT_INVALID
-    if status == EXIT_OK:
-        check_finite(l, "l", sum(l.tolist()))  # what validate_channel checks beyond the branches
+    if ok:
+        check_finite(l, "l", sum(l.tolist()))  # what validate_channel checks beyond CP
         print(f"{name}: channel valid")
     if sweep is not None:
         sweep.family(space)  # raises on a bad epsilon
         print(f"{name}: sweep valid (p={sweep.p}, {sweep.points} points)")
-    return status
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 def cmd_norm(args) -> int:

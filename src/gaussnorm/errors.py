@@ -57,10 +57,9 @@ class UncertaintyViolatedError(GaussNormError):
 class NotCPError(GaussNormError):
     """Channel triple fails the complete-positivity matrix inequality."""
 
-    def __init__(self, message, lambda_min=None, sign=None):
+    def __init__(self, message, lambda_min=None):
         super().__init__(message)
         self.lambda_min = lambda_min
-        self.sign = sign
 
 
 class SingularKError(GaussNormError):

@@ -37,7 +37,7 @@ from .symplectic import (
     SymplecticSpace,
     _williamson_form,
     check_finite,
-    check_psd_branches,
+    check_psd_pair,
     check_symmetric,
     symplectic_spectrum,
 )
@@ -159,8 +159,8 @@ def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     One batched symplectic_spectrum refuses non-finite and asymmetric matrices,
     each on its own scale.  For alpha > 0 the constraint holds exactly when
     d_min >= 1/2; only members within TOL_SPEC of 1/2, or with no Cholesky
-    factor (left as NaN), run the branches alpha +- (i/2) Delta >= 0, which
-    decide and report lambda_min.
+    factor (left as NaN), run check_psd_pair on alpha +- (i/2) Delta >= 0,
+    whose one verdict decides and reports lambda_min.
     """
     try:
         spectra = symplectic_spectrum(covs, space)
@@ -173,12 +173,12 @@ def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
         spectra = np.full(space.s, math.nan)
     for i, d_min in enumerate(spectra.reshape(-1, space.s)[:, 0].tolist()):
         if not d_min >= 0.5 + TOL_SPEC * d_min:
-            for ok, lam_min in check_psd_branches(covs.reshape(-1, space.dim, space.dim)[i], space.delta):
-                if not ok:
-                    raise UncertaintyViolatedError(
-                        f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
-                        lambda_min=lam_min,
-                    )
+            ok, lam_min = check_psd_pair(covs.reshape(-1, space.dim, space.dim)[i], space.delta)
+            if not ok:
+                raise UncertaintyViolatedError(
+                    f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
+                    lambda_min=lam_min,
+                )
     return spectra
 
 

@@ -66,15 +66,6 @@ class SymplecticSpace:
         return -self.delta
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Right eigendecomposition A = V diag(eigenvalues) V^-1, V^-1 kept alongside V."""
-
-    eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
-    inverse_eigenvectors: np.ndarray
-
-
 def standard_form(s: int) -> SymplecticSpace:
     """Build the standard s-mode symplectic space, ordering (q1, p1, q2, p2, ...)."""
     if s < 1:
@@ -84,18 +75,18 @@ def standard_form(s: int) -> SymplecticSpace:
     return SymplecticSpace(s=int(s), delta=delta)
 
 
-def spectral_decomposition(a: np.ndarray, cond_cap: float = COND_CAP) -> SpectralDecomposition:
-    """Eigendecompose a real square matrix, rejecting ill-conditioned eigenbases.
+def spectral_decomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecompose a real square matrix as (w, V, V^-1), A = V diag(w) V^-1.
 
     Raises NonDiagonalizableError when the eigenvector condition number
-    exceeds ``cond_cap`` or the reconstruction residual is out of tolerance.
+    exceeds COND_CAP or the reconstruction residual is out of tolerance.
     """
     a = np.asarray(a, dtype=float)
     w, v = np.linalg.eig(a)
     cond = float(np.linalg.cond(v))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise NonDiagonalizableError(
-            f"eigenvector condition estimate {cond:.3e} exceeds cap {cond_cap:.1e}"
+            f"eigenvector condition estimate {cond:.3e} exceeds cap {COND_CAP:.1e}"
         )
     v_inv = np.linalg.inv(v)
     recon = (v * w) @ v_inv
@@ -105,49 +96,46 @@ def spectral_decomposition(a: np.ndarray, cond_cap: float = COND_CAP) -> Spectra
         raise NonDiagonalizableError(
             f"reconstruction residual {resid:.3e} exceeds {TOL_RECONSTRUCT:.1e} * ||A||"
         )
-    return SpectralDecomposition(eigenvalues=w, right_eigenvectors=v, inverse_eigenvectors=v_inv)
+    return w, v, v_inv
 
 
-def apply_spectral_function(
-    a: np.ndarray | SpectralDecomposition,
-    f: Callable[[complex], complex],
-    cond_cap: float = COND_CAP,
-    tol_imag: float = TOL_IMAG,
-) -> np.ndarray:
-    """Evaluate the matrix function f(A) = Re(V f(Lambda) V^-1) for real A.
-
-    ``a`` is the matrix or an existing decomposition of it; a decomposition is
-    used as given (it was checked against its own cap) and ``cond_cap`` is
-    ignored.  The scalar ``f`` is applied to each eigenvalue; a non-finite
-    value raises SpectralPoleError.  The imaginary residual of
-    V f(Lambda) V^-1 must stay below ``tol_imag`` relative to the result norm,
-    else ImagResidualError.
-    """
-    dec = a if isinstance(a, SpectralDecomposition) else spectral_decomposition(a, cond_cap=cond_cap)
-    fw = np.array([f(lam) for lam in dec.eigenvalues], dtype=complex)
+def _spectral_function(dec: tuple, f: Callable[[complex], complex]) -> np.ndarray:
+    # Re(V f(Lambda) V^-1) from a decomposition (w, V, V^-1)
+    w, v, v_inv = dec
+    fw = np.array([f(lam) for lam in w], dtype=complex)
     if not np.all(np.isfinite(fw)):
         raise SpectralPoleError("scalar function returned a non-finite value on the spectrum")
-    m = (dec.right_eigenvectors * fw) @ dec.inverse_eigenvectors
+    m = (v * fw) @ v_inv
     scale = np.linalg.norm(m)
-    if np.linalg.norm(m.imag) > tol_imag * scale:
+    if np.linalg.norm(m.imag) > TOL_IMAG * scale:
         raise ImagResidualError(
             f"imaginary residual {np.linalg.norm(m.imag):.3e} exceeds "
-            f"{tol_imag:.1e} * ||result|| = {tol_imag * scale:.3e}"
+            f"{TOL_IMAG:.1e} * ||result|| = {TOL_IMAG * scale:.3e}"
         )
     return m.real
 
 
-def _imaginary_decomposition(a: np.ndarray) -> SpectralDecomposition:
-    # decomposition of a real matrix whose spectrum must be purely imaginary
-    dec = spectral_decomposition(np.asarray(a, dtype=float))
-    w = dec.eigenvalues
+def apply_spectral_function(a: np.ndarray, f: Callable[[complex], complex]) -> np.ndarray:
+    """Evaluate the matrix function f(A) = Re(V f(Lambda) V^-1) for real A.
+
+    The scalar ``f`` is applied to each eigenvalue; a non-finite value raises
+    SpectralPoleError.  The imaginary residual of V f(Lambda) V^-1 must stay
+    below TOL_IMAG relative to the result norm, else ImagResidualError.
+    """
+    return _spectral_function(spectral_decomposition(a), f)
+
+
+def _imaginary_function(a: np.ndarray, f: Callable[[complex], complex]) -> np.ndarray:
+    # f(A) for a real matrix whose spectrum must be purely imaginary
+    dec = spectral_decomposition(a)
+    w = dec[0]
     bad = np.abs(w.real) > TOL_SPEC * np.abs(w)
     if np.any(bad):
         worst = w[bad][np.argmax(np.abs(w[bad].real))]
         raise SpectrumNotImaginaryError(
             f"eigenvalue {worst} has real part beyond {TOL_SPEC:.1e} * |lambda|"
         )
-    return dec
+    return _spectral_function(dec, f)
 
 
 def matrix_abs(a: np.ndarray) -> np.ndarray:
@@ -156,7 +144,7 @@ def matrix_abs(a: np.ndarray) -> np.ndarray:
     Intended for A = Delta^-1 alpha with symmetric alpha; the result has the
     moduli d_j as eigenvalues on the same eigenvectors.
     """
-    return apply_spectral_function(_imaginary_decomposition(a), abs)
+    return _imaginary_function(a, abs)
 
 
 def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: str) -> tuple:
@@ -202,7 +190,7 @@ def matrix_cot(x: np.ndarray) -> np.ndarray:
     Gibbs covariance (Delta/2) cot(beta eps Delta) it gives is the reference
     for ``gibbs_state``, which reads it from the family's Williamson basis.
     """
-    return apply_spectral_function(_imaginary_decomposition(x), _cot)
+    return _imaginary_function(x, _cot)
 
 
 def check_finite(x: np.ndarray, what: str, total: float) -> None:
@@ -230,15 +218,16 @@ def check_symmetric(x: np.ndarray, what: str) -> None:
         raise NotSymmetricError(f"{what} is not symmetric within tolerance")
 
 
-def check_psd_branches(x: np.ndarray, f: np.ndarray) -> list[tuple[bool, float]]:
-    """(ok, lambda_min) of X + (i/2) F >= 0 and of X - (i/2) F >= 0, in that order.
+def check_psd_pair(x: np.ndarray, f: np.ndarray, scale: float = 0.0) -> tuple[bool, float]:
+    """(ok, lambda_min) of X + (i/2) F >= 0, which is also the verdict on X - (i/2) F >= 0.
 
     For real X and F, X - (i/2) F is exactly the complex conjugate of
     H = X + (i/2) F: same spectrum, same max |H_ij|, same Hermiticity residual.
-    One check of H, with slack PSD_SLACK * max |H_ij|, answers both branches.
+    One check of H, with slack PSD_SLACK * max(max |H_ij|, scale), answers both;
+    ``scale`` is for an F formed from larger terms that cancel.
     """
     h = x + 0.5j * f
-    return [check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max())] * 2
+    return check_psd_hermitian(h, tol=PSD_SLACK * max(abs(h).max(), scale))
 
 
 def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:

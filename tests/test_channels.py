@@ -27,7 +27,7 @@ from gaussnorm import (
     validate_channel,
     validate_state,
 )
-from gaussnorm.channels import _gibbs_spectra, cp_branches
+from gaussnorm.channels import _gibbs_spectra, cp_check
 from gaussnorm.errors import (
     DimensionMismatchError,
     DomainError,
@@ -37,7 +37,7 @@ from gaussnorm.errors import (
     SingularKError,
 )
 from gaussnorm.states import _gibbs_covs, _log_tr_rho_p
-from sampling import random_channel, random_passive_symplectic, random_spd, random_state
+from sampling import random_channel, random_passive_symplectic, random_spd, random_state, random_symplectic
 
 
 def attenuator(tau, s=1):
@@ -54,6 +54,22 @@ def identity_channel(s=1):
     return validate_channel(np.eye(n), np.zeros(n), np.zeros((n, n)), space)
 
 
+def rotation(theta):
+    """Single-mode phase rotation: a Gaussian unitary, CP with mu = 0."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def beam_splitter(t):
+    """Two-mode beam splitter of transmissivity t^2, ordering (q1, p1, q2, p2)."""
+    r = math.sqrt(1.0 - t * t)
+    return np.kron(np.array([[t, r], [-r, t]]), np.eye(2))
+
+
+def symplectic_k(seed, scale):
+    return random_symplectic(np.random.default_rng(seed), standard_form(2), scale=scale)
+
+
 def thermal_state(d, s=1):
     space = standard_form(s)
     return validate_state(np.zeros(2 * s), d * np.eye(2 * s), space)
@@ -67,11 +83,9 @@ class TestValidateChannel:
     def test_attenuator_saturates_cp(self):
         # eigenvalues of mu +- (i/2)(1-tau) Delta are {0, 1-tau}
         channel = attenuator(0.5)
-        branches = cp_branches(channel.K, channel.mu, channel.space)
-        assert len(branches) == 2
-        for ok, lam in branches:
-            assert ok
-            assert lam == pytest.approx(0.0, abs=1e-12)
+        ok, lam = cp_check(channel.K, channel.mu, channel.space)
+        assert ok
+        assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_insufficient_noise_rejected(self):
         space = standard_form(1)
@@ -100,8 +114,38 @@ class TestValidateChannel:
             warnings.simplefilter("error")
             channel = validate_channel(math.sqrt(0.5) * np.eye(2), np.zeros(2), 1e308 * np.eye(2),
                                        standard_form(1))
-            for ok, lam in cp_branches(channel.K, channel.mu, channel.space):
-                assert ok and lam == pytest.approx(1e308, rel=1e-14)
+            ok, lam = cp_check(channel.K, channel.mu, channel.space)
+            assert ok and lam == pytest.approx(1e308, rel=1e-14)
+
+    @pytest.mark.parametrize("K, mu, valid", [
+        *[pytest.param(rotation(theta), np.zeros((2, 2)), True, id=f"rotation-{theta}")
+          for theta in (0.1, 0.3, 1.0, 2.0)],
+        pytest.param(beam_splitter(0.6), np.zeros((4, 4)), True, id="beam-splitter-0.6"),
+        *[pytest.param(symplectic_k(seed, scale), np.zeros((4, 4)), True, id=f"symplectic-{seed}-{scale}")
+          for seed in (0, 1, 2) for scale in (0.3, 1.0, 3.0, 10.0)],
+        *[pytest.param(math.sqrt(tau) * np.eye(2), (1.0 - tau) / 2.0 * np.eye(2), True, id=f"attenuator-{tau!r}")
+          for tau in (0.9999993, 1.0 - 1e-9, 1.0 - 1e-15)],
+        pytest.param(math.sqrt(0.5) * np.eye(2), 0.1 * np.eye(2), False, id="short-by-0.15"),
+        pytest.param(math.sqrt(0.5) * np.eye(2), (0.25 - 1e-8) * np.eye(2), False, id="short-by-1e-8"),
+        # K^T Delta K has no cancellation here, so a tiny negative mu stays refused
+        pytest.param(np.diag([1e3, 1e-3]), np.diag([0.0, -1e-5]), False, id="squeezer-negative-mu"),
+    ])
+    def test_cp_verdict_at_the_rounding_floor(self, K, mu, valid):
+        # Delta - K^T Delta K cancels to rounding for Gaussian unitaries (mu = 0) and for
+        # attenuators near tau = 1, where fl(sqrt(tau))^2 < tau; such channels are CP,
+        # while mu short of the attenuator's threshold by 0.15 or 1e-8 is not
+        space = standard_form(K.shape[0] // 2)
+        ok, lam = cp_check(K, mu, space)
+        assert ok == valid
+        if valid:
+            channel = validate_channel(K, np.zeros(space.dim), mu, space)
+            # and followed by the attenuator at tau = 1/2, as compose(rotation, attenuator(0.5)) is
+            for ch in (channel, compose(channel, attenuator(0.5, space.s))):
+                assert norm_pp(ch, 2.0) == pytest.approx(abs(np.linalg.det(ch.K)) ** -0.5, rel=1e-12)
+        else:
+            with pytest.raises(NotCPError) as err:
+                validate_channel(K, np.zeros(space.dim), mu, space)
+            assert err.value.lambda_min == lam < 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["K", "l", "mu"])

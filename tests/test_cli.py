@@ -148,6 +148,23 @@ class TestCmdCheck:
         reported = float(out.split("lambda_min = ")[1].split(" ")[0])
         assert reported == pytest.approx(-0.15, abs=1e-12)
 
+    @pytest.mark.parametrize("spec, code", [
+        (ChannelSpec(s=1, K=[math.cos(0.3), math.sin(0.3), -math.sin(0.3), math.cos(0.3)], l=[0.0] * 2,
+                     mu=[0.0] * 4), 0),
+        (ChannelSpec(s=2, K=np.kron([[0.6, 0.8], [-0.8, 0.6]], np.eye(2)).ravel().tolist(), l=[0.0] * 4,
+                     mu=[0.0] * 16), 0),
+        (attenuator_spec(tau=0.9999993), 0),
+        (attenuator_spec(mu_scale=0.25 - 1e-8), 1),
+    ], ids=["rotation-0.3", "beam-splitter-0.6", "attenuator-0.9999993", "short-by-1e-8"])
+    def test_cp_verdict_at_the_rounding_floor(self, tmp_path, capsys, spec, code):
+        # Delta - K^T Delta K cancels to rounding: a CP channel there exits 0 and one short of
+        # its noise threshold exits 1, with one lambda_min on both branch lines and no error line
+        assert main(["check", write_config(tmp_path / "c.json", spec)]) == code
+        captured = capsys.readouterr()
+        lines = [line for line in captured.out.splitlines() if "CP branch" in line]
+        assert len(lines) == 2 and len({line.split("lambda_min = ")[1] for line in lines}) == 1
+        assert ("channel valid" in captured.out) == (code == 0) and captured.err == ""
+
     def test_malformed_length_exit_two(self, tmp_path, capsys):
         # a short K, a string of the right length, a fractional or boolean mode count
         for s, K in ((1, [1.0, 0.0, 0.0]), (1, "abcd"), (1.5, [1.0] * 9), (True, [1.0, 0.0, 0.0, 1.0])):
@@ -168,14 +185,14 @@ class TestCmdCheck:
 
     def test_cp_check_runs_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        cp_branches = gaussnorm.channels.cp_branches
+        cp_check = gaussnorm.channels.cp_check
 
         def counted(*args):
             calls.append(1)
-            return cp_branches(*args)
+            return cp_check(*args)
 
-        monkeypatch.setattr(gaussnorm.cli, "cp_branches", counted)
-        monkeypatch.setattr(gaussnorm.channels, "cp_branches", counted)
+        monkeypatch.setattr(gaussnorm.cli, "cp_check", counted)
+        monkeypatch.setattr(gaussnorm.channels, "cp_check", counted)
         assert main(["check", write_config(tmp_path / "a.json", attenuator_spec())]) == 0
         assert "channel valid" in capsys.readouterr().out and len(calls) == 1
         # a NaN shift is still refused by name, after both branch lines

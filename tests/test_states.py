@@ -43,7 +43,7 @@ from sampling import (
     random_symplectic,
 )
 from gaussnorm.states import _checked_spectra, _log_f_p, _power_terms
-from gaussnorm.symplectic import check_psd_branches
+from gaussnorm.symplectic import check_psd_pair
 
 
 def thermal_state(d, s=1):
@@ -125,14 +125,13 @@ class TestValidateState:
         s_mat = random_symplectic(rng, space, scale=scale)
         alpha = s_mat.T @ np.diag(np.repeat(d, 2)) @ s_mat
         alpha = 0.5 * (alpha + alpha.T)
-        branches = check_psd_branches(alpha, space.delta)
+        ok, lam = check_psd_pair(alpha, space.delta)
         try:
             validate_state(np.zeros(2 * s), alpha, space)
         except UncertaintyViolatedError as err:
-            failing = [lam for ok, lam in branches if not ok]
-            assert failing and err.lambda_min == failing[0]
+            assert not ok and err.lambda_min == lam
         else:
-            assert all(ok for ok, _ in branches)
+            assert ok
 
     @settings(max_examples=100, deadline=None)
     @given(

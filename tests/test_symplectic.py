@@ -22,7 +22,7 @@ from gaussnorm.errors import (
     SpectrumNotImaginaryError,
 )
 from sampling import random_channel, random_covariance, random_spd, random_symplectic
-from gaussnorm.symplectic import PSD_SLACK, TOL_RECONSTRUCT, TOL_SPEC, TOL_SYM, check_psd_branches
+from gaussnorm.symplectic import PSD_SLACK, TOL_RECONSTRUCT, TOL_SPEC, TOL_SYM, check_psd_pair
 
 
 BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -277,4 +277,4 @@ class TestCheckPsdHermitian:
         for x, f in pairs:
             reference = [check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max())
                          for h in (x + 0.5j * f, x - 0.5j * f)]
-            assert check_psd_branches(x, f) == reference
+            assert all(check_psd_pair(x, f) == branch for branch in reference)
