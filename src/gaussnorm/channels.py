@@ -37,9 +37,10 @@ from .states import (
     _log_tr_rho_p,
     validate_state,
 )
-from .symplectic import SymplecticSpace, check_finite, check_psd_pair, check_symmetric
+from .symplectic import PSD_SLACK, SymplecticSpace, check_finite, check_psd_hermitian, check_symmetric
 
 DIVERGENCE_SLOPE = 1e-3  # a divergence verdict needs a fitted slope below -DIVERGENCE_SLOPE
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,17 +96,25 @@ def cp_check(K: np.ndarray, mu: np.ndarray, space: SymplecticSpace) -> tuple[boo
     """(ok, lambda_min) of mu +- (i/2)(Delta - K^T Delta K) >= 0: one verdict for both signs.
 
     K and mu are 2s x 2s float arrays; K must be finite, mu finite and symmetric.
-    F = Delta - K^T Delta K enters by its antisymmetric part, and the slack also
-    scales with max (|K|^T |Delta K|)_ij, the size of the terms summed into
-    K^T Delta K: where F cancels to rounding (Gaussian unitaries, attenuators
-    near tau = 1) that rounding is not refused as non-Hermitian or non-CP.
+    F enters by its antisymmetric part, and the slack PSD_SLACK * max |H_ij| gains the
+    rounding floor n^2 eps max (|K|^T |Delta K|)_ij, so an F that cancels to rounding
+    (Gaussian unitaries, attenuators near tau = 1) passes; a K for which that maximum
+    overflows is refused by name.
     """
-    check_finite(K, "K", np.linalg.norm(K))
+    k = float(abs(K).max())
+    check_finite(K, "K", k)
     check_symmetric(mu, "mu")
     dk = space.delta @ K  # exact: Delta is a signed permutation
+    # (|K|^T |Delta K|)_ij sums the sizes of the terms of (K^T Delta K)_ij; formed on
+    # K / max |K_ij|, it is inf only where those terms leave the double range
+    span = k * k * float(((abs(K.T) / (k or 1.0)) @ (abs(dk) / (k or 1.0))).max())
+    if not math.isfinite(span):
+        raise DomainError("K^T Delta K leaves the double range: max (|K|^T |Delta K|)_ij overflows")
     f = space.delta - K.T @ dk
-    # f/2 - f^T/2, not (f - f^T)/2, which can overflow where f does not
-    return check_psd_pair(mu, 0.5 * f - 0.5 * f.T, scale=(abs(K.T) @ abs(dk)).max())
+    h = mu + 0.5j * (0.5 * f - 0.5 * f.T)  # (f - f^T)/2 can overflow where f does not
+    # rounding K^T Delta K, F's antisymmetric part and a symplectic K moves each entry of F
+    # by about (n/2 + 3) eps span and lambda_min by n/2 times that: under n^2 eps span
+    return check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max() + space.dim ** 2 * EPS * span)
 
 
 def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:

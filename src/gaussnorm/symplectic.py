@@ -218,16 +218,15 @@ def check_symmetric(x: np.ndarray, what: str) -> None:
         raise NotSymmetricError(f"{what} is not symmetric within tolerance")
 
 
-def check_psd_pair(x: np.ndarray, f: np.ndarray, scale: float = 0.0) -> tuple[bool, float]:
+def check_psd_pair(x: np.ndarray, f: np.ndarray) -> tuple[bool, float]:
     """(ok, lambda_min) of X + (i/2) F >= 0, which is also the verdict on X - (i/2) F >= 0.
 
     For real X and F, X - (i/2) F is exactly the complex conjugate of
     H = X + (i/2) F: same spectrum, same max |H_ij|, same Hermiticity residual.
-    One check of H, with slack PSD_SLACK * max(max |H_ij|, scale), answers both;
-    ``scale`` is for an F formed from larger terms that cancel.
+    One check of H, with slack PSD_SLACK * max |H_ij|, answers both.
     """
     h = x + 0.5j * f
-    return check_psd_hermitian(h, tol=PSD_SLACK * max(abs(h).max(), scale))
+    return check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max())
 
 
 def check_psd_hermitian(h: np.ndarray, tol: float) -> tuple[bool, float]:

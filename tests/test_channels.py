@@ -129,6 +129,12 @@ class TestValidateChannel:
         pytest.param(math.sqrt(0.5) * np.eye(2), (0.25 - 1e-8) * np.eye(2), False, id="short-by-1e-8"),
         # K^T Delta K has no cancellation here, so a tiny negative mu stays refused
         pytest.param(np.diag([1e3, 1e-3]), np.diag([0.0, -1e-5]), False, id="squeezer-negative-mu"),
+        # a squeezer off the axes: |K|^T |Delta K| reaches 1e8, its rounding floor only 9e-8
+        pytest.param(rotation(math.pi / 4) @ np.diag([1e4, 1e-4]), np.zeros((2, 2)), True,
+                     id="rotated-squeezer"),
+        pytest.param(rotation(math.pi / 4) @ np.diag([1e4, 1e-4]), -1e-3 * np.eye(2), False,
+                     id="rotated-squeezer-negative-mu"),
+        pytest.param(symplectic_k(1, 10.0), -1e-3 * np.eye(4), False, id="symplectic-1-10-negative-mu"),
     ])
     def test_cp_verdict_at_the_rounding_floor(self, K, mu, valid):
         # Delta - K^T Delta K cancels to rounding for Gaussian unitaries (mu = 0) and for
@@ -146,6 +152,18 @@ class TestValidateChannel:
             with pytest.raises(NotCPError) as err:
                 validate_channel(K, np.zeros(space.dim), mu, space)
             assert err.value.lambda_min == lam < 0.0
+
+    @pytest.mark.parametrize("K", [
+        pytest.param(rotation(math.pi / 4) @ np.diag([1.5e154, 1 / 1.5e154]), id="rotated-squeezer-1.5e154"),
+        pytest.param(1e160 * np.eye(2), id="1e160-I"),
+    ])
+    def test_overflowing_k_refused_by_name(self, K):
+        # |K|^T |Delta K| leaves the double range: K^T Delta K may still cancel to a finite
+        # value, but its rounding bounds nothing, so the channel is refused, without warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^K\^T Delta K leaves the double range"):
+                validate_channel(K, np.zeros(2), -1e300 * np.eye(2), standard_form(1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["K", "l", "mu"])

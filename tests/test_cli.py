@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,16 @@ class TestCmdCheck:
         lines = [line for line in captured.out.splitlines() if "CP branch" in line]
         assert len(lines) == 2 and len({line.split("lambda_min = ")[1] for line in lines}) == 1
         assert ("channel valid" in captured.out) == (code == 0) and captured.err == ""
+
+    def test_overflowing_k_named(self, tmp_path, capsys):
+        # K^T Delta K overflows: refused by name, with no branch line and no numpy warning
+        spec = ChannelSpec(s=1, K=[1e160, 0.0, 0.0, 1e160], l=[0.0] * 2, mu=[1e308, 0.0, 0.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", write_config(tmp_path / "big.json", spec)]) == 1
+        captured = capsys.readouterr()
+        assert "CP branch" not in captured.out
+        assert captured.err == "error: K^T Delta K leaves the double range: max (|K|^T |Delta K|)_ij overflows\n"
 
     def test_malformed_length_exit_two(self, tmp_path, capsys):
         # a short K, a string of the right length, a fractional or boolean mode count
