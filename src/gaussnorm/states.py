@@ -16,6 +16,7 @@ Both covariances are read from the Williamson basis of a positive definite
 x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H.
 Batches of covariances (sampled inputs, a beta grid) are (B, 2s, 2s) stacks:
 one batched spectrum and verdict and one array evaluation of log f_p each.
+One state's spectrum takes the same form of log f_p a float at a time.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ def _check_p(p: float, allow_inf: bool = False) -> None:
         raise DomainError(f"exponent must lie in [1, {upper}, got {p}")
 
 
+def _checked_eigenvalue(d: float) -> float:
+    """d, read as 1/2 within TOL_SPEC * max(1, |d|) below it; NaN, inf and smaller d are refused."""
+    if not (math.isfinite(d) and d >= 0.5 - TOL_SPEC * max(1.0, abs(d))):
+        raise DomainError(f"symplectic eigenvalue must be finite and >= 1/2, got {d}")
+    return max(d, 0.5)
+
+
 def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, d + 1/2, 1 - r^p) elementwise over symplectic eigenvalues d, r = (d - 1/2)/(d + 1/2).
 
@@ -111,10 +119,8 @@ def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     d = np.asarray(d, dtype=float)
     # the domain test is monotone in d, so the extremes decide it for every entry
-    lo, hi = float(d.min()), float(d.max())
-    lo_ok = math.isfinite(lo) and lo >= 0.5 - TOL_SPEC * max(1.0, abs(lo))
-    if not (lo_ok and hi < math.inf):
-        raise DomainError(f"symplectic eigenvalue must be finite and >= 1/2, got {hi if lo_ok else lo}")
+    _checked_eigenvalue(float(d.min()))
+    _checked_eigenvalue(float(d.max()))
     d = np.maximum(d, 0.5)
     den = d + 0.5
     with np.errstate(divide="ignore", under="ignore"):
@@ -127,17 +133,42 @@ def _log_f_p(d, p: float) -> np.ndarray:
     return p * np.log(den) + np.log(one_minus_rp)
 
 
-def f_p(d: float, p: float) -> float:
-    """(d + 1/2)^p - (d - 1/2)^p, evaluated in cancellation-free form.
+def _power_term(d: float, p: float) -> tuple[float, float]:
+    """(d + 1/2, 1 - r^p) for one float d in math arithmetic: the domain test and form
+    of _power_terms, without an array's fixed cost."""
+    den = _checked_eigenvalue(d) + 0.5
+    # math.log1p(-1) raises where numpy's gives -inf; 1 - r^p is exactly 1 there
+    return den, (-math.expm1(p * math.log1p(-1.0 / den)) if den > 1.0 else 1.0)
 
-    Saturates to float inf when the true value exceeds double range.
+
+def _sum_log_f_p(spectrum: np.ndarray, p: float) -> float:
+    # sum_j log f_p(d_j) over one spectrum, a float at a time: the one-state twin of
+    # _log_f_p(...).sum(axis=-1), which stacks keep
+    total = 0.0
+    for d in spectrum.tolist():
+        den, one_minus_rp = _power_term(d, p)
+        total += p * math.log(den) + math.log(one_minus_rp)
+    return total
+
+
+def f_p(d: float, p: float) -> float:
+    """(d + 1/2)^p - (d - 1/2)^p = (d + 1/2)^p (1 - r^p), evaluated in cancellation-free form.
+
+    Where (d + 1/2)^p overflows, f_p is (h (1 - r^p)) h with h = (d + 1/2)^(p/2),
+    which stays finite wherever f_p ~ p d^(p-1) does, to a few ulps; float inf
+    comes back only when f_p itself leaves double range.
     """
     _check_p(p)
-    _, den, one_minus_rp = _power_terms(d, p)
+    den, one_minus_rp = _power_term(float(d), p)
     try:
-        return float(den) ** p * float(one_minus_rp)
+        return den**p * one_minus_rp
+    except OverflowError:
+        pass
+    try:
+        half = den ** (0.5 * p)
     except OverflowError:
         return math.inf
+    return half * one_minus_rp * half
 
 
 def g_p(d, p: float):
@@ -224,12 +255,19 @@ def _log_schatten_norm(spectra: np.ndarray, p: float):
 
 def tr_rho_p(state: GaussianState, p: float) -> float:
     """Tr rho^p = prod_j 1/f_p(d_j) over the symplectic spectrum, independent of the mean."""
-    return math.exp(_log_tr_rho_p(state.spectrum, p))
+    _check_p(p)
+    return math.exp(-_sum_log_f_p(state.spectrum, p))
 
 
 def schatten_norm(state: GaussianState, p: float) -> float:
     """(Tr rho^p)^(1/p) for finite p; the largest eigenvalue prod_j (d_j + 1/2)^-1 at p = inf."""
-    return math.exp(_log_schatten_norm(state.spectrum, p))
+    _check_p(p, allow_inf=True)
+    if p == math.inf:
+        log_max = 0.0
+        for d in state.spectrum.tolist():
+            log_max -= math.log(d + 0.5)
+        return math.exp(log_max)
+    return math.exp(-_sum_log_f_p(state.spectrum, p) / p)
 
 
 def power_cov(state: GaussianState, p: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import warnings
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,15 @@ from sampling import (
     random_state,
     random_symplectic,
 )
-from gaussnorm.states import _checked_spectra, _log_f_p, _power_terms
+from gaussnorm.states import (
+    _checked_spectra,
+    _log_f_p,
+    _log_schatten_norm,
+    _log_tr_rho_p,
+    _power_term,
+    _power_terms,
+    _sum_log_f_p,
+)
 from gaussnorm.symplectic import check_psd_pair
 
 
@@ -334,14 +343,19 @@ class TestSpectralFunctionScalars:
         # |log f_p| = 1 the bound grows with the value: an ulp of log f_p = 3e4 is 3.6e-12.
         ds = np.concatenate([[0.5, 0.5 + 1e-15, 0.5 + 1e-9, 1.5 - 1e-12, 1.5 + 1e-12],
                              np.geomspace(0.5, 1e300, 400)])
+        # the one-state kernel (math, a float at a time) is held to the same bounds
         for p in (1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 40.0, 1e3):
             with np.errstate(all="raise", under="ignore"):
                 got = _log_f_p(ds, p)
                 _, _, one_minus = _power_terms(ds, p)
+            one = np.array([_sum_log_f_p(np.array([d]), p) for d in ds])
+            one_minus_one = [_power_term(d, p)[1] for d in ds.tolist()]
             ref = np.array([log_f_p_ref(d, p) for d in ds])
-            assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref))), p
-            np.testing.assert_allclose(one_minus, [power_terms_ref(d, p)[1] for d in ds],
-                                       rtol=0, atol=2e-15)
+            ref_one_minus = [power_terms_ref(d, p)[1] for d in ds]
+            for kernel in (got, one):
+                assert np.all(np.abs(kernel - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref))), p
+            np.testing.assert_allclose(one_minus, ref_one_minus, rtol=0, atol=2e-15)
+            np.testing.assert_allclose(one_minus_one, ref_one_minus, rtol=0, atol=2e-15)
         # a stack refuses NaN, inf and d < 1/2 by name, wherever they sit
         for bad in (math.nan, math.inf, -math.inf, 0.4, -1e9):
             stack = np.array([[0.7, 3.0], [bad, 2.0]])
@@ -362,12 +376,43 @@ class TestSpectralFunctionScalars:
             for p in (1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 7.3, 40.0, 1e3):
                 with np.errstate(all="raise", under="ignore"):
                     _, _, one_minus = _power_terms(ds, p)
+                one_minus_one = [_power_term(d, p)[1] for d in ds.tolist()]  # the one-state kernel
                 worst = max(
                     abs(Decimal(got) / (1 - (lr * Decimal(p)).exp()) - 1) if lr is not None
                     else abs(Decimal(got) - 1)
-                    for got, lr in zip(one_minus.tolist(), log_r)
+                    for kernel in (one_minus.tolist(), one_minus_one)
+                    for got, lr in zip(kernel, log_r)
                 )
                 assert worst <= Decimal("5e-16"), (p, worst)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.4, -1e9])
+    def test_one_state_kernel_refuses_by_name(self, bad):
+        # the same domain test and message as the array kernel's
+        with pytest.raises(DomainError, match="finite and >= 1/2") as one:
+            f_p(bad, 2.0)
+        with pytest.raises(DomainError) as stack:
+            _power_terms(np.array([bad]), 2.0)
+        assert str(one.value) == str(stack.value)
+
+    def test_one_state_kernel_reads_slack_as_half(self):
+        # d = 1/2 - 1e-9 lies within TOL_SPEC of 1/2 and is read as 1/2, as in a stack
+        d = 0.5 - 1e-9
+        for p in (1.0, 1.5, 2.0, 40.0):
+            assert _power_term(d, p) == (1.0, 1.0)
+            assert f_p(d, p) == 1.0
+            assert _sum_log_f_p(np.array([d, d]), p) == 0.0
+            assert _log_f_p(np.array([d]), p)[0] == 0.0
+
+    def test_f_p_past_the_overflow_of_its_leading_power(self):
+        # (d + 1/2)^p overflows while f_p ~ p d^(p-1) does not: against an 800-digit reference,
+        # f_p keeps a few ulps there, and gives inf only once f_p itself leaves double range
+        with mpmath.workdps(800):
+            for d, p in [(1e160, 2.0), (1e200, 1.6), (1e300, 1.03), (1e100, 3.0)]:
+                exact = (mpmath.mpf(d) + 0.5) ** p - (mpmath.mpf(d) - 0.5) ** p
+                got = f_p(d, p)
+                assert abs(mpmath.mpf(got) / exact - 1) <= 4 * np.finfo(float).eps, (d, p, got)
+        assert f_p(1e100, 3.0) == 3.0000000000000002e200  # the direct product, kept where finite
+        assert f_p(1e300, 2.5) == math.inf  # 2.5e450
 
 
 class TestTrRhoP:
@@ -463,6 +508,33 @@ class TestSchattenNorm:
                 assert b <= a + 1e-12
             assert norms[-1] == pytest.approx(inf_norm, abs=1e-6)
             assert norms[-1] >= inf_norm - 1e-12
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 16, 40])
+    def test_one_state_matches_stack(self, s):
+        # the scalar twin against the stack kernel on the same spectrum: 4 eps relative, times the
+        # size of the terms summed, max(1, sum_j log(d_j + 1/2)) (p times that for Tr rho^p), which
+        # is max(1, |log value|) at p = inf.  Near p = 1 the terms p log(d + 1/2) and log(1 - r^p)
+        # cancel, and at s = 40 either kernel is up to 10 eps off a 60-digit log Tr rho^p of size
+        # 1e-8.  Below the normal range a value has no relative precision, so logs are compared
+        rng = np.random.default_rng(53 + s)
+        space = standard_form(s)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for _ in range(20):
+            state = random_state(rng, space, d_range=(0.5, 6.0))
+            spectrum = state.spectrum
+            terms = max(1.0, float(np.log(spectrum + 0.5).sum()))
+            for p in (1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 40.0, math.inf):
+                cases = [(schatten_norm(state, p), _log_schatten_norm(spectrum[None], p)[0], terms)]
+                if p < math.inf:
+                    log_tr = _log_tr_rho_p(spectrum[None], p)[0]
+                    cases.append((tr_rho_p(state, p), log_tr, p * terms))
+                    assert abs(-_sum_log_f_p(spectrum, p) - log_tr) <= 4 * eps * p * terms, p
+                for got, log_stack, scale in cases:
+                    want = math.exp(log_stack)
+                    if want >= tiny:
+                        assert abs(got / want - 1) <= 4 * eps * scale, p
+                    else:
+                        assert got < tiny, p
 
 
 class TestPowerCharFunction:
