@@ -9,7 +9,8 @@ For invertible K the p->p norm is |det K|^(1/p - 1), attained in the
 beta -> 0 limit on Gibbs states; the estimators here certify that limit,
 the upper-bound inequality on sampled Gaussian inputs, and the beta-scaling
 exponents behind the q < p unboundedness.  Each checks its outputs as one
-(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family.
+(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family,
+and upper_bound_check solves its inputs' spectra in the same stack as its outputs.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def upper_bound_check(
     Returns the per-state verdicts and the worst margin
     min_i (1 + slack - ||Phi[rho_i]||_p / (norm * ||rho_i||_p)); nonnegative
     margins mean the bound held.  Ratios come from log norms and (1/p-1) log|det K|,
-    so norms and the bound may leave the double range.
+    so norms and the bound may leave the double range.  The inputs that carry no
+    spectrum yet are solved with the outputs in one stack, which fills their caches.
     """
     log_bound = _norm_exponent(p) * _log_abs_det_K(channel)
     if not states:
@@ -263,10 +265,15 @@ def upper_bound_check(
         raise DimensionMismatchError("channel and state live on different spaces")
     means = np.array([state.mean for state in states]) @ channel.K + channel.l
     check_finite(means, "mean", float(abs(means).max()))
-    out = _checked_spectra(_output_covs(channel, np.array([state.cov for state in states])),
-                           channel.space)
+    covs = np.array([state.cov for state in states])
+    # the inputs without a cached spectrum ride in the outputs' stack and fill their caches
+    todo = [i for i, state in enumerate(states) if "spectrum" not in vars(state)]
+    spectra = _checked_spectra(np.concatenate((_output_covs(channel, covs), covs[todo])), channel.space)
+    for i, spectrum in zip(todo, spectra[len(states):]):
+        if not math.isnan(spectrum[0]):  # NaN: no Cholesky factor; state.spectrum raises below
+            object.__setattr__(states[i], "spectrum", spectrum)  # fills the cached property
     log_in = _log_schatten_norm(np.array([state.spectrum for state in states]), p)
-    ratios = np.exp(_log_schatten_norm(out, p) - log_in - log_bound)
+    ratios = np.exp(_log_schatten_norm(spectra[:len(states)], p) - log_in - log_bound)
     return (ratios <= 1.0 + slack).tolist(), float((1.0 + slack - ratios).min())
 
 

@@ -14,9 +14,12 @@ power state.  Gibbs states of quadratic Hamiltonians R eps R^T are Gaussian
 with covariance (Delta/2) cot(beta eps Delta).
 Both covariances are read from the Williamson basis of a positive definite
 x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H.
-Batches of covariances (sampled inputs, a beta grid) are (B, 2s, 2s) stacks:
-one batched spectrum and verdict and one array evaluation of log f_p each.
-One state's spectrum takes the same form of log f_p a float at a time.
+validate_state certifies the constraint with one complex Cholesky factor of
+alpha + (i/2) Delta and solves no spectrum; a state computes its own on
+first use, unless upper_bound_check's stack has filled it.  Batches of
+covariances (sampled inputs, a beta grid) are (B, 2s, 2s) stacks: one batched
+spectrum and verdict and one array evaluation of log f_p each.  One state's
+spectrum takes the same form of log f_p a float at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class GaussianState:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Symplectic spectrum {d_j} of the covariance, computed on first use."""
+        """Symplectic spectrum {d_j} of the covariance, solved on first use or by upper_bound_check."""
         return symplectic_spectrum(self.cov, self.space)
 
 
@@ -109,6 +112,15 @@ def _checked_eigenvalue(d: float) -> float:
     return max(d, 0.5)
 
 
+def _checked_eigenvalues(d) -> np.ndarray:
+    """The array twin of _checked_eigenvalue: refuses or reads as 1/2 each entry of d alike."""
+    d = np.asarray(d, dtype=float)
+    # the domain test is monotone in d, so the extremes decide it for every entry
+    _checked_eigenvalue(float(d.min()))
+    _checked_eigenvalue(float(d.max()))
+    return np.maximum(d, 0.5)
+
+
 def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, d + 1/2, 1 - r^p) elementwise over symplectic eigenvalues d, r = (d - 1/2)/(d + 1/2).
 
@@ -117,11 +129,7 @@ def _power_terms(d, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     over the whole domain: log1p(-1) = -inf gives exactly 1 at d = 1/2, and
     only underflow of r^p passes silently.
     """
-    d = np.asarray(d, dtype=float)
-    # the domain test is monotone in d, so the extremes decide it for every entry
-    _checked_eigenvalue(float(d.min()))
-    _checked_eigenvalue(float(d.max()))
-    d = np.maximum(d, 0.5)
+    d = _checked_eigenvalues(d)
     den = d + 0.5
     with np.errstate(divide="ignore", under="ignore"):
         return d, den, -np.expm1(p * np.log1p(-1.0 / den))
@@ -187,11 +195,12 @@ def g_p(d, p: float):
 def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     """Symplectic spectra (..., s) of covariances (..., 2s, 2s), each held to uncertainty.
 
-    One batched symplectic_spectrum refuses non-finite and asymmetric matrices,
-    each on its own scale.  For alpha > 0 the constraint holds exactly when
-    d_min >= 1/2; only members within TOL_SPEC of 1/2, or with no Cholesky
+    The stacks' verdict (sweep outputs, and upper_bound_check's outputs with its
+    inputs): one batched symplectic_spectrum refuses non-finite and asymmetric
+    matrices, each on its own scale.  For alpha > 0 the constraint holds exactly
+    when d_min >= 1/2; only members within TOL_SPEC of 1/2, or with no Cholesky
     factor (left as NaN), run check_psd_pair on alpha +- (i/2) Delta >= 0,
-    whose one verdict decides and reports lambda_min.
+    whose one verdict decides and reports lambda_min, as in validate_state.
     """
     try:
         spectra = symplectic_spectrum(covs, space)
@@ -204,20 +213,27 @@ def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
         spectra = np.full(space.s, math.nan)
     for i, d_min in enumerate(spectra.reshape(-1, space.s)[:, 0].tolist()):
         if not d_min >= 0.5 + TOL_SPEC * d_min:
-            ok, lam_min = check_psd_pair(covs.reshape(-1, space.dim, space.dim)[i], space.delta)
-            if not ok:
-                raise UncertaintyViolatedError(
-                    f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
-                    lambda_min=lam_min,
-                )
+            _check_uncertainty(covs.reshape(-1, space.dim, space.dim)[i], space)
     return spectra
+
+
+def _check_uncertainty(cov: np.ndarray, space: SymplecticSpace) -> None:
+    # check_psd_pair's one verdict on alpha +- (i/2) Delta >= 0, refused with its lambda_min
+    ok, lam_min = check_psd_pair(cov, space.delta)
+    if not ok:
+        raise UncertaintyViolatedError(
+            f"uncertainty constraint violated: lambda_min = {lam_min:.6e}", lambda_min=lam_min
+        )
 
 
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Refuses a non-finite mean; the covariance gets the stacks' verdict, whose
-    spectrum the state keeps.
+    Refuses a non-finite mean, and a non-finite or asymmetric covariance.  A
+    complex Cholesky factor of (the Hermitian part of) H = alpha + (i/2) Delta
+    certifies lambda_min(H) >= -c n eps ||H||, far inside check_psd_pair's
+    slack, and H > 0 implies alpha > 0; only where the factorization fails does
+    check_psd_pair decide and report lambda_min.  No spectrum is solved here.
     """
     mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.array(cov, dtype=float)
@@ -227,11 +243,14 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
             f"expected mean ({n},) and cov ({n}, {n}), got {mean.shape} and {cov.shape}"
         )
     check_finite(mean, "mean", sum(mean.tolist()))
-    state = GaussianState(space=space, mean=mean, cov=cov)
-    spectrum = _checked_spectra(cov, space)
-    if not math.isnan(spectrum[0]):
-        object.__setattr__(state, "spectrum", spectrum)  # fills the cached property
-    return state
+    # Cholesky reads one triangle: an asymmetric cov is factored by its symmetric part,
+    # the matrix check_psd_pair judges
+    sym = cov + 0.5 * (cov.T - cov) if check_symmetric(cov, "covariance matrix") else cov
+    try:
+        np.linalg.cholesky(sym + 0.5j * space.delta)
+    except np.linalg.LinAlgError:
+        _check_uncertainty(cov, space)
+    return GaussianState(space=space, mean=mean, cov=cov)
 
 
 def char_function(state: GaussianState, z) -> complex:
@@ -249,7 +268,7 @@ def _log_tr_rho_p(spectra: np.ndarray, p: float):
 def _log_schatten_norm(spectra: np.ndarray, p: float):
     _check_p(p, allow_inf=True)
     if p == math.inf:
-        return -np.log(spectra + 0.5).sum(axis=-1)
+        return -np.log(_checked_eigenvalues(spectra) + 0.5).sum(axis=-1)
     return -_log_f_p(spectra, p).sum(axis=-1) / p
 
 
@@ -265,7 +284,7 @@ def schatten_norm(state: GaussianState, p: float) -> float:
     if p == math.inf:
         log_max = 0.0
         for d in state.spectrum.tolist():
-            log_max -= math.log(d + 0.5)
+            log_max -= math.log(_checked_eigenvalue(d) + 0.5)
         return math.exp(log_max)
     return math.exp(-_sum_log_f_p(state.spectrum, p) / p)
 

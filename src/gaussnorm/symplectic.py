@@ -203,10 +203,11 @@ def check_finite(x: np.ndarray, what: str, total: float) -> None:
         raise DomainError(f"{what} must be finite")
 
 
-def check_symmetric(x: np.ndarray, what: str) -> None:
+def check_symmetric(x: np.ndarray, what: str) -> float:
     """Refuse a real matrix with non-finite entries or asymmetry beyond TOL_SYM * max |x_ij|.
 
-    For a stack (..., n, n) each matrix is held to its own max |x_ij|.
+    For a stack (..., n, n) each matrix is held to its own max |x_ij|.  Returns the
+    largest asymmetry max |x_ij - x_ji| it admitted, 0.0 when every matrix is exactly symmetric.
     """
     # per-matrix maxima over rows of n^2 entries, compared as floats: on one small
     # matrix this costs about what the two full reductions of a single check do
@@ -216,6 +217,7 @@ def check_symmetric(x: np.ndarray, what: str) -> None:
     asym = abs(x - x.swapaxes(-1, -2)).reshape(-1, n * n).max(axis=1).tolist()
     if any(map(operator.gt, asym, [TOL_SYM * m for m in scale])):
         raise NotSymmetricError(f"{what} is not symmetric within tolerance")
+    return max(asym)
 
 
 def check_psd_pair(x: np.ndarray, f: np.ndarray) -> tuple[bool, float]:

@@ -37,7 +37,14 @@ from gaussnorm.errors import (
     SingularKError,
 )
 from gaussnorm.states import _gibbs_covs, _log_tr_rho_p
-from sampling import random_channel, random_passive_symplectic, random_spd, random_state, random_symplectic
+from sampling import (
+    random_channel,
+    random_covariance,
+    random_passive_symplectic,
+    random_spd,
+    random_state,
+    random_symplectic,
+)
 
 
 def attenuator(tau, s=1):
@@ -537,14 +544,18 @@ class TestDivergenceExponent:
 
 
 def _count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` in every gaussnorm namespace that binds it; return the call counter."""
+    """Wrap ``module.name`` in every gaussnorm namespace that binds it (``np.linalg`` itself for
+    its functions); return the call counter, with the shape of each call's first argument."""
     original = getattr(module, name)
-    counter = {"calls": 0}
+    counter = {"calls": 0, "shapes": []}
 
     def counted(*args, **kwargs):
         counter["calls"] += 1
+        counter["shapes"].append(np.shape(args[0]))
         return original(*args, **kwargs)
 
+    if module is np.linalg:
+        monkeypatch.setattr(module, name, counted)
     for key, ns in list(sys.modules.items()):
         if key == "gaussnorm" or key.startswith("gaussnorm."):
             for attr, value in list(vars(ns).items()):
@@ -616,10 +627,45 @@ class TestOncePerFamilyPipeline:
         )}
         oks, _ = upper_bound_check(channel, states, 2.0)
         assert len(oks) == 100 and all(oks)
-        # the inputs' spectra are cached on the states; the outputs are one stack
+        # validate_state solves no spectrum: the inputs' spectra and the outputs' are one stack
         assert counts["apply_channel"]["calls"] == 0
         assert counts["symplectic_spectrum"]["calls"] == 1
         assert counts["check_psd_hermitian"]["calls"] == 0
+
+    def test_validate_state_one_cholesky_no_spectrum(self, monkeypatch):
+        space = standard_form(2)
+        cov, _ = random_covariance(np.random.default_rng(12), space, d_range=(0.6, 5.0))
+        counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
+            (np.linalg, "cholesky"),
+            (np.linalg, "eigvalsh"),
+            (gaussnorm.symplectic, "symplectic_spectrum"),
+        )}
+        state = validate_state(np.zeros(4), cov, space)
+        # an interior state is certified by the complex Cholesky of alpha + (i/2) Delta alone
+        assert counts["cholesky"]["shapes"] == [(4, 4)]
+        assert counts["eigvalsh"]["calls"] == 0
+        assert counts["symplectic_spectrum"]["calls"] == 0
+        assert "spectrum" not in vars(state)
+
+    def test_upper_bound_check_solves_each_input_once(self, monkeypatch):
+        space = standard_form(2)
+        rng = np.random.default_rng(13)
+        channel = random_channel(rng, space)
+        states = [random_state(rng, space) for _ in range(100)]
+        expected = [symplectic_spectrum(state.cov, space) for state in states]
+        for state in states[:30]:
+            state.spectrum  # these carry their spectrum into the check
+        calls = _count_calls(monkeypatch, gaussnorm.symplectic, "symplectic_spectrum")
+        upper_bound_check(channel, states, 2.0)
+        # 100 outputs and the 70 inputs without a spectrum, in one stack
+        assert calls["shapes"] == [(170, 4, 4)]
+        for state, spectrum in zip(states, expected):
+            np.testing.assert_array_equal(state.spectrum, spectrum)
+        for state in states:
+            schatten_norm(state, 2.0)
+        upper_bound_check(channel, states, math.inf)
+        # schatten_norm reads the filled caches; a second check stacks its outputs only
+        assert calls["shapes"] == [(170, 4, 4), (100, 4, 4)]
 
 
 class TestDeterminantScaling:

@@ -26,6 +26,8 @@ from gaussnorm import (
     standard_form,
     symplectic_spectrum,
     tr_rho_p,
+    upper_bound_check,
+    validate_channel,
     validate_state,
 )
 from gaussnorm.errors import (
@@ -41,6 +43,7 @@ from sampling import (
     random_covariance,
     random_spd,
     random_state,
+    random_passive_symplectic,
     random_symplectic,
 )
 from gaussnorm.states import (
@@ -141,6 +144,86 @@ class TestValidateState:
             assert not ok and err.lambda_min == lam
         else:
             assert ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3]),
+        st.floats(-10.0, 10.0),
+        st.sampled_from([1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6]),
+    )
+    def test_verdict_is_check_psd_pair(self, seed, s, delta, squeeze, scale):
+        # one mode planted at d = (1 + delta)/2, the others at 1/2 + [0, scale); S = O1 Z O2 with
+        # passive O1, O2 and one squeeze at r = squeeze, the rest within it.  The complex Cholesky of
+        # alpha + (i/2) Delta accepts only where check_psd_pair does, and every refusal carries its
+        # lambda_min; the accepted state solves its spectrum on first use
+        rng = np.random.default_rng(seed)
+        space = standard_form(s)
+        d = 0.5 + scale * rng.uniform(0.0, 1.0, s)
+        d[rng.integers(s)] = 0.5 * (1.0 + delta)
+        r = squeeze * rng.uniform(-1.0, 1.0, s)
+        r[rng.integers(s)] = squeeze
+        z = np.diag(np.exp(np.repeat(r, 2) * np.tile([1.0, -1.0], s)))
+        sym = random_passive_symplectic(rng, space) @ z @ random_passive_symplectic(rng, space)
+        cov = sym.T @ np.diag(np.repeat(d, 2)) @ sym
+        cov = 0.5 * (cov + cov.T)
+        ok, lam_min = check_psd_pair(cov, space.delta)
+        try:
+            state = validate_state(np.zeros(2 * s), cov, space)
+        except UncertaintyViolatedError as err:
+            assert not ok and err.lambda_min == lam_min
+            return
+        assert ok and "spectrum" not in vars(state)
+        try:
+            expected = symplectic_spectrum(cov, space)
+        except DomainError:  # accepted within check_psd_pair's slack, with no Cholesky factor
+            with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                state.spectrum
+        else:
+            np.testing.assert_array_equal(state.spectrum, expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdict_on_the_hermitian_part(self, seed):
+        # d_min = (1 + 1e-12)/2, plus an upper-triangle asymmetry 0.99 TOL_SYM max|alpha_ij| that
+        # pushes lambda_min of the Hermitian part below check_psd_pair's slack; Cholesky reads the
+        # lower triangle alone, which still factors, so the verdict must factor the Hermitian part
+        rng = np.random.default_rng(seed)
+        space = standard_form(3)
+        d = np.array([0.5 * (1.0 + 1e-12), 0.9, 1.3])
+        z = np.diag(np.exp(np.repeat(rng.uniform(-1.0, 1.0, 3), 2) * np.tile([1.0, -1.0], 3)))
+        sym = random_passive_symplectic(rng, space) @ z @ random_passive_symplectic(rng, space)
+        cov = sym.T @ np.diag(np.repeat(d, 2)) @ sym
+        cov = 0.5 * (cov + cov.T)
+        null = np.linalg.eigh(cov + 0.5j * space.delta)[1][:, 0]
+        cov += np.triu(-np.sign(np.outer(null.conj(), null).real), 1) * 0.99e-10 * abs(cov).max()
+        np.linalg.cholesky(cov + 0.5j * space.delta)
+        ok, lam_min = check_psd_pair(cov, space.delta)
+        assert not ok
+        with pytest.raises(UncertaintyViolatedError) as err:
+            validate_state(np.zeros(6), cov, space)
+        assert err.value.lambda_min == lam_min
+
+    def test_accepted_without_cholesky_factor_fails_lazily(self):
+        # the pure squeezed vacuum R(0.3) diag(e^36, e^-36) R^T / 2: its float covariance has no
+        # Cholesky factor (det <= 0 after rounding), but lambda_min = 0 is inside check_psd_pair's
+        # slack, so it validates; its spectrum is refused by name on first use, with no numpy warning
+        c, sn = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -sn], [sn, c]])
+        cov = rot @ np.diag([math.exp(36.0), math.exp(-36.0)]) @ rot.T / 2
+        space = standard_form(1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        assert check_psd_pair(cov, space.delta)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            identity = validate_channel(np.eye(2), np.zeros(2), np.zeros((2, 2)), space)
+            for read in (lambda state: state.spectrum, lambda state: schatten_norm(state, 2.0),
+                         lambda state: tr_rho_p(state, 2.0),
+                         lambda state: upper_bound_check(identity, [state], 2.0)):
+                state = validate_state(np.zeros(2), cov, space)
+                with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                    read(state)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -489,6 +572,19 @@ class TestSchattenNorm:
     def test_thermal_infinity(self):
         # largest thermal eigenvalue 1/(N+1) at N = 1
         assert schatten_norm(thermal_state(1.5), math.inf) == pytest.approx(0.5, rel=1e-12)
+
+    def test_infinity_refuses_spectrum_below_half(self):
+        # p = inf applies the kernels' domain test too: a state built around validate_state with
+        # d = 0.1 is refused by both twins with p = 2's text, not read as a largest eigenvalue 1/0.6
+        state = GaussianState(space=standard_form(1), mean=np.zeros(2), cov=0.1 * np.eye(2))
+        message = "^symplectic eigenvalue must be finite and >= 1/2, got 0.1"
+        for p in (2.0, math.inf):
+            with pytest.raises(DomainError, match=message):
+                schatten_norm(state, p)
+            with pytest.raises(DomainError, match=message):
+                _log_schatten_norm(np.array([[0.7], [0.1]]), p)
+        # within TOL_SPEC below 1/2 it reads as the vacuum, as at finite p
+        assert _log_schatten_norm(np.array([[0.5 - 1e-12]]), math.inf)[0] == 0.0
 
     def test_trace_norm_is_one(self):
         rng = np.random.default_rng(43)
