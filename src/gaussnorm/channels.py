@@ -9,8 +9,11 @@ For invertible K the p->p norm is |det K|^(1/p - 1), attained in the
 beta -> 0 limit on Gibbs states; the estimators here certify that limit,
 the upper-bound inequality on sampled Gaussian inputs, and the beta-scaling
 exponents behind the q < p unboundedness.  Each checks its outputs as one
-(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family,
-and upper_bound_check solves its inputs' spectra in the same stack as its outputs.
+(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family
+and forms its outputs K^T alpha(beta) K + mu in one real product on the K-folded basis
+K^T S, and upper_bound_check solves its inputs' spectra in the same stack as its outputs.
+Every Gaussian channel preserves trace, so at q = 1 divergence_exponent solves no output
+spectrum: one batched complex Cholesky certifies that the outputs are states.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from .errors import (
 from .states import (
     GaussianState,
     GibbsFamily,
+    _basis_covs,
+    _certify_uncertainty,
     _check_p,
     _checked_spectra,
-    _gibbs_covs,
     _log_schatten_norm,
     _log_tr_rho_p,
     validate_state,
@@ -198,13 +202,14 @@ def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
     return ds
 
 
-def _sweep_spectra(channel: GaussianChannel, family: GibbsFamily,
+def _sweep_outputs(channel: GaussianChannel, family: GibbsFamily,
                    betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs, outputs): the Gibbs spectra read from the family, and the checked
-    spectra of their channel outputs, one batched eigensolve for the whole grid."""
+    """(inputs, outputs): the Gibbs spectra d = coth(beta e_j)/2 read from the family, and their
+    channel outputs M diag(x, x) M^T + mu, x = e d, on the folded basis M = K^T S; not validated."""
+    if family.space.dim != channel.space.dim:
+        raise DimensionMismatchError("channel and family live on different spaces")
     spectra_in = _gibbs_spectra(family, betas)
-    covs_out = _output_covs(channel, _gibbs_covs(family, betas))
-    return spectra_in, _checked_spectra(covs_out, channel.space)
+    return spectra_in, _basis_covs(channel.K.T @ family.basis, family.spectrum * spectra_in, channel.mu)
 
 
 def _check_betas(betas, descending: bool = False) -> np.ndarray:
@@ -234,8 +239,9 @@ def ratio_sequence(channel: GaussianChannel, family: GibbsFamily, p: float, beta
     _check_p(p)
     log_det = _log_abs_det_K(channel)
     target = _det_power(log_det, 1.0 - p, "target", "1-p")
-    spectra_in, spectra_out = _sweep_spectra(channel, family, betas)
-    log_in, log_out = _log_tr_rho_p(spectra_in, p), _log_tr_rho_p(spectra_out, p)
+    spectra_in, covs_out = _sweep_outputs(channel, family, betas)
+    log_in = _log_tr_rho_p(spectra_in, p)
+    log_out = _log_tr_rho_p(_checked_spectra(covs_out, channel.space), p)
     ratios = np.exp(log_out - log_in)
     rel = np.abs(np.expm1(log_out - log_in - (1.0 - p) * log_det))
     return ConvergenceReport(
@@ -298,14 +304,21 @@ def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float,
 
     Verdict "diverges" requires a fitted slope below -DIVERGENCE_SLOPE and the
     ratio increasing monotonically over the last decade of the descending sweep.
+    At q = 1, log ||Phi[rho_beta]||_1 = 0 for every output that is a state.
     """
     if not (1.0 <= q < p):
         raise QNotLessThanPError(f"need 1 <= q < p, got q={q}, p={p}")
     _check_p(p)
     betas = _check_betas(betas, descending=True)
     _log_abs_det_K(channel)
-    spectra_in, spectra_out = _sweep_spectra(channel, family, betas)
-    log_ratio = _log_tr_rho_p(spectra_out, q) / q - _log_tr_rho_p(spectra_in, p) / p
+    spectra_in, covs_out = _sweep_outputs(channel, family, betas)
+    if q == 1.0:  # trace preserved: ||Phi[rho]||_1 = Tr Phi[rho] = 1
+        check_finite(covs_out, "covariance matrix", float(covs_out.sum()))
+        _certify_uncertainty(covs_out, channel.space)
+        log_out = 0.0
+    else:
+        log_out = _log_tr_rho_p(_checked_spectra(covs_out, channel.space), q) / q
+    log_ratio = log_out - _log_tr_rho_p(spectra_in, p) / p
     slope, resid = _loglog_fit(np.log(betas), log_ratio)
     expected = family.space.s * (1.0 / p - 1.0 / q)
     last_decade = betas <= 10.0 * betas[-1] * (1.0 + 1e-9)

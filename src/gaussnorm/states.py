@@ -13,12 +13,15 @@ and into the covariance alpha g_p(abs(Delta^-1 alpha)) of the normalized
 power state.  Gibbs states of quadratic Hamiltonians R eps R^T are Gaussian
 with covariance (Delta/2) cot(beta eps Delta).
 Both covariances are read from the Williamson basis of a positive definite
-x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H.
+x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H; the
+-e_j columns of W = L^-T U are the conjugates of the +e_j columns, so a Gibbs
+family keeps the real basis S = sqrt(2) [Re W_+, Im W_+].
 validate_state certifies the constraint with one complex Cholesky factor of
-alpha + (i/2) Delta and solves no spectrum; a state computes its own on
-first use, unless upper_bound_check's stack has filled it.  Batches of
-covariances (sampled inputs, a beta grid) are (B, 2s, 2s) stacks: one batched
-spectrum and verdict and one array evaluation of log f_p each.  One state's
+alpha + (i/2) Delta, keeps the symmetric part it factored and solves no
+spectrum; a state computes its own on first use, unless upper_bound_check's
+stack has filled it.  Batches of covariances (sampled inputs, a beta grid)
+are (B, 2s, 2s) stacks: one batched spectrum and verdict, or that Cholesky
+certificate, and one array evaluation of log f_p each.  One state's
 spectrum takes the same form of log f_p a float at a time.
 """
 
@@ -40,6 +43,7 @@ from .symplectic import (
     TOL_SPEC,
     SymplecticSpace,
     _williamson_form,
+    _williamson_spectrum,
     check_finite,
     check_psd_pair,
     check_symmetric,
@@ -52,7 +56,8 @@ class GaussianState:
     """Mean vector and covariance matrix of a Gaussian density operator.
 
     Construct through :func:`validate_state`, which enforces the uncertainty
-    constraint; the fields themselves are not re-checked.
+    constraint and stores a symmetric covariance; the fields themselves are not
+    re-checked.
     """
 
     space: SymplecticSpace
@@ -62,7 +67,7 @@ class GaussianState:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Symplectic spectrum {d_j} of the covariance, solved on first use or by upper_bound_check."""
-        return symplectic_spectrum(self.cov, self.space)
+        return _williamson_spectrum(self.cov, self.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +76,8 @@ class GibbsFamily:
 
     epsilon must be real symmetric positive definite; checked on construction,
     where its Williamson basis is built once for every beta: ``eigenvalues``
-    lam = +-e_j ascending, and ``basis`` W = L^-T U with W^H epsilon W = I.
+    lam = +-e_j ascending, and the real ``basis`` S = sqrt(2) [Re W_+, Im W_+]
+    with S^T epsilon S = I, W_+ = L^-T U_+ the columns of the +e_j.
     """
 
     space: SymplecticSpace
@@ -88,9 +94,10 @@ class GibbsFamily:
         check_symmetric(eps, "epsilon")
         chol, h = _williamson_form(eps, self.space, SingularEpsilonError, "epsilon")
         lam, u = np.linalg.eigh(h)
+        w = np.linalg.solve(chol.T, u[:, self.space.s:])
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "basis", np.linalg.solve(chol.T, u))
+        object.__setattr__(self, "basis", math.sqrt(2.0) * np.hstack((w.real, w.imag)))
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -195,9 +202,9 @@ def g_p(d, p: float):
 def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     """Symplectic spectra (..., s) of covariances (..., 2s, 2s), each held to uncertainty.
 
-    The stacks' verdict (sweep outputs, and upper_bound_check's outputs with its
-    inputs): one batched symplectic_spectrum refuses non-finite and asymmetric
-    matrices, each on its own scale.  For alpha > 0 the constraint holds exactly
+    The stacks' verdict (sweep outputs whose spectra are used, and upper_bound_check's
+    outputs with its inputs): one batched symplectic_spectrum refuses non-finite and
+    asymmetric matrices, each on its own scale.  For alpha > 0 the constraint holds exactly
     when d_min >= 1/2; only members within TOL_SPEC of 1/2, or with no Cholesky
     factor (left as NaN), run check_psd_pair on alpha +- (i/2) Delta >= 0,
     whose one verdict decides and reports lambda_min, as in validate_state.
@@ -226,14 +233,26 @@ def _check_uncertainty(cov: np.ndarray, space: SymplecticSpace) -> None:
         )
 
 
+def _certify_uncertainty(covs: np.ndarray, space: SymplecticSpace) -> None:
+    """Refuse any finite symmetric covariance of (..., 2s, 2s) violating alpha + (i/2) Delta >= 0.
+
+    A complex Cholesky factor of H = alpha + (i/2) Delta certifies lambda_min(H) >=
+    -c n eps ||H||, far inside check_psd_pair's slack, and H > 0 implies alpha > 0; only
+    where the one batched factorization fails does check_psd_pair decide each member.
+    """
+    try:
+        np.linalg.cholesky(covs + 0.5j * space.delta)
+    except np.linalg.LinAlgError:
+        for cov in covs.reshape(-1, space.dim, space.dim):
+            _check_uncertainty(cov, space)
+
+
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Refuses a non-finite mean, and a non-finite or asymmetric covariance.  A
-    complex Cholesky factor of (the Hermitian part of) H = alpha + (i/2) Delta
-    certifies lambda_min(H) >= -c n eps ||H||, far inside check_psd_pair's
-    slack, and H > 0 implies alpha > 0; only where the factorization fails does
-    check_psd_pair decide and report lambda_min.  No spectrum is solved here.
+    Refuses a non-finite mean, and a non-finite or asymmetric covariance.  The
+    state keeps the symmetric part of cov, which _certify_uncertainty judges
+    and every later spectrum reads.
     """
     mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.array(cov, dtype=float)
@@ -243,13 +262,11 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
             f"expected mean ({n},) and cov ({n}, {n}), got {mean.shape} and {cov.shape}"
         )
     check_finite(mean, "mean", sum(mean.tolist()))
-    # Cholesky reads one triangle: an asymmetric cov is factored by its symmetric part,
-    # the matrix check_psd_pair judges
-    sym = cov + 0.5 * (cov.T - cov) if check_symmetric(cov, "covariance matrix") else cov
-    try:
-        np.linalg.cholesky(sym + 0.5j * space.delta)
-    except np.linalg.LinAlgError:
-        _check_uncertainty(cov, space)
+    # Cholesky reads one triangle: an asymmetric cov is replaced by its symmetric part, the
+    # matrix check_psd_pair judges, so no verdict or spectrum depends on which triangle is read
+    if check_symmetric(cov, "covariance matrix"):
+        cov = cov + 0.5 * (cov.T - cov)
+    _certify_uncertainty(cov, space)
     return GaussianState(space=space, mean=mean, cov=cov)
 
 
@@ -307,22 +324,26 @@ def power_char_function(state: GaussianState, p: float, z) -> complex:
     )
 
 
+def _basis_covs(basis: np.ndarray, x: np.ndarray, shift=0.0) -> np.ndarray:
+    """basis diag(x_b, x_b) basis^T + shift, symmetrised, per row x_b of x (B, s): a (B, 2s, 2s) stack."""
+    covs = (basis * np.concatenate((x, x), axis=-1)[:, None, :]) @ basis.T + shift
+    return 0.5 * (covs + covs.swapaxes(-1, -2))
+
+
 def _gibbs_covs(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
-    """Gibbs covariances alpha = Re(W diag(lam coth(beta lam)/2) W^H) as a (B, 2s, 2s) stack,
-    one per beta, on the family's Williamson basis; not validated."""
-    lam, w = family.eigenvalues, family.basis
-    # where beta lam underflows the stack holds inf or NaN, which the callers' checks refuse
+    """Gibbs covariances alpha = S diag(x, x) S^T, x_j = e_j coth(beta e_j)/2, as a (B, 2s, 2s)
+    stack, one per beta, on the family's real Williamson basis; not validated."""
+    e = family.spectrum
+    # where beta e underflows the stack holds inf or NaN, which the callers' checks refuse
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = 0.5 * lam / np.tanh(np.multiply.outer(betas, lam))
-        alpha = ((w * x[:, None, :]) @ w.conj().T).real
-    return 0.5 * (alpha + alpha.swapaxes(-1, -2))
+        return _basis_covs(family.basis, 0.5 * e / np.tanh(np.multiply.outer(betas, e)))
 
 
 def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
     """Gibbs state at inverse temperature beta: mean 0, alpha = (Delta/2) cot(beta eps Delta).
 
-    alpha = Re(W diag(lam coth(beta lam)/2) W^H) on the family's Williamson
-    basis, the one-beta case of the sweep estimators' stack; validate_state runs on it.
+    alpha = S diag(x, x) S^T, x_j = e_j coth(beta e_j)/2, on the family's real
+    Williamson basis, the one-beta case of _gibbs_covs; validate_state runs on it.
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"inverse temperature must be positive and finite, got {beta}")

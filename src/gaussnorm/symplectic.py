@@ -158,21 +158,29 @@ def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: s
     return chol, -1j * (chol.swapaxes(-1, -2) @ space.delta @ chol)  # Delta^-1 = -Delta
 
 
+def _williamson_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
+    # symplectic spectra (..., s), ascending, of covariances (..., 2s, 2s) already known finite
+    # and symmetric (Cholesky reads the lower triangle alone); each +-d_j pair of the Williamson
+    # form's eigenvalues is averaged into one d_j, halved before the difference so that it
+    # cannot overflow; a failed Cholesky factorization of any matrix raises DomainError
+    w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
+    w *= 0.5
+    return w[..., space.s:] - w[..., space.s - 1::-1]
+
+
 def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     """Symplectic spectrum {d_j} of a positive definite covariance, ascending.
 
     ``alpha`` may be a stack (..., 2s, 2s); the spectra come back as (..., s).
-    Each +-d_j pair of the Williamson form's eigenvalues is averaged into one
-    d_j, halved before the difference so that it cannot overflow.  A failed
-    Cholesky factorization of any matrix raises DomainError.
+    Refuses a wrong shape, and non-finite or asymmetric matrices, before the
+    Williamson kernel runs; a failed Cholesky factorization of any matrix
+    raises DomainError.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
-    w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
-    w *= 0.5
-    return w[..., space.s:] - w[..., space.s - 1::-1]
+    return _williamson_spectrum(alpha, space)
 
 
 def _cot(z: complex) -> complex:

@@ -27,7 +27,15 @@ from gaussnorm import (
     validate_channel,
     validate_state,
 )
-from gaussnorm.channels import _gibbs_spectra, cp_check
+from gaussnorm.channels import (
+    DIVERGENCE_SLOPE,
+    GaussianChannel,
+    _gibbs_spectra,
+    _loglog_fit,
+    _output_covs,
+    _sweep_outputs,
+    cp_check,
+)
 from gaussnorm.errors import (
     DimensionMismatchError,
     DomainError,
@@ -35,11 +43,15 @@ from gaussnorm.errors import (
     NumericalOverflowError,
     QNotLessThanPError,
     SingularKError,
+    UncertaintyViolatedError,
 )
-from gaussnorm.states import _gibbs_covs, _log_tr_rho_p
+from gaussnorm.states import _certify_uncertainty, _checked_spectra, _gibbs_covs, _log_tr_rho_p
+from gaussnorm.symplectic import check_psd_pair
 from sampling import (
+    cp_threshold_mu,
     random_channel,
     random_covariance,
+    random_invertible_k,
     random_passive_symplectic,
     random_spd,
     random_state,
@@ -586,11 +598,13 @@ class TestOncePerFamilyPipeline:
         # the beta grid is one (17, 4, 4) stack: no Gibbs state, no per-state validation
         assert counts["gibbs_state"]["calls"] == 0
         assert counts["validate_state"]["calls"] == 0
-        # one spectrum per sweep, of the channel outputs, in ratio_sequence and
-        # divergence_exponent; every sweep reads the inputs' coth(beta e_j)/2 from the family
-        assert counts["symplectic_spectrum"]["calls"] == 2
-        # one symmetry and finiteness test per output stack, plus epsilon's and the channel's mu
-        assert counts["check_symmetric"]["calls"] == 2 + 2
+        # one spectrum stack, of ratio_sequence's channel outputs; divergence_exponent at q = 1
+        # certifies its outputs with no spectrum, and every sweep reads the inputs'
+        # coth(beta e_j)/2 from the family
+        assert counts["symplectic_spectrum"]["shapes"] == [(17, 4, 4)]
+        # one symmetry and finiteness test for that stack, plus epsilon's and the channel's mu;
+        # the q = 1 outputs are symmetric by construction and tested for finiteness alone
+        assert counts["check_symmetric"]["calls"] == 1 + 2
         # only the attenuator's one CP eigensolve; every state is decided by its spectrum
         assert counts["check_psd_hermitian"]["calls"] == 1
 
@@ -666,6 +680,142 @@ class TestOncePerFamilyPipeline:
         upper_bound_check(channel, states, math.inf)
         # schatten_norm reads the filled caches; a second check stacks its outputs only
         assert calls["shapes"] == [(170, 4, 4), (100, 4, 4)]
+
+    def test_divergence_solves_output_spectra_only_off_q_one(self, monkeypatch):
+        family = GibbsFamily(standard_form(2), np.diag([1.0, 1.0, 1.7, 1.7]))
+        channel = attenuator(0.5, s=2)
+        betas = np.geomspace(1e-1, 1e-5, 17)
+        calls = {name: _count_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "cholesky")}
+        divergence_exponent(channel, family, 1.0, 2.0, betas)
+        # q = 1: ||Phi[rho_beta]||_1 = 1, and one batched Cholesky certifies the outputs
+        assert calls["eigvalsh"]["shapes"] == []
+        assert calls["cholesky"]["shapes"] == [(17, 4, 4)]
+        divergence_exponent(channel, family, 1.5, 2.0, betas)
+        assert calls["eigvalsh"]["shapes"] == [(17, 4, 4)]
+
+
+def _sweep_case(seed, s, scale, negative, squeeze):
+    """A family eps = scale * S^T diag(e_j) S with S = O1 Z O2 (passive O1, O2, squeezes |r_j| <=
+    squeeze) and a channel with well-conditioned K, det K < 0 when ``negative``, mu = c I above
+    the CP threshold."""
+    rng = np.random.default_rng(seed)
+    space = standard_form(s)
+    e = rng.uniform(0.3, 3.0, s)
+    r = squeeze * rng.uniform(-1.0, 1.0, s)
+    z = np.diag(np.exp(np.repeat(r, 2) * np.tile([1.0, -1.0], s)))
+    sym = random_passive_symplectic(rng, space) @ z @ random_passive_symplectic(rng, space)
+    eps = scale * (sym.T @ np.diag(np.repeat(e, 2)) @ sym)
+    family = GibbsFamily(space, 0.5 * (eps + eps.T))
+    k = random_invertible_k(rng, space, float(np.exp(rng.uniform(-2.0, 2.0))), allow_reflection=False)
+    if negative:
+        k = k @ np.diag([-1.0] + [1.0] * (2 * s - 1))
+    mu = cp_threshold_mu(space, k) * (1.0 + 0.1 * rng.random()) * np.eye(2 * s)
+    return space, family, validate_channel(k, np.zeros(2 * s), mu, space)
+
+
+SWEEP_CASES = dict(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 8),
+                   scale=st.sampled_from([1e-13, 1e-9, 1e-3, 1.0, 1e3]), negative=st.booleans(),
+                   squeeze=st.floats(0.0, 1.0))
+BETAS = np.geomspace(1e-1, 1e-5, 17)
+
+
+def _max_rel(got, ref):
+    # the largest entry error of each member, against that member's largest entry
+    n = ref.shape[-1]
+    return float((abs(got - ref).reshape(-1, n * n).max(axis=1)
+                  / abs(ref).reshape(-1, n * n).max(axis=1)).max())
+
+
+class TestRealFoldedSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(**SWEEP_CASES)
+    def test_real_basis_is_the_complex_williamson_sum(self, seed, s, scale, negative, squeeze):
+        # alpha(beta) = Re(W diag(lam coth(beta lam)/2) W^H) over all 2s columns of W = L^-T U,
+        # rebuilt here, against S diag(x, x) S^T on the +e_j columns alone
+        space, family, _ = _sweep_case(seed, s, scale, negative, squeeze)
+        chol = np.linalg.cholesky(family.epsilon)
+        lam, u = np.linalg.eigh(-1j * (chol.T @ space.delta @ chol))
+        w = np.linalg.solve(chol.T, u)
+        x = 0.5 * lam / np.tanh(np.multiply.outer(BETAS, lam))
+        ref = ((w * x[:, None, :]) @ w.conj().T).real
+        assert family.basis.dtype == np.float64
+        assert _max_rel(_gibbs_covs(family, BETAS), ref) <= 1e-13
+        gram = family.basis.T @ family.epsilon @ family.basis
+        assert abs(gram - np.eye(2 * s)).max() <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SWEEP_CASES)
+    def test_folded_stack_is_the_channel_output(self, seed, s, scale, negative, squeeze):
+        _, family, channel = _sweep_case(seed, s, scale, negative, squeeze)
+        assert (np.linalg.det(channel.K) < 0.0) == negative
+        spectra_in, covs = _sweep_outputs(channel, family, BETAS)
+        np.testing.assert_array_equal(spectra_in, _gibbs_spectra(family, BETAS))
+        assert _max_rel(covs, _output_covs(channel, _gibbs_covs(family, BETAS))) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SWEEP_CASES, p=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_q_one_is_minus_the_scaling_law(self, seed, s, scale, negative, squeeze, p):
+        # log ||Phi[rho_beta]||_1 = 0, so the fit is the scaling fit negated, bit for bit; the
+        # verdict is the one the outputs' spectra give
+        space, family, channel = _sweep_case(seed, s, scale, negative, squeeze)
+        fit = divergence_exponent(channel, family, 1.0, p, BETAS)
+        law = scaling_exponent(family, p, BETAS)
+        assert fit.slope == -law.slope and fit.residual == law.residual
+        spectra_in, covs = _sweep_outputs(channel, family, BETAS)
+        log_ratio = (_log_tr_rho_p(_checked_spectra(covs, space), 1.0)
+                     - _log_tr_rho_p(spectra_in, p) / p)
+        slope = _loglog_fit(np.log(BETAS), log_ratio)[0]
+        assert abs(slope - fit.slope) <= 1e-12 * abs(fit.slope)
+        monotone = bool(np.all(np.diff(log_ratio[BETAS <= 10.0 * BETAS[-1] * (1.0 + 1e-9)]) > 0.0))
+        verdict = "diverges" if slope < -DIVERGENCE_SLOPE and monotone else "bounded"
+        assert fit.verdict == verdict
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SWEEP_CASES, member=st.integers(0, 16), delta=st.sampled_from([1e-3, 0.1, 0.5]))
+    def test_certificate_refuses_one_violating_member(self, seed, s, scale, negative, squeeze,
+                                                      member, delta):
+        # a member with d_min = (1 - delta)/2, squeezed, amid valid channel outputs: the stack is
+        # refused with check_psd_pair's lambda_min for it, as the spectrum route refuses it
+        space, family, channel = _sweep_case(seed, s, scale, negative, squeeze)
+        covs = _sweep_outputs(channel, family, BETAS)[1]
+        _certify_uncertainty(covs, space)
+        rng = np.random.default_rng(seed)
+        d = 0.5 + rng.uniform(0.0, 2.0, s)
+        d[0] = 0.5 * (1.0 - delta)
+        sym = random_symplectic(rng, space, scale=squeeze)
+        bad = sym.T @ np.diag(np.repeat(d, 2)) @ sym
+        covs[member] = 0.5 * (bad + bad.T)
+        ok, lam_min = check_psd_pair(covs[member], space.delta)
+        assert not ok
+        for route in (_certify_uncertainty, _checked_spectra):
+            with pytest.raises(UncertaintyViolatedError) as err:
+                route(covs, space)
+            assert err.value.lambda_min == lam_min
+
+    def test_violating_channel_refused_alike_at_every_q(self):
+        # mu below the CP threshold, built around validate_channel: the near-vacuum outputs at
+        # large beta violate uncertainty, and q = 1 refuses the first of them as q = 1.5 does
+        space, family, channel = _sweep_case(3, 2, 1.0, True, 0.5)
+        broken = GaussianChannel(space=space, K=channel.K, l=channel.l, mu=0.0 * channel.mu)
+        betas = np.geomspace(1e1, 1e-5, 19)
+        covs = _sweep_outputs(broken, family, betas)[1]
+        verdicts = [check_psd_pair(cov, space.delta) for cov in covs]
+        first = next(lam for ok, lam in verdicts if not ok)
+        for q in (1.0, 1.5):
+            with pytest.raises(UncertaintyViolatedError) as err:
+                divergence_exponent(broken, family, q, 2.0, betas)
+            assert err.value.lambda_min == first
+
+    def test_non_finite_outputs_refused_by_name(self):
+        # K^T alpha K overflows for K = 1e152 I (mu = 1e304 I keeps the channel CP): both routes
+        # refuse the output stack as not finite, never as a failed factorization
+        space = standard_form(1)
+        channel = validate_channel(1e152 * np.eye(2), np.zeros(2), 1e304 * np.eye(2), space)
+        family = GibbsFamily(space, np.eye(2))
+        for q in (1.0, 1.5):
+            with np.errstate(over="ignore"), pytest.raises(DomainError,
+                                                           match="^covariance matrix must be finite$"):
+                divergence_exponent(channel, family, q, 2.0, BETAS)
 
 
 class TestDeterminantScaling:

@@ -204,6 +204,23 @@ class TestValidateState:
             validate_state(np.zeros(6), cov, space)
         assert err.value.lambda_min == lam_min
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spectrum_independent_of_the_triangle_holding_an_asymmetry(self, seed):
+        # an admitted asymmetry of 0.99 TOL_SYM max|alpha_ij| in the upper or in the lower triangle:
+        # the state keeps the symmetric part, so both give one spectrum (a spectrum of one triangle
+        # moved them apart by up to 3e-7 relative on these seeds)
+        rng = np.random.default_rng(seed)
+        space = standard_form(3)
+        d = np.array([0.5000005, 0.9, 1.3])
+        z = np.diag(np.exp(np.repeat(rng.uniform(-2.5, 2.5, 3), 2) * np.tile([1.0, -1.0], 3)))
+        sym = random_passive_symplectic(rng, space) @ z @ random_passive_symplectic(rng, space)
+        cov = sym.T @ np.diag(np.repeat(d, 2)) @ sym
+        cov = 0.5 * (cov + cov.T)
+        upper = np.triu(rng.choice([-1.0, 1.0], (6, 6)), 1) * 0.99e-10 * abs(cov).max()
+        spectra = [validate_state(np.zeros(6), cov + a, space).spectrum for a in (upper, upper.T)]
+        np.testing.assert_allclose(spectra[0], spectra[1], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(spectra[0], d, rtol=1e-6)
+
     def test_accepted_without_cholesky_factor_fails_lazily(self):
         # the pure squeezed vacuum R(0.3) diag(e^36, e^-36) R^T / 2: its float covariance has no
         # Cholesky factor (det <= 0 after rounding), but lambda_min = 0 is inside check_psd_pair's
