@@ -209,7 +209,9 @@ def _sweep_outputs(channel: GaussianChannel, family: GibbsFamily,
     if family.space.dim != channel.space.dim:
         raise DimensionMismatchError("channel and family live on different spaces")
     spectra_in = _gibbs_spectra(family, betas)
-    return spectra_in, _basis_covs(channel.K.T @ family.basis, family.spectrum * spectra_in, channel.mu)
+    # outputs that leave the double range hold inf or NaN, which the callers refuse by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spectra_in, _basis_covs(channel.K.T @ family.basis, family.spectrum * spectra_in, channel.mu)
 
 
 def _check_betas(betas, descending: bool = False) -> np.ndarray:
@@ -267,7 +269,7 @@ def upper_bound_check(
     log_bound = _norm_exponent(p) * _log_abs_det_K(channel)
     if not states:
         return [], math.inf
-    if any(state.space.dim != channel.space.dim for state in states):
+    if any(space.dim != channel.space.dim for space in {state.space for state in states}):
         raise DimensionMismatchError("channel and state live on different spaces")
     means = np.array([state.mean for state in states]) @ channel.K + channel.l
     check_finite(means, "mean", float(abs(means).max()))
@@ -275,10 +277,14 @@ def upper_bound_check(
     # the inputs without a cached spectrum ride in the outputs' stack and fill their caches
     todo = [i for i, state in enumerate(states) if "spectrum" not in vars(state)]
     spectra = _checked_spectra(np.concatenate((_output_covs(channel, covs), covs[todo])), channel.space)
-    for i, spectrum in zip(todo, spectra[len(states):]):
-        if not math.isnan(spectrum[0]):  # NaN: no Cholesky factor; state.spectrum raises below
+    spectra_in = spectra[len(states):]
+    solved = ~np.isnan(spectra_in[:, 0])  # NaN: no Cholesky factor; state.spectrum raises below
+    for i, spectrum, ok in zip(todo, spectra_in, solved.tolist()):
+        if ok:
             object.__setattr__(states[i], "spectrum", spectrum)  # fills the cached property
-    log_in = _log_schatten_norm(np.array([state.spectrum for state in states]), p)
+    if len(todo) < len(states) or not solved.all():  # else the stack's rows are every input's spectrum
+        spectra_in = np.array([state.spectrum for state in states])
+    log_in = _log_schatten_norm(spectra_in, p)
     ratios = np.exp(_log_schatten_norm(spectra[:len(states)], p) - log_in - log_bound)
     return (ratios <= 1.0 + slack).tolist(), float((1.0 + slack - ratios).min())
 
@@ -313,7 +319,7 @@ def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float,
     _log_abs_det_K(channel)
     spectra_in, covs_out = _sweep_outputs(channel, family, betas)
     if q == 1.0:  # trace preserved: ||Phi[rho]||_1 = Tr Phi[rho] = 1
-        check_finite(covs_out, "covariance matrix", float(covs_out.sum()))
+        check_finite(covs_out, "covariance matrix", float(abs(covs_out).max()))
         _certify_uncertainty(covs_out, channel.space)
         log_out = 0.0
     else:

@@ -89,7 +89,9 @@ def _resolve_sweep(args, sweep: SweepSpec | None) -> tuple[SweepSpec, np.ndarray
              if getattr(args, f.name, None) is not None}
     if "p" in given:
         given["p"] = _parse_p(given["p"])
-    sweep = dataclasses.replace(sweep or SweepSpec(), **given)
+    sweep = sweep or SweepSpec()
+    if given:  # replace re-runs every check of SweepSpec, epsilon's entries included
+        sweep = dataclasses.replace(sweep, **given)
     return sweep, np.geomspace(sweep.beta_start, sweep.beta_stop, sweep.points)
 
 

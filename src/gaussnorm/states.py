@@ -218,9 +218,9 @@ def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
             spectra = [_checked_spectra(cov, space) for cov in covs.reshape(-1, space.dim, space.dim)]
             return np.reshape(spectra, covs.shape[:-2] + (space.s,))
         spectra = np.full(space.s, math.nan)
-    for i, d_min in enumerate(spectra.reshape(-1, space.s)[:, 0].tolist()):
-        if not d_min >= 0.5 + TOL_SPEC * d_min:
-            _check_uncertainty(covs.reshape(-1, space.dim, space.dim)[i], space)
+    d_min = spectra.reshape(-1, space.s)[:, 0]
+    for i in np.flatnonzero(~(d_min >= 0.5 + TOL_SPEC * d_min)).tolist():
+        _check_uncertainty(covs.reshape(-1, space.dim, space.dim)[i], space)
     return spectra
 
 
@@ -241,7 +241,7 @@ def _certify_uncertainty(covs: np.ndarray, space: SymplecticSpace) -> None:
     where the one batched factorization fails does check_psd_pair decide each member.
     """
     try:
-        np.linalg.cholesky(covs + 0.5j * space.delta)
+        np.linalg.cholesky(covs + space._half_i_delta)
     except np.linalg.LinAlgError:
         for cov in covs.reshape(-1, space.dim, space.dim):
             _check_uncertainty(cov, space)

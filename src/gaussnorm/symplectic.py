@@ -25,6 +25,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,14 +66,25 @@ class SymplecticSpace:
         # Delta^2 = -I in this basis, so the inverse is -Delta.
         return -self.delta
 
+    @cached_property
+    def _half_i_delta(self) -> np.ndarray:
+        # (i/2) Delta, built on first use and shared by every state of the space: read-only
+        h = 0.5j * self.delta
+        h.flags.writeable = False
+        return h
+
 
 def standard_form(s: int) -> SymplecticSpace:
     """Build the standard s-mode symplectic space, ordering (q1, p1, q2, p2, ...)."""
     if s < 1:
         raise DomainError(f"mode count must be a positive integer, got {s}")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    delta = np.kron(np.eye(s), block)
-    return SymplecticSpace(s=int(s), delta=delta)
+    # the 2x2 blocks [[0, 1], [-1, 0]] on the diagonal; the (q, p) and (p, q) entries of
+    # block (i, j) are I_ij and -I_ij, so the zeros carry the signs of kron(I, block)
+    eye = np.eye(s)
+    delta = np.zeros((s, 2, s, 2))
+    delta[:, 0, :, 1] = eye
+    delta[:, 1, :, 0] = -eye
+    return SymplecticSpace(s=int(s), delta=delta.reshape(2 * s, 2 * s))
 
 
 def spectral_decomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,7 +228,13 @@ def check_symmetric(x: np.ndarray, what: str) -> float:
 
     For a stack (..., n, n) each matrix is held to its own max |x_ij|.  Returns the
     largest asymmetry max |x_ij - x_ji| it admitted, 0.0 when every matrix is exactly symmetric.
+    An exactly symmetric finite input, the common case, is answered by an exact pre-test
+    (x == x^T and every entry finite) before any tolerance is formed; NaN, inf and any
+    asymmetry take the tolerance path.
     """
+    # x - x^T is exactly zero here, so the tolerance path would return 0.0 too
+    if (x == x.swapaxes(-1, -2)).all() and np.isfinite(x).all():
+        return 0.0
     # per-matrix maxima over rows of n^2 entries, compared as floats: on one small
     # matrix this costs about what the two full reductions of a single check do
     n = x.shape[-1]

@@ -681,6 +681,51 @@ class TestOncePerFamilyPipeline:
         # schatten_norm reads the filled caches; a second check stacks its outputs only
         assert calls["shapes"] == [(170, 4, 4), (100, 4, 4)]
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    def test_upper_bound_check_reads_back_its_stack(self, p):
+        # with every input solved in the stack, log ||rho||_p is read from the stack's rows; it
+        # must give the bits of the per-state route, taken when some input is cached already
+        space = standard_form(2)
+        rng = np.random.default_rng(17)
+        channel = random_channel(rng, space)
+        pairs = [(state.mean, state.cov) for state in (random_state(rng, space) for _ in range(40))]
+        results = []
+        for cached in (0, 1, 13, 40):
+            states = [validate_state(mean, cov, space) for mean, cov in pairs]
+            for state in states[:cached]:
+                state.spectrum
+            results.append(upper_bound_check(channel, states, p))
+            if cached == 0:
+                solved = [state.spectrum for state in states]
+        assert all(result == results[0] for result in results)
+        for state, spectrum in zip(states, solved):
+            assert state.spectrum.tobytes() == spectrum.tobytes()
+        log_in = gaussnorm.states._log_schatten_norm(np.array(solved), p)
+        covs_out = _output_covs(channel, np.array([cov for _, cov in pairs]))
+        log_out = gaussnorm.states._log_schatten_norm(symplectic_spectrum(covs_out, space), p)
+        ratios = np.exp(log_out - log_in - gaussnorm.channels._norm_exponent(p)
+                        * gaussnorm.channels._log_abs_det_K(channel))
+        assert results[0] == ((ratios <= 1.0 + 1e-10).tolist(), float((1.0 + 1e-10 - ratios).min()))
+
+    def test_upper_bound_check_input_without_factor_fails_lazily(self):
+        # the r = 18 squeezed vacuum validates but has no Cholesky factor: among solved inputs,
+        # cached or not, the check still raises from its spectrum, by name
+        c, sn = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -sn], [sn, c]])
+        squeezed = rot @ np.diag([math.exp(36.0), math.exp(-36.0)]) @ rot.T / 2
+        space = standard_form(1)
+        identity = validate_channel(np.eye(2), np.zeros(2), np.zeros((2, 2)), space)
+        for cached in (0, 2):
+            states = [validate_state(np.zeros(2), cov, space)
+                      for cov in (np.eye(2), 2.0 * np.eye(2), squeezed, 3.0 * np.eye(2))]
+            for state in states[:cached]:
+                state.spectrum
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                    upper_bound_check(identity, states, 2.0)
+            assert "spectrum" in vars(states[3]) and "spectrum" not in vars(states[2])
+
     def test_divergence_solves_output_spectra_only_off_q_one(self, monkeypatch):
         family = GibbsFamily(standard_form(2), np.diag([1.0, 1.0, 1.7, 1.7]))
         channel = attenuator(0.5, s=2)
@@ -808,14 +853,30 @@ class TestRealFoldedSweep:
 
     def test_non_finite_outputs_refused_by_name(self):
         # K^T alpha K overflows for K = 1e152 I (mu = 1e304 I keeps the channel CP): both routes
-        # refuse the output stack as not finite, never as a failed factorization
+        # refuse the output stack as not finite, never as a failed factorization, and with no
+        # numpy warning on the way
         space = standard_form(1)
         channel = validate_channel(1e152 * np.eye(2), np.zeros(2), 1e304 * np.eye(2), space)
         family = GibbsFamily(space, np.eye(2))
-        for q in (1.0, 1.5):
-            with np.errstate(over="ignore"), pytest.raises(DomainError,
-                                                           match="^covariance matrix must be finite$"):
-                divergence_exponent(channel, family, q, 2.0, BETAS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep in (lambda: ratio_sequence(channel, family, 1.5, BETAS),
+                          lambda: ratio_sequence(channel, family, 2.0, BETAS),
+                          lambda: divergence_exponent(channel, family, 1.0, 2.0, BETAS),
+                          lambda: divergence_exponent(channel, family, 1.5, 2.0, BETAS)):
+                with pytest.raises(DomainError, match="^covariance matrix must be finite$"):
+                    sweep()
+
+    def test_finite_outputs_whose_sum_overflows(self):
+        # mu = 1e307 I: every output entry is finite but their sum is not; q = 1 tests finiteness
+        # on the largest entry and ends like q = 1.5, with no numpy warning
+        space = standard_form(1)
+        channel = validate_channel(np.eye(2), np.zeros(2), 1e307 * np.eye(2), space)
+        family = GibbsFamily(space, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in (1.0, 1.5):
+                assert divergence_exponent(channel, family, q, 2.0, BETAS).verdict == "diverges"
 
 
 class TestDeterminantScaling:

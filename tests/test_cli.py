@@ -127,6 +127,19 @@ class TestConfigRoundTrip:
         assert err.startswith("error: need beta_start > beta_stop > 0, both finite")
         assert err.count("error:") == 1 and not (tmp_path / "never.csv").exists()
 
+    @pytest.mark.parametrize("command", ["converge", "scaling"])
+    def test_sweep_checked_once_without_options(self, command, tmp_path, monkeypatch):
+        # the config's sweep is used as parsed; only a command-line option builds a second one
+        cfg = write_config(tmp_path / "att.json", attenuator_spec(),
+                           SweepSpec(output_path=str(tmp_path / "r.csv")))
+        checks = []
+        original = SweepSpec.__post_init__
+        monkeypatch.setattr(SweepSpec, "__post_init__", lambda self: checks.append(original(self)))
+        assert main([command, cfg]) == 0
+        assert len(checks) == 1
+        assert main([command, cfg, "--points", "5"]) == 0
+        assert len(checks) == 3
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"channel": {"s": 1, "K": [1, 0, 0, 1],
@@ -388,6 +401,17 @@ class TestCmdScaling:
         out = capsys.readouterr().out
         assert "verdict = diverges" in out
         assert "expected = -0.5" in out
+
+    @pytest.mark.parametrize("args", [["converge"], ["scaling", "--q", "1"], ["scaling", "--q", "1.5"]])
+    def test_overflowing_outputs_one_error_line(self, args, tmp_path, capsys):
+        # K = 1e152 I, mu = 1e304 I is CP, but its sweep outputs leave the double range: the
+        # refusal is the only line on stderr, with numpy warnings raised as errors
+        spec = ChannelSpec(s=1, K=[1e152, 0.0, 0.0, 1e152], l=[0.0, 0.0], mu=[1e304, 0.0, 0.0, 1e304])
+        cfg = write_config(tmp_path / "big.json", spec, SweepSpec(output_path=str(tmp_path / "r.csv")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([args[0], cfg] + args[1:]) == 1
+        assert capsys.readouterr().err == "error: covariance matrix must be finite\n"
 
     def test_grid_under_two_decades_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "att.json", attenuator_spec())

@@ -1,5 +1,8 @@
 """Symplectic space construction and the matrix-function kernels."""
 
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +21,20 @@ from gaussnorm.errors import (
     ImagResidualError,
     NonDiagonalizableError,
     NotHermitianError,
+    NotSymmetricError,
     SpectralPoleError,
     SpectrumNotImaginaryError,
 )
 from sampling import random_channel, random_covariance, random_spd, random_symplectic
-from gaussnorm.symplectic import PSD_SLACK, TOL_RECONSTRUCT, TOL_SPEC, TOL_SYM, check_psd_pair
+from gaussnorm.symplectic import (
+    PSD_SLACK,
+    TOL_RECONSTRUCT,
+    TOL_SPEC,
+    TOL_SYM,
+    check_finite,
+    check_psd_pair,
+    check_symmetric,
+)
 
 
 BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -56,6 +68,18 @@ class TestStandardForm:
         np.testing.assert_array_equal(space.delta @ space.delta, -np.eye(2 * s))
         assert np.linalg.det(space.delta) == pytest.approx(1.0)
         np.testing.assert_array_equal(space.delta_inv, -space.delta)
+        # the block construction is kron(I, block) to the byte, signed zeros included
+        assert space.delta.tobytes() == np.kron(np.eye(s), BLOCK).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 3, 16])
+    def test_half_i_delta_shared_and_read_only(self, s):
+        space = standard_form(s)
+        h = space._half_i_delta
+        assert space._half_i_delta is h
+        assert h.dtype == np.complex128 and h.tobytes() == (0.5j * space.delta).tobytes()
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 1] = 0.0
 
 
 class TestApplySpectralFunction:
@@ -278,3 +302,70 @@ class TestCheckPsdHermitian:
             reference = [check_psd_hermitian(h, tol=PSD_SLACK * abs(h).max())
                          for h in (x + 0.5j * f, x - 0.5j * f)]
             assert all(check_psd_pair(x, f) == branch for branch in reference)
+
+
+def _check_symmetric_ref(x, what):
+    # check_symmetric as it was before its exact pre-test, verbatim: the reference it must match
+    n = x.shape[-1]
+    scale = abs(x).reshape(-1, n * n).max(axis=1).tolist()
+    check_finite(x, what, sum(scale))
+    asym = abs(x - x.swapaxes(-1, -2)).reshape(-1, n * n).max(axis=1).tolist()
+    if any(map(operator.gt, asym, [TOL_SYM * m for m in scale])):
+        raise NotSymmetricError(f"{what} is not symmetric within tolerance")
+    return max(asym)
+
+
+def _outcome(check, x):
+    # the return value, or the exception's class and message; a numpy warning counts as one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "returned", check(x.copy(), "covariance matrix")
+        except Exception as exc:  # every outcome is compared, whatever it is
+            return type(exc), str(exc)
+
+
+CASES = ["symmetric", "asym 0.5", "asym 0.99", "asym 1.01", "signed zero", "subnormal", "huge",
+         "huge asym 0.99", "huge asym 1.01", "nan one", "nan both", "inf both", "-inf both",
+         "inf one"]
+
+
+class TestCheckSymmetric:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([None, 1, 2, 5, 8]),
+           st.sampled_from(CASES), st.integers(0, 7), st.booleans())
+    def test_matches_tolerance_path(self, seed, s, batch, case, member, diagonal):
+        # single matrices and stacks with one member altered: exactly symmetric, asymmetric at
+        # 0.5, 0.99 and 1.01 TOL_SYM max|x_ij|, +-0.0 pairs, subnormal or near-1e308 entries,
+        # NaN in one triangle or both, +-inf in both or one; the pre-test changes no outcome
+        rng = np.random.default_rng(seed)
+        n = 2 * s
+        a = rng.standard_normal((batch or 1, n, n))
+        x = a + a.swapaxes(-1, -2)
+        m = member % len(x)
+        k = int(rng.integers(n))
+        i, j = k, (k + 1) % n  # an off-diagonal pair; NaN and inf may sit on the diagonal instead
+        if case == "subnormal":
+            x *= 1e-310
+        elif case.startswith("huge"):
+            x = x / abs(x).max() * 1.7e308
+        if "asym" in case:
+            x[m, i, j] += float(case.split()[-1]) * TOL_SYM * abs(x[m]).max()
+        elif case == "signed zero":
+            x[m, 0, 1], x[m, 1, 0] = 0.0, -0.0
+            x[m, -1, 0], x[m, 0, -1] = -0.0, 0.0
+        elif case.startswith("nan"):
+            j = i if diagonal else j
+            x[m, i, j] = np.nan
+            if case == "nan both":
+                x[m, j, i] = np.nan
+        elif case.startswith(("inf", "-inf")):
+            j = i if diagonal else j
+            x[m, i, j] = float(case.split()[0])
+            if case.endswith("both"):
+                x[m, j, i] = x[m, i, j]
+        x = x[0] if batch is None else x
+        got, ref = _outcome(check_symmetric, x), _outcome(_check_symmetric_ref, x)
+        assert got == ref
+        if got[0] == "returned":
+            assert np.signbit(got[1]) == np.signbit(ref[1])
