@@ -277,14 +277,10 @@ def upper_bound_check(
     # the inputs without a cached spectrum ride in the outputs' stack and fill their caches
     todo = [i for i, state in enumerate(states) if "spectrum" not in vars(state)]
     spectra = _checked_spectra(np.concatenate((_output_covs(channel, covs), covs[todo])), channel.space)
-    spectra_in = spectra[len(states):]
-    solved = ~np.isnan(spectra_in[:, 0])  # NaN: no Cholesky factor; state.spectrum raises below
-    for i, spectrum, ok in zip(todo, spectra_in, solved.tolist()):
-        if ok:
+    for i, spectrum in zip(todo, spectra[len(states):]):
+        if not math.isnan(spectrum[0]):  # NaN: no Cholesky factor; state.spectrum raises below
             object.__setattr__(states[i], "spectrum", spectrum)  # fills the cached property
-    if len(todo) < len(states) or not solved.all():  # else the stack's rows are every input's spectrum
-        spectra_in = np.array([state.spectrum for state in states])
-    log_in = _log_schatten_norm(spectra_in, p)
+    log_in = _log_schatten_norm(np.array([state.spectrum for state in states]), p)
     ratios = np.exp(_log_schatten_norm(spectra[:len(states)], p) - log_in - log_bound)
     return (ratios <= 1.0 + slack).tolist(), float((1.0 + slack - ratios).min())
 

@@ -99,7 +99,7 @@ def cmd_converge(args) -> int:
     spec, sweep = load_config(args.config)
     channel = spec.to_channel()
     sweep, betas = _resolve_sweep(args, sweep)
-    report = ratio_sequence(channel, sweep.family(spec.space()), sweep.p, betas)
+    report = ratio_sequence(channel, sweep.family(channel.space), sweep.p, betas)
     lines = [CSV_HEADER]
     for beta, log_in, log_out, ratio, rel in zip(
         report.betas, report.log_tr_in, report.log_tr_out, report.ratios, report.relative_errors

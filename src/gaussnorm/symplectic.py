@@ -78,13 +78,9 @@ def standard_form(s: int) -> SymplecticSpace:
     """Build the standard s-mode symplectic space, ordering (q1, p1, q2, p2, ...)."""
     if s < 1:
         raise DomainError(f"mode count must be a positive integer, got {s}")
-    # the 2x2 blocks [[0, 1], [-1, 0]] on the diagonal; the (q, p) and (p, q) entries of
-    # block (i, j) are I_ij and -I_ij, so the zeros carry the signs of kron(I, block)
-    eye = np.eye(s)
-    delta = np.zeros((s, 2, s, 2))
-    delta[:, 0, :, 1] = eye
-    delta[:, 1, :, 0] = -eye
-    return SymplecticSpace(s=int(s), delta=delta.reshape(2 * s, 2 * s))
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    delta = np.kron(np.eye(s), block)
+    return SymplecticSpace(s=int(s), delta=delta)
 
 
 def spectral_decomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,9 +224,9 @@ def check_symmetric(x: np.ndarray, what: str) -> float:
 
     For a stack (..., n, n) each matrix is held to its own max |x_ij|.  Returns the
     largest asymmetry max |x_ij - x_ji| it admitted, 0.0 when every matrix is exactly symmetric.
-    An exactly symmetric finite input, the common case, is answered by an exact pre-test
-    (x == x^T and every entry finite) before any tolerance is formed; NaN, inf and any
-    asymmetry take the tolerance path.
+    An exactly symmetric finite input is answered by an exact pre-test (x == x^T and every
+    entry finite) before any tolerance is formed; NaN, inf and any asymmetry, rounding-sized
+    too, take the tolerance path after it.
     """
     # x - x^T is exactly zero here, so the tolerance path would return 0.0 too
     if (x == x.swapaxes(-1, -2)).all() and np.isfinite(x).all():

@@ -682,9 +682,9 @@ class TestOncePerFamilyPipeline:
         assert calls["shapes"] == [(170, 4, 4), (100, 4, 4)]
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
-    def test_upper_bound_check_reads_back_its_stack(self, p):
-        # with every input solved in the stack, log ||rho||_p is read from the stack's rows; it
-        # must give the bits of the per-state route, taken when some input is cached already
+    def test_upper_bound_check_cached_and_fresh_inputs_agree(self, p):
+        # inputs solved in the check's stack and inputs that carry their spectrum already give
+        # the same bits, equal to a reference built from the outputs' and inputs' spectra
         space = standard_form(2)
         rng = np.random.default_rng(17)
         channel = random_channel(rng, space)
