@@ -300,6 +300,12 @@ def scaling_exponent(family: GibbsFamily, p: float, betas) -> ScalingFit:
     return ScalingFit(slope=slope, residual=resid, expected=expected)
 
 
+def check_q(q: float, p: float) -> None:
+    """Reject a divergence exponent q outside [1, p), NaN included."""
+    if not (1.0 <= q < p):
+        raise QNotLessThanPError(f"need 1 <= q < p, got q={q}, p={p}")
+
+
 def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float, p: float,
                         betas) -> DivergenceFit:
     """Fit the exponent of ||Phi[rho_beta]||_q / ||rho_beta||_p; expected s(1/p - 1/q).
@@ -308,8 +314,7 @@ def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float,
     ratio increasing monotonically over the last decade of the descending sweep.
     At q = 1, log ||Phi[rho_beta]||_1 = 0 for every output that is a state.
     """
-    if not (1.0 <= q < p):
-        raise QNotLessThanPError(f"need 1 <= q < p, got q={q}, p={p}")
+    check_q(q, p)
     _check_p(p)
     betas = _check_betas(betas, descending=True)
     _log_abs_det_K(channel)

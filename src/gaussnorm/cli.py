@@ -21,6 +21,7 @@ import numpy as np
 from . import fock
 from .channels import (
     apply_channel,
+    check_q,
     cp_check,
     divergence_exponent,
     norm_pp,
@@ -126,13 +127,17 @@ def _atomic_write(path: str, text: str) -> None:
 def cmd_scaling(args) -> int:
     spec, sweep = load_config(args.config)
     sweep, betas = _resolve_sweep(args, sweep)
-    p, family = sweep.p, sweep.family(spec.space())
+    p, channel = sweep.p, None
+    if sweep.q is not None:  # q and the channel are refused before the fit is printed
+        q = float(sweep.q)
+        check_q(q, p)
+        channel = spec.to_channel()
+    family = sweep.family(spec.space() if channel is None else channel.space)
     fit = scaling_exponent(family, p, betas)
     print(f"scaling p={p}: fitted = {_fmt(fit.slope)} expected = {_fmt(fit.expected)} "
           f"residual = {_fmt(fit.residual)}")
-    if sweep.q is not None:
-        q = float(sweep.q)
-        dfit = divergence_exponent(spec.to_channel(), family, q, p, betas)
+    if channel is not None:
+        dfit = divergence_exponent(channel, family, q, p, betas)
         print(f"divergence q={q} p={p}: fitted = {_fmt(dfit.slope)} "
               f"expected = {_fmt(dfit.expected)} verdict = {dfit.verdict}")
     return EXIT_OK
@@ -146,15 +151,15 @@ def cmd_oracle(args) -> int:
     z = (1.0, 0.0)
 
     # one thermal state per cutoff, stored as 1x1 photon-number blocks, as are its output and
-    # its power; each state's one spectrum serves all of its rows, and char_function_fock(rho, z)
-    # reads W(z) only on the diagonals rho's blocks hold (here the main one)
+    # its power; each state's one spectrum serves all of its rows, and one char_function_fock call
+    # per cutoff builds W(z) on the diagonals the blocks hold (here the main one) once for rho and rho^p
     def build(n):
         rho = fock.thermal_state_fock(N, n)
         out = fock.attenuate(tau, rho)
         tr_out = fock.tr_power_fock(out, p)
         cov = fock.covariance_from_fock(out)[1]
         rho_p = fock.matrix_power_fock(rho, p)
-        cfs = [fock.char_function_fock(r, z) for r in (rho, rho_p)]
+        cfs = fock.char_function_fock((rho, rho_p), z)
         return np.concatenate([[tr_out, rho_p.trace()], cfs, cov.ravel()])
 
     tr_out, tr_in, cf, power_cf, *cov = fock.doubling_check(build, n_max)

@@ -13,9 +13,11 @@ Weyl operators W(z) come from their exact Laguerre matrix elements (Cahill &
 Glauber, Phys. Rev. 177, 1857 (1969)), one diagonal at a time by one
 three-term recurrence.  :func:`char_function_fock` takes Tr(rho W(z)) from the
 diagonals rho's blocks hold (only the main one for 1x1 blocks), each against
-the matching diagonal of W(z), and never forms W; the dense
-:func:`weyl_operator` is its reference.  Moments come from rho's diagonals 0,
-+-1 and +-2 (:func:`covariance_from_fock`).  The attenuator's Kraus operator
+the matching diagonal of W(z), and never forms W; given several operators of
+one cutoff and layout, it builds each diagonal of W once for all of them.  The
+dense :func:`weyl_operator` is its reference.  Moments come from rho's
+diagonals 0, +-1 and +-2, each read only if the blocks hold it
+(:func:`covariance_from_fock`).  The attenuator's Kraus operator
 A_j lives on the j-th superdiagonal, so one upper-triangular table
 C[m, i] = <m|A_(i-m)|i>, the matrix sum_j A_j, holds the channel
 (:func:`attenuator_amplitudes`), and :func:`attenuate` maps each diagonal of
@@ -99,10 +101,8 @@ class TruncatedOperator:
 
 
 def _diagonal(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Diagonal k (column - row) in Fock order, of one block or 1x1 blocks: a writable view, or zeros."""
-    count, size, _ = blocks.shape
-    if abs(k) >= size:
-        return np.zeros(count * size - abs(k), dtype=blocks.dtype)
+    """Diagonal k (column - row), |k| below the block size, in Fock order: a writable view."""
+    size = blocks.shape[-1]
     lo, hi = max(-k, 0), max(k, 0)
     return np.einsum("ijj->ij", blocks[:, lo : size - hi, hi : size - lo]).reshape(-1)
 
@@ -282,21 +282,33 @@ def matrix_power_fock(rho: TruncatedOperator, p: float) -> TruncatedOperator:
     return TruncatedOperator((u * lam[..., None, :] ** p) @ u.conj().swapaxes(-1, -2))
 
 
-def char_function_fock(rho: TruncatedOperator, z) -> complex:
+def char_function_fock(ops, z):
     """Tr(rho W(z)) on rho's truncated space, W(z) as in :func:`weyl_operator`, never formed.
 
     Tr(rho W) = sum_k sum_n rho[n, n+k] W[n+k, n]: each diagonal k (column - row)
     that rho's blocks hold meets W's diagonal with row - column = k, so it costs
     one Laguerre recurrence of n_max + 1 - |k| terms, and 1x1 blocks cost one
-    in all.  z is checked as :func:`weyl_operator` checks it.
+    in all.  ``ops`` is one operator, which gives one complex, or a sequence of
+    operators with one cutoff and one layout, which gives a list, one value per
+    operator: each diagonal of W is then built once and read by every operator.
+    Operators of different shapes raise DimensionMismatchError, and z is
+    checked as :func:`weyl_operator` checks it, both before any recurrence.
     """
-    offsets = np.arange(1 - rho.blocks.shape[-1], rho.blocks.shape[-1])  # 0 alone for 1x1 blocks
-    r, phase, g0 = _weyl_start(z, rho.n_max, offsets)
-    dim = rho.n_max + 1
-    return complex(sum(
-        ph * _dot(_diagonal(rho.blocks, k), _weyl_diagonal(g, r, abs(k), dim - abs(k)))
-        for k, ph, g in zip(offsets, phase, g0)
-    ))
+    single = isinstance(ops, TruncatedOperator)
+    ops = [ops] if single else list(ops)
+    shapes = {op.blocks.shape for op in ops}
+    if len(shapes) != 1:
+        raise DimensionMismatchError(f"operators must share one cutoff and one layout, got {sorted(shapes)}")
+    size, dim = ops[0].blocks.shape[-1], ops[0].n_max + 1
+    offsets = np.arange(1 - size, size)  # 0 alone for 1x1 blocks
+    r, phase, g0 = _weyl_start(z, dim - 1, offsets)
+    totals = [0] * len(ops)
+    for k, ph, g in zip(offsets, phase, g0):
+        diag = _weyl_diagonal(g, r, abs(k), dim - abs(k))
+        for i, op in enumerate(ops):
+            totals[i] += ph * _dot(_diagonal(op.blocks, k), diag)
+    values = [complex(total) for total in totals]
+    return values[0] if single else values
 
 
 def attenuator_amplitudes(tau: float, n_max: int) -> np.ndarray:
@@ -388,19 +400,25 @@ def covariance_from_fock(rho: TruncatedOperator) -> tuple[np.ndarray, np.ndarray
     q = (a + a^dag)/sqrt(2) and p = i (a^dag - a)/sqrt(2) with the truncated
     ladder matrices, so every product the moments need lives on diagonals
     0, +-1, +-2 (a a^dag carries 0 in its last entry) and only those diagonals
-    of rho are read.  Subject to truncation error near the cutoff; certify
-    with :func:`doubling_check` on a builder that regenerates rho at 2 n_max.
+    of rho are read, each only if rho's blocks hold it (1x1 blocks hold the
+    main one alone, and the others add zero).  Subject to truncation error
+    near the cutoff; certify with :func:`doubling_check` on a builder that
+    regenerates rho at 2 n_max.
     rho must pass the density check (:attr:`TruncatedOperator.spectrum`).
     """
     rho.spectrum  # the density check; tr_power_fock reuses the cached eigenvalues
     blocks = rho.blocks
+    size = blocks.shape[-1]
     n = np.arange(1.0, rho.n_max + 1)
     # Tr(rho X) = sum_ij rho[i, j] X[j, i]; a has sqrt(n) at [n-1, n], a a at [n-2, n]
-    a = _dot(_diagonal(blocks, -1), np.sqrt(n))
-    a_dag = _dot(_diagonal(blocks, 1), np.sqrt(n))
-    root_pairs = np.sqrt(n[1:] * n[:-1])
-    aa = _dot(_diagonal(blocks, -2), root_pairs)
-    aa_dag = _dot(_diagonal(blocks, 2), root_pairs)
+    a = a_dag = aa = aa_dag = 0j  # the value _dot gives on a diagonal of zeros
+    if size > 1:
+        a = _dot(_diagonal(blocks, -1), np.sqrt(n))
+        a_dag = _dot(_diagonal(blocks, 1), np.sqrt(n))
+    if size > 2:
+        root_pairs = np.sqrt(n[1:] * n[:-1])
+        aa = _dot(_diagonal(blocks, -2), root_pairs)
+        aa_dag = _dot(_diagonal(blocks, 2), root_pairs)
     # diagonal of a a^dag + a^dag a: 2n + 1 below the cutoff, n_max at it
     sym = _dot(_diagonal(blocks, 0), np.append(2.0 * np.arange(rho.n_max) + 1.0, rho.n_max))
     mean = np.array([(a + a_dag).real, (1j * (a_dag - a)).real]) / math.sqrt(2.0)

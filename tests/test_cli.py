@@ -16,6 +16,7 @@ from gaussnorm import (
     GibbsFamily,
     apply_channel,
     compose,
+    config,
     fock,
     gibbs_asymptotic,
     gibbs_state,
@@ -413,6 +414,36 @@ class TestCmdScaling:
             assert main([args[0], cfg] + args[1:]) == 1
         assert capsys.readouterr().err == "error: covariance matrix must be finite\n"
 
+    @pytest.mark.parametrize("q", ["2", "0.5"])
+    def test_q_outside_one_to_p_refused_before_output(self, q, tmp_path, capsys):
+        # q = p and q < 1 are refused with divergence_exponent's error before the scaling fit prints
+        cfg = write_config(tmp_path / "att.json", attenuator_spec())
+        assert main(["scaling", cfg, "--p", "2", "--q", q]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: need 1 <= q < p, got q={float(q)}, p=2.0\n"
+        assert captured.out == ""
+
+    def test_non_cp_channel_refused_before_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "mu01.json", attenuator_spec(mu_scale=0.1))
+        assert main(["scaling", cfg, "--q", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_one_symplectic_space(self, monkeypatch, tmp_path, capsys):
+        # the family is built on the validated channel's space, not on a second one
+        calls, original = [], config.standard_form
+
+        def counted(s):
+            calls.append(s)
+            return original(s)
+
+        monkeypatch.setattr(config, "standard_form", counted)
+        cfg = write_config(tmp_path / "att.json", attenuator_spec())
+        assert main(["scaling", cfg, "--q", "1"]) == 0
+        assert "verdict = diverges" in capsys.readouterr().out
+        assert calls == [1]
+
     def test_grid_under_two_decades_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "att.json", attenuator_spec())
         assert main(["scaling", cfg, "--beta-start", "0.1", "--beta-stop", "0.0011"]) == 1
@@ -482,7 +513,8 @@ class TestCmdOracle:
 
     def test_one_attenuated_state_per_cutoff(self, monkeypatch, capsys):
         calls = {"thermal_state_fock": [], "attenuate": [], "weyl_operator": [], "doubling_check": [],
-                 "eigvalsh": [], "eigh": [], "count_nonzero": [], "nonzero": []}
+                 "_weyl_diagonal": [], "_dot": [], "eigvalsh": [], "eigh": [], "count_nonzero": [],
+                 "nonzero": []}
 
         def counted(module, name, size):
             original = getattr(module, name)
@@ -497,6 +529,8 @@ class TestCmdOracle:
         counted(fock, "attenuate", lambda tau, rho: rho.n_max)
         counted(fock, "weyl_operator", lambda z, n_max: n_max)
         counted(fock, "doubling_check", lambda build, n_max: n_max)
+        counted(fock, "_weyl_diagonal", lambda g0, r, k, size: size)
+        counted(fock, "_dot", lambda diagonal, weights: len(diagonal))
         counted(np.linalg, "eigvalsh", lambda a: a.shape[-1])
         counted(np.linalg, "eigh", lambda a: a.shape[-1])
         counted(np, "count_nonzero", np.ndim)
@@ -518,6 +552,11 @@ class TestCmdOracle:
         assert calls["thermal_state_fock"] == [40, 80]
         assert calls["attenuate"] == [40, 80]
         assert calls["weyl_operator"] == []
+        # one recurrence per cutoff on W's main diagonal, shared by rho and rho^p; every dot product
+        # reads a whole main diagonal: the moments' one and the two char rows', and the moments
+        # read no off-diagonal of the 1x1 blocks
+        assert calls["_weyl_diagonal"] == [41, 81]
+        assert calls["_dot"] == [41, 41, 41, 81, 81, 81]
         assert [n for n in calls["eigvalsh"] if n != 2] == [1, 1]
         assert [n for n in calls["eigh"] if n != 2] == [1, 1]
         assert calls["count_nonzero"] == []
@@ -539,6 +578,11 @@ class TestCmdOracle:
         assert len(calls) <= 1
 
 
+def _vacuum_and_square():
+    rho = fock.thermal_state_fock(0.0, 8)
+    return rho, fock.matrix_power_fock(rho, 2.0)
+
+
 BAD_ARGUMENTS = {
     "empty_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, []), DomainError, "non-empty 1-D list"),
     "ascending_betas": (lambda fam, ch: ratio_sequence(ch, fam, 2.0, [1e-3, 1e-2]), DomainError,
@@ -555,6 +599,14 @@ BAD_ARGUMENTS = {
                            DomainError, "two finite reals"),
     "char_modulus": (lambda fam, ch: fock.char_function_fock(fock.thermal_state_fock(0.0, 8), [0.0, math.nan]),
                      DomainError, "must be finite and <="),
+    # the same refusals when several operators share one call
+    "char_point_sequence": (lambda fam, ch: fock.char_function_fock(_vacuum_and_square(), "ab"), DomainError,
+                            "two finite reals"),
+    "char_complex_point_sequence": (lambda fam, ch: fock.char_function_fock(_vacuum_and_square(),
+                                                                            np.array([1.0 + 2j, 0.0])),
+                                    DomainError, "two finite reals"),
+    "char_modulus_sequence": (lambda fam, ch: fock.char_function_fock(_vacuum_and_square(), [0.0, math.nan]),
+                              DomainError, "must be finite and <="),
     "amplitude_cutoff": (lambda fam, ch: fock.attenuator_amplitudes(0.5, -2), DomainError,
                          "Fock cutoff must be >= 1, got -2"),
     "transmissivity": (lambda fam, ch: fock.attenuator_amplitudes(1.5, 10), DomainError, "transmissivity"),

@@ -20,6 +20,7 @@ from gaussnorm import (
 )
 from gaussnorm import fock
 from gaussnorm.errors import (
+    DimensionMismatchError,
     DomainError,
     NotDensityOperatorError,
     TailTooLargeError,
@@ -377,6 +378,46 @@ class TestCharFunctionFock:
             for y in np.linspace(-2.0, 2.0, 5):
                 dense = np.sum(rho.matrix.T * weyl_operator([x, y], n_max).matrix)
                 assert abs(char_function_fock(rho, [x, y]) - dense) <= 1e-15
+
+    @pytest.mark.parametrize("layout", ["1x1 blocks", "one dense block"])
+    def test_sequence_gives_the_bits_of_one_call_each(self, layout, monkeypatch):
+        # each diagonal of W is built once and read by every operator, in index order; the
+        # displaced state in the dense layout holds every off-diagonal
+        n_max = 40
+        rho = thermal_state_fock(0.5, n_max)
+        ops = [rho, matrix_power_fock(rho, 2.5), attenuate(0.3, rho)]
+        if layout == "one dense block":
+            ops = [TruncatedOperator(op.matrix[None]) for op in ops]
+            ops.append(displaced_thermal(0.25, [0.8, -0.6], n_max))
+        sizes, recurrence = [], fock._weyl_diagonal
+
+        def counted(g0, r, k, size):
+            sizes.append(size)
+            return recurrence(g0, r, k, size)
+
+        monkeypatch.setattr(fock, "_weyl_diagonal", counted)
+        for z in ([0.0, 0.0], [1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
+            got = char_function_fock(tuple(ops), z)
+            shared = sizes[:]
+            sizes.clear()
+            assert isinstance(got, list) and len(got) == len(ops)
+            for value, op in zip(got, ops):
+                assert_same_bits(value, char_function_fock(op, z))
+            assert sizes == shared * len(ops)  # one call each runs the recurrences once per operator
+            sizes.clear()
+        assert shared == ([n_max + 1] if layout == "1x1 blocks" else
+                          [n_max + 1 - abs(k) for k in range(-n_max, n_max + 1)])
+
+    def test_sequence_of_other_shapes_refused_before_any_recurrence(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a recurrence ran")
+
+        monkeypatch.setattr(fock, "_weyl_start", refuse)
+        monkeypatch.setattr(fock, "_weyl_diagonal", refuse)
+        rho = thermal_state_fock(0.5, 40)
+        for ops in ([rho, thermal_state_fock(0.5, 41)], [rho, TruncatedOperator(rho.matrix[None])], []):
+            with pytest.raises(DimensionMismatchError, match="one cutoff and one layout"):
+                char_function_fock(ops, [1.0, 0.0])
 
 
 def displaced_thermal(N, w_vec, n_max):
