@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orac.add_argument("--tau", type=float, default=0.5)
     p_orac.add_argument("--N", type=float, default=1.0)
     p_orac.add_argument("--p", default="2", help="exponent in [1, inf)")
-    p_orac.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p_orac.add_argument("--n-max", dest="n_max", type=int, default=None,
+                        help="Fock cutoff; default fock.default_n_max(N), the tail-sized cutoff")
     p_orac.set_defaults(func=cmd_oracle)
 
     return parser

@@ -210,23 +210,21 @@ def thermal_state_fock(N: float, n_max: int) -> TruncatedOperator:
 
 
 def default_n_max(N: float) -> int:
-    """Cutoff heuristic at the default tail bound: 80 covers N <= 1, 160 covers N <= 3.
+    """Smallest cutoff n >= 1 with (n+1)(N+1) r^n <= TAIL_BOUND, r = N/(N+1), for every N >= 0.
 
-    Above N = 3 it is the smallest n >= 160 with (n+1)(N+1) r^(n+1) <= TAIL_BOUND,
-    r = N/(N+1).  That bounds the neglected share of the mean photon number,
-    sum_{k>n} k p_k = (n+1+N) r^(n+1), which the covariance checks see; the
-    bare population tail r^(n+1) is too loose there.  The search stops at
-    MAX_DEFAULT_N_MAX (reached near N = 17), so a large N costs no more than a
-    doubling check at 1280; past it the tail guard or the doubling check
-    names the cutoff to pass.
+    That bounds the photon-number-weighted mass at and above the cutoff level,
+    sum_{k>=n} (k+1) p_k = (n+1+N) r^n, which the moments see: the truncated
+    a a^dag reads 0 at level n, so that level counts as lost, and a rule that
+    left it out moved the doubling check past its bound at N <= 0.024.  It
+    implies the tail guard r^(n+1) < TAIL_BOUND.  The search stops at
+    MAX_DEFAULT_N_MAX (reached near N = 16.8), so a large N costs no more than
+    a doubling check at 1280; past it the tail guard or the doubling check
+    names the cutoff to pass.  A negative or non-finite N gets a cutoff too,
+    for :func:`thermal_state_fock` to refuse by name.
     """
-    if N <= 1.0:
-        return 80
-    if N <= 3.0:
-        return 160
-    r = N / (N + 1.0)
-    for n in range(160, MAX_DEFAULT_N_MAX):
-        if (n + 1) * (N + 1.0) * r ** (n + 1) <= TAIL_BOUND:
+    r = N / (N + 1.0) if N >= 0.0 else math.nan
+    for n in range(1, MAX_DEFAULT_N_MAX):
+        if (n + 1) * (N + 1.0) * r**n <= TAIL_BOUND:
             return n
     return MAX_DEFAULT_N_MAX
 

@@ -468,6 +468,35 @@ class TestCmdOracle:
         out = capsys.readouterr().out
         assert out.count(" yes") == 6 and "NO" not in out
 
+    @pytest.mark.parametrize("args", [
+        *(["--N", N, "--tau", tau] for N in ("1.73e-4", "5.2e-4", "2.0e-3", "6.1e-3", "1.4e-2", "2.4e-2")
+          for tau in ("0.99", "1")),
+        ["--N", "0"],
+    ], ids=" ".join)
+    def test_default_cutoff_counts_its_own_level(self, args, capsys):
+        # a cutoff that bounds only the mass above level n, (n+1)(N+1) r^(n+1), failed the doubling
+        # check at these N (n_max 3 to 7): the truncated a a^dag reads 0 at level n, so it is lost
+        # too.  N = 0 runs at n_max = 1
+        assert main(["oracle", *args, "--p", "1.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count(" yes\n") == 6 and captured.err == ""
+
+    @pytest.mark.parametrize("N", [0.5, 1.0])
+    def test_default_cutoff_builds_at_tail_size(self, N, monkeypatch, capsys):
+        # the build sizes follow default_n_max(N), not a fixed 80
+        sizes = []
+        thermal = fock.thermal_state_fock
+
+        def counted(N, n_max):
+            sizes.append(n_max)
+            return thermal(N, n_max)
+
+        monkeypatch.setattr(fock, "thermal_state_fock", counted)
+        assert main(["oracle", "--N", repr(N)]) == 0
+        assert capsys.readouterr().out.count(" yes\n") == 6
+        n = fock.default_n_max(N)
+        assert n < 80 and sizes == [n, 2 * n]
+
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_invalid_cutoff_exit_one(self, n_max, capsys):
         assert main(["oracle", "--n-max", n_max, "--N", "0"]) == 1
@@ -485,9 +514,13 @@ class TestCmdOracle:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "transmissivity" in err
 
-    @pytest.mark.parametrize("N", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("N", ["-1", "nan", "inf", "-inf"])
     def test_invalid_photon_number_exit_one(self, N, capsys):
-        assert main(["oracle", "--N", N]) == 1
+        # refused by thermal_state_fock by name, after default_n_max has picked a cutoff for it:
+        # no ZeroDivisionError at N = -1 and no warning anywhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", f"--N={N}"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: mean photon number must be finite and >= 0, got {float(N)}\n"
         assert captured.out == ""

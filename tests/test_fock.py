@@ -28,6 +28,8 @@ from gaussnorm.errors import (
 )
 from gaussnorm.fock import (
     EIG_CLAMP,
+    MAX_DEFAULT_N_MAX,
+    TAIL_BOUND,
     TruncatedOperator,
     apply_kraus,
     attenuate,
@@ -164,14 +166,24 @@ class TestThermalStateFock:
                 thermal_state_fock(N, 10)
 
     def test_default_n_max(self):
-        assert default_n_max(0.5) == 80
-        assert default_n_max(3.0) == 160
-        # above N = 3 the cutoff grows with the photon-number-weighted tail
-        assert default_n_max(5.0) > 160
-        assert default_n_max(6.0) > default_n_max(5.0)
-        for N in (5.0, 6.0):
-            n, r = default_n_max(N), N / (N + 1.0)
-            assert (n + 1) * (N + 1.0) * r ** (n + 1) <= 1e-12 < n * (N + 1.0) * r**n
+        # one rule for every N: the smallest n >= 1 whose weighted mass at and above level n,
+        # (n+1)(N+1) r^n, fits the tail bound, up to the cap
+        def weighted_tail(N, n):
+            return (n + 1) * (N + 1.0) * (N / (N + 1.0)) ** n
+
+        grid = (0.0, 1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.0, 12.0, 16.7, 17.0, 30.0)
+        cutoffs = [default_n_max(N) for N in grid]
+        for N, n in zip(grid, cutoffs):
+            assert 1 <= n <= MAX_DEFAULT_N_MAX
+            if n < MAX_DEFAULT_N_MAX:
+                assert weighted_tail(N, n) <= TAIL_BOUND
+                thermal_state_fock(N, n)  # within the tail guard
+            if n > 1:
+                assert weighted_tail(N, n - 1) > TAIL_BOUND
+        assert cutoffs == sorted(cutoffs)
+        assert cutoffs[:9] == [1, 3, 4, 7, 13, 29, 47, 82, 118]
+        assert default_n_max(16.7) < MAX_DEFAULT_N_MAX
+        assert [default_n_max(N) for N in (16.8, 17.0, 30.0, 1e6)] == [MAX_DEFAULT_N_MAX] * 4
 
 
 class TestTrPowerFock:
