@@ -487,9 +487,9 @@ class TestCmdOracle:
         sizes = []
         thermal = fock.thermal_state_fock
 
-        def counted(N, n_max):
+        def counted(mean, n_max):
             sizes.append(n_max)
-            return thermal(N, n_max)
+            return thermal(mean, n_max)
 
         monkeypatch.setattr(fock, "thermal_state_fock", counted)
         assert main(["oracle", "--N", repr(N)]) == 0
