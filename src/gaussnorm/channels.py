@@ -9,9 +9,9 @@ For invertible K the p->p norm is |det K|^(1/p - 1), attained in the
 beta -> 0 limit on Gibbs states; the estimators here certify that limit,
 the upper-bound inequality on sampled Gaussian inputs, and the beta-scaling
 exponents behind the q < p unboundedness.  Each checks its outputs as one
-(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family
-and forms its outputs K^T alpha(beta) K + mu in one real product on the K-folded basis
-K^T S, and upper_bound_check solves its inputs' spectra in the same stack as its outputs.
+(B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family,
+as gibbs_state does, and forms its outputs K^T alpha(beta) K + mu in one real product on the
+K-folded basis K^T S, and upper_bound_check solves its inputs' spectra in the same stack as its outputs.
 Every Gaussian channel preserves trace, so at q = 1 divergence_exponent solves no output
 spectrum: one batched complex Cholesky certifies that the outputs are states.
 """
@@ -38,6 +38,7 @@ from .states import (
     _certify_uncertainty,
     _check_p,
     _checked_spectra,
+    _gibbs_spectra,
     _log_schatten_norm,
     _log_tr_rho_p,
     validate_state,
@@ -191,17 +192,6 @@ def norm_pp(channel: GaussianChannel, p: float) -> float:
     return _det_power(_log_abs_det_K(channel), _norm_exponent(p), "norm", "1/p-1")
 
 
-def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
-    """Gibbs spectra coth(beta e_j)/2, one row per beta (descending); a grid on which
-    beta e_j underflows, so that coth(beta e_j)/2 is not finite, is refused."""
-    with np.errstate(divide="ignore", over="ignore"):
-        ds = 0.5 / np.tanh(np.outer(betas, family.spectrum))
-    if not np.all(np.isfinite(ds)):
-        raise NumericalOverflowError(f"Gibbs spectrum coth(beta e_j)/2 is not finite at "
-                                     f"beta = {betas.min():.3e}; raise the smallest beta")
-    return ds
-
-
 def _sweep_outputs(channel: GaussianChannel, family: GibbsFamily,
                    betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(inputs, outputs): the Gibbs spectra d = coth(beta e_j)/2 read from the family, and their
@@ -278,8 +268,7 @@ def upper_bound_check(
     todo = [i for i, state in enumerate(states) if "spectrum" not in vars(state)]
     spectra = _checked_spectra(np.concatenate((_output_covs(channel, covs), covs[todo])), channel.space)
     for i, spectrum in zip(todo, spectra[len(states):]):
-        if not math.isnan(spectrum[0]):  # NaN: no Cholesky factor; state.spectrum raises below
-            object.__setattr__(states[i], "spectrum", spectrum)  # fills the cached property
+        object.__setattr__(states[i], "spectrum", spectrum)  # fills the cached property
     log_in = _log_schatten_norm(np.array([state.spectrum for state in states]), p)
     ratios = np.exp(_log_schatten_norm(spectra[:len(states)], p) - log_in - log_bound)
     return (ratios <= 1.0 + slack).tolist(), float((1.0 + slack - ratios).min())

@@ -201,32 +201,36 @@ def thermal_state_fock(N: float, n_max: int) -> TruncatedOperator:
     tail = (N / (N + 1.0)) ** (n_max + 1) if N > 0.0 else 0.0
     if tail >= TAIL_BOUND:
         raise TailTooLargeError(
-            f"truncation tail {tail:.3e} >= {TAIL_BOUND:.1e}; raise n_max above "
-            f"{math.ceil(-math.log(TAIL_BOUND) / math.log1p(1.0 / N)) if N > 0 else n_max}"
+            f"truncation tail {tail:.3e} >= {TAIL_BOUND:.1e}; raise n_max to {_tail_cutoff(N)}"
         )
     ns = np.arange(n_max + 1)
     pn = np.exp(ns * math.log(N) - (ns + 1) * math.log(N + 1.0)) if N > 0.0 else (ns == 0) * 1.0
     return TruncatedOperator(pn.astype(complex).reshape(-1, 1, 1))
 
 
+def _tail_cutoff(N: float) -> int:
+    """Smallest n >= 1 with (n+1)(N+1) r^n <= TAIL_BOUND, r = N/(N+1), for finite N >= 0: in logs
+    n >= g(n) = (log(n+1) + log(N+1) - log TAIL_BOUND) / log(1 + 1/N), with g increasing and
+    concave, so n -> ceil(g(n)) from n = 1 climbs to the smallest solution in a few steps."""
+    rate, n = math.log1p(1.0 / N) if N > 0.0 else math.inf, 1
+    while (step := math.ceil((math.log(n + 1) + math.log1p(N) - math.log(TAIL_BOUND)) / rate)) > n:
+        n = step
+    return n
+
+
 def default_n_max(N: float) -> int:
-    """Smallest cutoff n >= 1 with (n+1)(N+1) r^n <= TAIL_BOUND, r = N/(N+1), for every N >= 0.
+    """The smallest cutoff n >= 1 with (n+1)(N+1) r^n <= TAIL_BOUND, r = N/(N+1), capped.
 
     That bounds the photon-number-weighted mass at and above the cutoff level,
     sum_{k>=n} (k+1) p_k = (n+1+N) r^n, which the moments see: the truncated
     a a^dag reads 0 at level n, so that level counts as lost, and a rule that
     left it out moved the doubling check past its bound at N <= 0.024.  It
-    implies the tail guard r^(n+1) < TAIL_BOUND.  The search stops at
-    MAX_DEFAULT_N_MAX (reached near N = 16.8), so a large N costs no more than
-    a doubling check at 1280; past it the tail guard or the doubling check
-    names the cutoff to pass.  A negative or non-finite N gets a cutoff too,
-    for :func:`thermal_state_fock` to refuse by name.
+    implies the tail guard r^(n+1) < TAIL_BOUND, whose refusal names the same cutoff
+    uncapped.  The cap MAX_DEFAULT_N_MAX (reached near N = 16.8) keeps a large N at no
+    more than a doubling check at 1280.  A negative or non-finite N gets the cap, for
+    :func:`thermal_state_fock` to refuse by name.
     """
-    r = N / (N + 1.0) if N >= 0.0 else math.nan
-    for n in range(1, MAX_DEFAULT_N_MAX):
-        if (n + 1) * (N + 1.0) * r**n <= TAIL_BOUND:
-            return n
-    return MAX_DEFAULT_N_MAX
+    return min(_tail_cutoff(N), MAX_DEFAULT_N_MAX) if 0.0 <= N < math.inf else MAX_DEFAULT_N_MAX
 
 
 def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):

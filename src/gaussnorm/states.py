@@ -21,8 +21,10 @@ alpha + (i/2) Delta, keeps the symmetric part it factored and solves no
 spectrum; a state computes its own on first use, unless upper_bound_check's
 stack has filled it.  Batches of covariances (sampled inputs, a beta grid)
 are (B, 2s, 2s) stacks: one batched spectrum and verdict, or that Cholesky
-certificate, and one array evaluation of log f_p each.  One state's
-spectrum takes the same form of log f_p a float at a time.
+certificate, and one array evaluation of log f_p each; a stack with a member
+that has no Cholesky factor is refused whole.  One state's spectrum takes the
+same form of log f_p a float at a time.  gibbs_state and the sweeps read one
+Gibbs spectrum, coth(beta e_j)/2.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    NumericalOverflowError,
     SingularEpsilonError,
     UncertaintyViolatedError,
 )
@@ -200,37 +203,27 @@ def g_p(d, p: float):
 
 
 def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
-    """Symplectic spectra (..., s) of covariances (..., 2s, 2s), each held to uncertainty.
+    """Symplectic spectra (B, s) of covariances (B, 2s, 2s), each held to uncertainty.
 
     The stacks' verdict (sweep outputs whose spectra are used, and upper_bound_check's
     outputs with its inputs): one batched symplectic_spectrum refuses non-finite and
     asymmetric matrices, each on its own scale.  For alpha > 0 the constraint holds exactly
-    when d_min >= 1/2; only members within TOL_SPEC of 1/2, or with no Cholesky
-    factor (left as NaN), run check_psd_pair on alpha +- (i/2) Delta >= 0,
-    whose one verdict decides and reports lambda_min, as in validate_state.
+    when d_min >= 1/2; only members within TOL_SPEC of 1/2 go to _certify_uncertainty.  A
+    stack with a member that has no Cholesky factor goes there whole: its first violator
+    is refused with its lambda_min, and without one the stack is refused as not positive
+    definite, as that member's own spectrum is.
     """
     try:
         spectra = symplectic_spectrum(covs, space)
     except DomainError:
         # a non-finite covariance is refused as such, never taken for a failed Cholesky
         check_finite(covs, "covariance matrix", float(abs(covs).max()))
-        if covs.ndim > 2:  # each member decides alone; only those without a factor get NaN
-            spectra = [_checked_spectra(cov, space) for cov in covs.reshape(-1, space.dim, space.dim)]
-            return np.reshape(spectra, covs.shape[:-2] + (space.s,))
-        spectra = np.full(space.s, math.nan)
-    d_min = spectra.reshape(-1, space.s)[:, 0]
-    for i in np.flatnonzero(~(d_min >= 0.5 + TOL_SPEC * d_min)).tolist():
-        _check_uncertainty(covs.reshape(-1, space.dim, space.dim)[i], space)
+        _certify_uncertainty(covs, space)
+        raise
+    near = spectra[:, 0] < 0.5 + TOL_SPEC * spectra[:, 0]
+    if near.any():
+        _certify_uncertainty(covs[near], space)
     return spectra
-
-
-def _check_uncertainty(cov: np.ndarray, space: SymplecticSpace) -> None:
-    # check_psd_pair's one verdict on alpha +- (i/2) Delta >= 0, refused with its lambda_min
-    ok, lam_min = check_psd_pair(cov, space.delta)
-    if not ok:
-        raise UncertaintyViolatedError(
-            f"uncertainty constraint violated: lambda_min = {lam_min:.6e}", lambda_min=lam_min
-        )
 
 
 def _certify_uncertainty(covs: np.ndarray, space: SymplecticSpace) -> None:
@@ -238,13 +231,17 @@ def _certify_uncertainty(covs: np.ndarray, space: SymplecticSpace) -> None:
 
     A complex Cholesky factor of H = alpha + (i/2) Delta certifies lambda_min(H) >=
     -c n eps ||H||, far inside check_psd_pair's slack, and H > 0 implies alpha > 0; only
-    where the one batched factorization fails does check_psd_pair decide each member.
+    where the one batched factorization fails does check_psd_pair decide each member, in
+    order, and the first violator is refused with its lambda_min.
     """
     try:
         np.linalg.cholesky(covs + space._half_i_delta)
     except np.linalg.LinAlgError:
         for cov in covs.reshape(-1, space.dim, space.dim):
-            _check_uncertainty(cov, space)
+            ok, lam_min = check_psd_pair(cov, space.delta)
+            if not ok:
+                raise UncertaintyViolatedError(f"uncertainty constraint violated: lambda_min = {lam_min:.6e}",
+                                               lambda_min=lam_min)
 
 
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
@@ -330,13 +327,23 @@ def _basis_covs(basis: np.ndarray, x: np.ndarray, shift=0.0) -> np.ndarray:
     return 0.5 * (covs + covs.swapaxes(-1, -2))
 
 
+def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
+    """Gibbs spectra coth(beta e_j)/2, one row per beta (descending); a grid on which
+    beta e_j underflows, so that coth(beta e_j)/2 is not finite, is refused."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ds = 0.5 / np.tanh(np.outer(betas, family.spectrum))
+    if not np.all(np.isfinite(ds)):
+        raise NumericalOverflowError(f"Gibbs spectrum coth(beta e_j)/2 is not finite at "
+                                     f"beta = {betas.min():.3e}; raise the smallest beta")
+    return ds
+
+
 def _gibbs_covs(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
-    """Gibbs covariances alpha = S diag(x, x) S^T, x_j = e_j coth(beta e_j)/2, as a (B, 2s, 2s)
-    stack, one per beta, on the family's real Williamson basis; not validated."""
-    e = family.spectrum
-    # where beta e underflows the stack holds inf or NaN, which the callers' checks refuse
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _basis_covs(family.basis, 0.5 * e / np.tanh(np.multiply.outer(betas, e)))
+    """Gibbs covariances alpha = S diag(x, x) S^T, x = e d with d the _gibbs_spectra rows, as a
+    (B, 2s, 2s) stack, one per beta, on the family's real Williamson basis; not validated."""
+    # where e d overflows the stack holds inf or NaN, which the callers' checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _basis_covs(family.basis, family.spectrum * _gibbs_spectra(family, betas))
 
 
 def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:

@@ -30,7 +30,6 @@ from gaussnorm import (
 from gaussnorm.channels import (
     DIVERGENCE_SLOPE,
     GaussianChannel,
-    _gibbs_spectra,
     _loglog_fit,
     _output_covs,
     _sweep_outputs,
@@ -45,7 +44,13 @@ from gaussnorm.errors import (
     SingularKError,
     UncertaintyViolatedError,
 )
-from gaussnorm.states import _certify_uncertainty, _checked_spectra, _gibbs_covs, _log_tr_rho_p
+from gaussnorm.states import (
+    _certify_uncertainty,
+    _checked_spectra,
+    _gibbs_covs,
+    _gibbs_spectra,
+    _log_tr_rho_p,
+)
 from gaussnorm.symplectic import check_psd_pair
 from sampling import (
     cp_threshold_mu,
@@ -354,18 +359,18 @@ class TestRatioSequence:
 
     def test_non_finite_gibbs_spectrum_refused(self):
         # beta = 1e-320 is subnormal and coth(beta)/2 overflows to inf: each sweep and
-        # gibbs_state refuse it by name, with no numpy warning on the way
+        # gibbs_state read the one Gibbs spectrum and refuse it by name, with no numpy
+        # warning on the way
         family = GibbsFamily(standard_form(1), np.eye(2))
         betas = [1e-2, 1e-320]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sweep in (lambda: ratio_sequence(attenuator(0.5), family, 2.0, betas),
                           lambda: divergence_exponent(attenuator(0.5), family, 1.0, 2.0, betas),
-                          lambda: scaling_exponent(family, 2.0, betas)):
+                          lambda: scaling_exponent(family, 2.0, betas),
+                          lambda: gibbs_state(family, betas[-1])):
                 with pytest.raises(NumericalOverflowError, match=r"not finite at beta = 1\.000e-320"):
                     sweep()
-            with pytest.raises(DomainError, match="covariance matrix must be finite"):
-                gibbs_state(family, betas[-1])
 
     def test_target_overflow_refused(self):
         # s = 40, 50% attenuator at p = 30: |det K|^(1-p) = 2^1160 is beyond a double
@@ -709,7 +714,7 @@ class TestOncePerFamilyPipeline:
 
     def test_upper_bound_check_input_without_factor_fails_lazily(self):
         # the r = 18 squeezed vacuum validates but has no Cholesky factor: among solved inputs,
-        # cached or not, the check still raises from its spectrum, by name
+        # cached or not, the check refuses the stack by name, as that state's spectrum would
         c, sn = math.cos(0.3), math.sin(0.3)
         rot = np.array([[c, -sn], [sn, c]])
         squeezed = rot @ np.diag([math.exp(36.0), math.exp(-36.0)]) @ rot.T / 2
@@ -724,7 +729,30 @@ class TestOncePerFamilyPipeline:
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
                     upper_bound_check(identity, states, 2.0)
-            assert "spectrum" in vars(states[3]) and "spectrum" not in vars(states[2])
+
+    def test_output_without_factor_refused_by_name(self):
+        # the Gaussian unitary K = diag(e^12, e^-12) R^T squeezes the r = 6 input and every
+        # Gibbs state of eps = R diag(e^-12, e^12) R^T to an r = 12 output with no Cholesky
+        # factor: each route that needs its spectrum refuses it as not positive definite,
+        # never as a NaN spectrum
+        c, sn = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -sn], [sn, c]])
+        space = standard_form(1)
+        channel = validate_channel(np.diag([math.exp(12.0), math.exp(-12.0)]) @ rot.T,
+                                   np.zeros(2), np.zeros((2, 2)), space)
+        state = validate_state(np.zeros(2), rot @ np.diag([math.exp(12.0), math.exp(-12.0)]) @ rot.T / 2,
+                               space)
+        family = GibbsFamily(space, rot @ np.diag([math.exp(-12.0), math.exp(12.0)]) @ rot.T)
+        betas = np.geomspace(1e-1, 1e-5, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (lambda: upper_bound_check(channel, [state], 2.0),
+                          lambda: upper_bound_check(channel, [state], math.inf),
+                          lambda: ratio_sequence(channel, family, 2.0, betas),
+                          lambda: divergence_exponent(channel, family, 1.5, 2.0, betas),
+                          lambda: apply_channel(channel, state).spectrum):
+                with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                    route()
 
     def test_divergence_solves_output_spectra_only_off_q_one(self, monkeypatch):
         family = GibbsFamily(standard_form(2), np.diag([1.0, 1.0, 1.7, 1.7]))

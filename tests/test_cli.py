@@ -373,6 +373,25 @@ class TestCmdConverge:
         err = capsys.readouterr().err
         assert err == "error: betas must be strictly descending\n" and not out.exists()
 
+    def test_output_without_factor_exit_one(self, tmp_path, capsys):
+        # K = diag(e^12, e^-12) R^T with mu = 0 squeezes every Gibbs state of
+        # eps = R diag(e^-12, e^12) R^T to an output with no Cholesky factor: refused by name,
+        # with numpy warnings raised as errors, and no CSV written
+        c, sn = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -sn], [sn, c]])
+        k = np.diag([math.exp(12.0), math.exp(-12.0)]) @ rot.T
+        eps = rot @ np.diag([math.exp(-12.0), math.exp(12.0)]) @ rot.T
+        out = tmp_path / "never.csv"
+        spec = ChannelSpec(s=1, K=k.ravel().tolist(), l=[0.0, 0.0], mu=[0.0] * 4)
+        cfg = write_config(tmp_path / "squeeze.json", spec,
+                           SweepSpec(epsilon=eps.ravel().tolist(), output_path=str(out)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: covariance matrix must be positive definite\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("epsilon, args, message", [
         (None, ["--p", "abc"], "cannot parse exponent 'abc'"),
         (None, ["--out", "{tmp}/missing/r.csv"], "cannot write report {tmp}/missing/r.csv"),
@@ -467,6 +486,16 @@ class TestCmdOracle:
         assert main(["oracle", "--N", N]) == 0
         out = capsys.readouterr().out
         assert out.count(" yes") == 6 and "NO" not in out
+
+    def test_tail_guard_cutoff_passes(self, capsys):
+        # the cutoff the tail guard names is one retry away from six passing rows
+        assert main(["oracle", "--N", "5", "--n-max", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation tail ") and err.count("\n") == 1
+        named = err.split()[-1]
+        assert named == "191"
+        assert main(["oracle", "--N", "5", "--n-max", named]) == 0
+        assert capsys.readouterr().out.count(" yes\n") == 6
 
     @pytest.mark.parametrize("args", [
         *(["--N", N, "--tau", tau] for N in ("1.73e-4", "5.2e-4", "2.0e-3", "6.1e-3", "1.4e-2", "2.4e-2")

@@ -157,6 +157,15 @@ class TestThermalStateFock:
         with pytest.raises(TailTooLargeError):
             thermal_state_fock(3.0, 30)
 
+    @pytest.mark.parametrize("N, n_max, named", [(5.0, 100, 191), (16.0, 300, 609), (30.0, 600, 1163)])
+    def test_tail_guard_names_the_default_rule_uncapped(self, N, n_max, named):
+        # the guard names default_n_max's weighted cutoff without its cap, which the doubling
+        # check passes; the bare population tail named 152 and 456 at N = 5 and 16, which it refuses
+        with pytest.raises(TailTooLargeError, match=f"raise n_max to {named}$"):
+            thermal_state_fock(N, n_max)
+        assert default_n_max(N) == min(named, MAX_DEFAULT_N_MAX)
+        thermal_state_fock(N, named)
+
     @pytest.mark.parametrize("N", [-1.0, math.nan, math.inf])
     def test_photon_number_outside_domain_rejected(self, N):
         # NaN once gave the vacuum and inf a NaN matrix with invalid-value warnings

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussnorm import (
@@ -249,9 +249,12 @@ class TestValidateState:
         st.integers(1, 20),
         st.lists(st.sampled_from([0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e8, -1e8]), min_size=1),
     )
+    # the first member validates but has no Cholesky factor, and no member violates
+    @example(632, 4, 3, [0.0, 1.0])
     def test_stacked_verdict_matches_per_state(self, seed, s, batch, ks):
         # members with d_min = 1/2 + k eps and squeezed up to a failed Cholesky:
-        # the stack's spectra and verdict are those of validate_state, member by member
+        # the stack's spectra and verdict are those of validate_state, member by member,
+        # and a valid member without a factor is refused by name, as its spectrum is
         rng = np.random.default_rng(seed)
         space = standard_form(s)
         covs = []
@@ -262,7 +265,7 @@ class TestValidateState:
             alpha = s_mat.T @ np.diag(np.repeat(d, 2)) @ s_mat
             covs.append(0.5 * (alpha + alpha.T))
         covs = np.array(covs)
-        spectra, lam_mins = [], []
+        spectra, lam_mins, factorless = [], [], False
         for cov in covs:
             try:
                 state = validate_state(np.zeros(2 * s), cov, space)
@@ -272,11 +275,14 @@ class TestValidateState:
             try:
                 spectra.append(state.spectrum)
             except DomainError:  # valid, but too squeezed for a Cholesky factor
-                spectra.append(np.full(s, math.nan))
+                factorless = True
         if lam_mins:
             with pytest.raises(UncertaintyViolatedError) as err:
                 _checked_spectra(covs, space)
             assert err.value.lambda_min == lam_mins[0]
+        elif factorless:
+            with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                _checked_spectra(covs, space)
         else:
             np.testing.assert_allclose(_checked_spectra(covs, space), spectra, rtol=1e-14)
 
