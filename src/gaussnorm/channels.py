@@ -12,8 +12,9 @@ exponents behind the q < p unboundedness.  Each checks its outputs as one
 (B, 2s, 2s) stack; a sweep reads its Gibbs inputs' spectra coth(beta e_j)/2 from the family,
 as gibbs_state does, and forms its outputs K^T alpha(beta) K + mu in one real product on the
 K-folded basis K^T S, and upper_bound_check solves its inputs' spectra in the same stack as its outputs.
-Every Gaussian channel preserves trace, so at q = 1 divergence_exponent solves no output
-spectrum: one batched complex Cholesky certifies that the outputs are states.
+At p in {1, 2, 3, 4} the sweeps solve no output spectrum: log Tr Phi[rho_beta]^p comes from
+real determinants, certified by a real and a complex batched Cholesky of the outputs; at q = 1,
+where every Gaussian channel preserves trace, those two Choleskys are all divergence_exponent does.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .states import (
     GaussianState,
     GibbsFamily,
     _basis_covs,
-    _certify_uncertainty,
     _check_p,
     _checked_spectra,
     _gibbs_spectra,
     _log_schatten_norm,
     _log_tr_rho_p,
+    _log_tr_rho_p_covs,
     validate_state,
 )
 from .symplectic import PSD_SLACK, SymplecticSpace, check_finite, check_psd_hermitian, check_symmetric
@@ -233,7 +234,7 @@ def ratio_sequence(channel: GaussianChannel, family: GibbsFamily, p: float, beta
     target = _det_power(log_det, 1.0 - p, "target", "1-p")
     spectra_in, covs_out = _sweep_outputs(channel, family, betas)
     log_in = _log_tr_rho_p(spectra_in, p)
-    log_out = _log_tr_rho_p(_checked_spectra(covs_out, channel.space), p)
+    log_out = _log_tr_rho_p_covs(covs_out, channel.space, p)
     ratios = np.exp(log_out - log_in)
     rel = np.abs(np.expm1(log_out - log_in - (1.0 - p) * log_det))
     return ConvergenceReport(
@@ -308,12 +309,7 @@ def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float,
     betas = _check_betas(betas, descending=True)
     _log_abs_det_K(channel)
     spectra_in, covs_out = _sweep_outputs(channel, family, betas)
-    if q == 1.0:  # trace preserved: ||Phi[rho]||_1 = Tr Phi[rho] = 1
-        check_finite(covs_out, "covariance matrix", float(abs(covs_out).max()))
-        _certify_uncertainty(covs_out, channel.space)
-        log_out = 0.0
-    else:
-        log_out = _log_tr_rho_p(_checked_spectra(covs_out, channel.space), q) / q
+    log_out = _log_tr_rho_p_covs(covs_out, channel.space, q) / q
     log_ratio = log_out - _log_tr_rho_p(spectra_in, p) / p
     slope, resid = _loglog_fit(np.log(betas), log_ratio)
     expected = family.space.s * (1.0 / p - 1.0 / q)

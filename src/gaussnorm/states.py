@@ -22,9 +22,13 @@ spectrum; a state computes its own on first use, unless upper_bound_check's
 stack has filled it.  Batches of covariances (sampled inputs, a beta grid)
 are (B, 2s, 2s) stacks: one batched spectrum and verdict, or that Cholesky
 certificate, and one array evaluation of log f_p each; a stack with a member
-that has no Cholesky factor is refused whole.  One state's spectrum takes the
-same form of log f_p a float at a time.  gibbs_state and the sweeps read one
-Gibbs spectrum, coth(beta e_j)/2.
+that has no Cholesky factor is refused whole.  At p in {1, 2, 3, 4} a stack's
+log Tr rho^p needs no spectrum: f_p(d) = p d^(p even) prod_t (d^2 + t^2) with
+t = cot(pi k/p)/2, and det(alpha + t Delta) = prod_j (d_j^2 + t^2), so a real
+Cholesky of alpha and at most one LU give it; that Cholesky and the complex one
+certify the stack, and a stack either fails on goes to the spectra.  One
+state's spectrum takes the same form of log f_p a float at a time.  gibbs_state
+and the sweeps read one Gibbs spectrum, coth(beta e_j)/2.
 """
 
 from __future__ import annotations
@@ -277,6 +281,38 @@ def _log_tr_rho_p(spectra: np.ndarray, p: float):
     # log Tr rho^p over the last axis: one value per spectrum of a stack
     _check_p(p)
     return -_log_f_p(spectra, p).sum(axis=-1)
+
+
+# f_p(d) = p d^(p even) prod_t (d^2 + t^2), t = cot(pi k/p)/2 for 0 < k < p/2: at the integer p
+# with at most one t, f_1 = 1, f_2 = 2d, f_3 = 3(d^2 + 1/12) and f_4 = 4d(d^2 + 1/4)
+_DET_SHIFTS = {1.0: (), 2.0: (), 3.0: (0.5 / math.sqrt(3.0),), 4.0: (0.5,)}
+
+
+def _log_tr_rho_p_covs(covs: np.ndarray, space: SymplecticSpace, p: float) -> np.ndarray:
+    """log Tr rho^p (B,) of a (B, 2s, 2s) stack of symmetric covariances, each held to uncertainty.
+
+    At p in {1, 2, 3, 4} no spectrum is solved.  det(alpha + t Delta) = prod_j (d_j^2 + t^2)
+    for every covariance, so log Tr rho^p = -[s log p + (p even) sum log L_jj + sum_t log
+    det(alpha + t Delta)], with alpha = L L^T: one real Cholesky, at most one LU.  That real
+    Cholesky and the complex one of alpha + (i/2) Delta certify the stack; a non-finite stack
+    is refused by name.  Any other p, and a stack either factorization fails on, goes to
+    _checked_spectra, which decides every refusal.
+    """
+    if p in _DET_SHIFTS:
+        check_finite(covs, "covariance matrix", float(abs(covs).max()))
+        try:
+            chol = np.linalg.cholesky(covs)
+            np.linalg.cholesky(covs + space._half_i_delta)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            log_f = np.full(len(covs), space.s * math.log(p))
+            if p % 2 == 0:
+                log_f += np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+            for t in _DET_SHIFTS[p]:
+                log_f += np.linalg.slogdet(covs + t * space.delta).logabsdet
+            return -log_f
+    return _log_tr_rho_p(_checked_spectra(covs, space), p)
 
 
 def _log_schatten_norm(spectra: np.ndarray, p: float):

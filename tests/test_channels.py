@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from gaussnorm import (
 )
 from gaussnorm.channels import (
     DIVERGENCE_SLOPE,
+    EPS,
     GaussianChannel,
     _loglog_fit,
     _output_covs,
@@ -38,6 +40,7 @@ from gaussnorm.channels import (
 from gaussnorm.errors import (
     DimensionMismatchError,
     DomainError,
+    GaussNormError,
     NotCPError,
     NumericalOverflowError,
     QNotLessThanPError,
@@ -50,6 +53,7 @@ from gaussnorm.states import (
     _gibbs_covs,
     _gibbs_spectra,
     _log_tr_rho_p,
+    _log_tr_rho_p_covs,
 )
 from gaussnorm.symplectic import check_psd_pair
 from sampling import (
@@ -410,7 +414,7 @@ class TestRatioSequence:
             betas, report.log_tr_in, report.log_tr_out, report.ratios
         ):
             assert log_in == pytest.approx(math.log(tr_rho_p(gibbs_state(family, beta), 2.0)), rel=1e-13)
-            assert math.exp(log_out - log_in) == ratio
+            assert np.exp(log_out - log_in) == ratio  # the exp ratio_sequence applies
 
     def test_log_tr_in_read_from_family(self):
         # the inputs' log Tr rho_beta^p is the kernel on coth(beta e_j)/2, bit for bit
@@ -603,12 +607,15 @@ class TestOncePerFamilyPipeline:
         # the beta grid is one (17, 4, 4) stack: no Gibbs state, no per-state validation
         assert counts["gibbs_state"]["calls"] == 0
         assert counts["validate_state"]["calls"] == 0
-        # one spectrum stack, of ratio_sequence's channel outputs; divergence_exponent at q = 1
-        # certifies its outputs with no spectrum, and every sweep reads the inputs'
-        # coth(beta e_j)/2 from the family
+        # at the integer p = 2 and q = 1 the outputs are read from determinants, and every sweep
+        # reads the inputs' coth(beta e_j)/2 from the family: no spectrum at all
+        assert counts["symplectic_spectrum"]["shapes"] == []
+        ratio_sequence(channel, family, 1.5, betas)
+        # off the integer p, one spectrum stack, of ratio_sequence's channel outputs
         assert counts["symplectic_spectrum"]["shapes"] == [(17, 4, 4)]
         # one symmetry and finiteness test for that stack, plus epsilon's and the channel's mu;
-        # the q = 1 outputs are symmetric by construction and tested for finiteness alone
+        # the determinant route's outputs are symmetric by construction and tested for
+        # finiteness alone
         assert counts["check_symmetric"]["calls"] == 1 + 2
         # only the attenuator's one CP eigensolve; every state is decided by its spectrum
         assert counts["check_psd_hermitian"]["calls"] == 1
@@ -733,8 +740,8 @@ class TestOncePerFamilyPipeline:
     def test_output_without_factor_refused_by_name(self):
         # the Gaussian unitary K = diag(e^12, e^-12) R^T squeezes the r = 6 input and every
         # Gibbs state of eps = R diag(e^-12, e^12) R^T to an r = 12 output with no Cholesky
-        # factor: each route that needs its spectrum refuses it as not positive definite,
-        # never as a NaN spectrum
+        # factor: each route, q = 1's determinant route too, refuses it as not positive
+        # definite, never as a NaN spectrum
         c, sn = math.cos(0.3), math.sin(0.3)
         rot = np.array([[c, -sn], [sn, c]])
         space = standard_form(1)
@@ -749,6 +756,7 @@ class TestOncePerFamilyPipeline:
             for route in (lambda: upper_bound_check(channel, [state], 2.0),
                           lambda: upper_bound_check(channel, [state], math.inf),
                           lambda: ratio_sequence(channel, family, 2.0, betas),
+                          lambda: divergence_exponent(channel, family, 1.0, 2.0, betas),
                           lambda: divergence_exponent(channel, family, 1.5, 2.0, betas),
                           lambda: apply_channel(channel, state).spectrum):
                 with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
@@ -760,9 +768,10 @@ class TestOncePerFamilyPipeline:
         betas = np.geomspace(1e-1, 1e-5, 17)
         calls = {name: _count_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "cholesky")}
         divergence_exponent(channel, family, 1.0, 2.0, betas)
-        # q = 1: ||Phi[rho_beta]||_1 = 1, and one batched Cholesky certifies the outputs
+        # q = 1: ||Phi[rho_beta]||_1 = 1, and the real and complex batched Choleskys of the
+        # determinant route certify the outputs
         assert calls["eigvalsh"]["shapes"] == []
-        assert calls["cholesky"]["shapes"] == [(17, 4, 4)]
+        assert calls["cholesky"]["shapes"] == [(17, 4, 4), (17, 4, 4)]
         divergence_exponent(channel, family, 1.5, 2.0, betas)
         assert calls["eigvalsh"]["shapes"] == [(17, 4, 4)]
 
@@ -905,6 +914,129 @@ class TestRealFoldedSweep:
             warnings.simplefilter("error")
             for q in (1.0, 1.5):
                 assert divergence_exponent(channel, family, q, 2.0, BETAS).verdict == "diverges"
+
+
+def _squeezed_stack(seed, s, squeeze, members):
+    """(space, covs): covariances S^T diag(d, d) S with S = O1 Z O2 (passive O1, O2, squeezes
+    |r_j| <= squeeze) and d_j - 1/2 log-uniform in [1e-9, 1e6 - 1/2]."""
+    rng = np.random.default_rng(seed)
+    space = standard_form(s)
+    covs = []
+    for _ in range(members):
+        d = 0.5 + np.exp(rng.uniform(math.log(1e-9), math.log(1e6 - 0.5), s))
+        r = squeeze * rng.uniform(-1.0, 1.0, s)
+        z = np.diag(np.exp(np.repeat(r, 2) * np.tile([1.0, -1.0], s)))
+        sym = random_passive_symplectic(rng, space) @ z @ random_passive_symplectic(rng, space)
+        cov = sym.T @ np.diag(np.repeat(d, 2)) @ sym
+        covs.append(0.5 * (cov + cov.T))
+    return space, np.array(covs)
+
+
+def _log_tr_ulp(covs, log_tr):
+    # one ulp of log Tr rho^p per member, widened by the conditioning both routes inherit:
+    # rounding alpha by eps ||alpha|| moves log det alpha by up to 2s eps cond(alpha)
+    return EPS * (np.maximum(1.0, abs(log_tr)) + covs.shape[-1] * np.linalg.cond(covs))
+
+
+def _spectrum_route(covs, space, p):
+    return _log_tr_rho_p(_checked_spectra(covs, space), p)
+
+
+def _refusal(route):
+    with pytest.raises(GaussNormError) as err:
+        route()
+    return type(err.value), str(err.value), getattr(err.value, "lambda_min", None)
+
+
+def _log_tr_mp(cov, p):
+    """-sum_j log f_p(d_j) at 40 digits, d_j read from the eigenvalues +-i d_j of Delta alpha."""
+    space = standard_form(len(cov) // 2)
+    with mpmath.workdps(40):
+        eigs = mpmath.eig(mpmath.matrix((space.delta @ cov).tolist()), left=False, right=False)
+        ds = sorted(abs(mpmath.im(lam)) for lam in eigs)[::2]
+        return float(-sum(mpmath.log((d + 0.5) ** p - (d - 0.5) ** p) for d in ds))
+
+
+class TestDeterminantRoute:
+    """log Tr rho^p of an output stack from real determinants at p in {1, 2, 3, 4}."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 16), squeeze=st.floats(0.0, 3.0),
+           p=st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+    def test_agrees_with_spectrum_route(self, seed, s, squeeze, p):
+        # where the spectrum route can tell d_min from 1/2 both routes agree to a few ulps of
+        # their common error scale; where it cannot, both refuse with its message
+        space, covs = _squeezed_stack(seed, s, squeeze, 17)
+        try:
+            expected = _spectrum_route(covs, space, p)
+        except GaussNormError:
+            assert _refusal(lambda: _log_tr_rho_p_covs(covs, space, p)) == _refusal(
+                lambda: _spectrum_route(covs, space, p))
+            return
+        got = _log_tr_rho_p_covs(covs, space, p)
+        assert (abs(got - expected) <= 8.0 * _log_tr_ulp(covs, expected)).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 2), squeeze=st.floats(0.0, 3.0))
+    def test_agrees_with_mpmath(self, seed, s, squeeze):
+        # against the 40-digit spectrum of the same float matrices, the determinant route's
+        # error is of the order of the spectrum route's
+        space, covs = _squeezed_stack(seed, s, squeeze, 4)
+        for p in (1.0, 2.0, 3.0, 4.0):
+            try:
+                by_spectra = _spectrum_route(covs, space, p)
+            except GaussNormError:  # both routes refuse alike: test_agrees_with_spectrum_route
+                continue
+            exact = np.array([_log_tr_mp(cov, p) for cov in covs])
+            ulp = _log_tr_ulp(covs, exact)
+            assert (abs(_log_tr_rho_p_covs(covs, space, p) - exact) <= 4.0 * ulp).all()
+            assert (abs(by_spectra - exact) <= 8.0 * ulp).all()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+    def test_refusals_match_spectrum_route(self, p):
+        # a member below the uncertainty bound, one with no Cholesky factor (the r = 18 squeezed
+        # vacuum) and non-finite members: the same error type, message and lambda_min as the
+        # spectrum route, with no numpy warning
+        space, covs = _squeezed_stack(5, 1, 1.0, 6)
+        c, sn = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -sn], [sn, c]])
+        bad = {"violating": 0.45 * rot @ np.diag([4.0, 0.25]) @ rot.T,
+               "no factor": rot @ np.diag([math.exp(36.0), math.exp(-36.0)]) @ rot.T / 2,
+               "nan": np.full((2, 2), math.nan),
+               "inf": np.diag([math.inf, 1.0])}
+        expected = {"violating": UncertaintyViolatedError, "no factor": DomainError,
+                    "nan": DomainError, "inf": DomainError}
+        for name, member in bad.items():
+            stack = covs.copy()
+            stack[3] = member
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                refusal = _refusal(lambda: _log_tr_rho_p_covs(stack, space, p))
+                assert refusal == _refusal(lambda: _spectrum_route(stack, space, p))
+            assert refusal[0] is expected[name], name
+
+    @settings(max_examples=50, deadline=None)
+    @given(**SWEEP_CASES, p=st.sampled_from([2.0, 3.0, 4.0]))
+    def test_no_eigensolve_at_integer_p(self, seed, s, scale, negative, squeeze, p):
+        # the sweeps at integer p and q = 1 read every output from factorizations alone
+        _, family, channel = _sweep_case(seed, s, scale, negative, squeeze)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an output spectrum was solved")
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(np.linalg, "eigvalsh", refuse)
+            ratio_sequence(channel, family, p, BETAS)
+            for q in range(1, int(p)):
+                divergence_exponent(channel, family, float(q), p, BETAS)
+
+    @pytest.mark.parametrize("s", [1, 2, 16])
+    def test_off_integer_p_solves_one_spectrum_stack(self, monkeypatch, s):
+        space, covs = _squeezed_stack(s, s, 1.0, 17)
+        calls = _count_calls(monkeypatch, gaussnorm.symplectic, "symplectic_spectrum")
+        got = _log_tr_rho_p_covs(covs, space, 1.5)
+        assert calls["shapes"] == [(17, 2 * s, 2 * s)]
+        assert got.tobytes() == _spectrum_route(covs, space, 1.5).tobytes()
 
 
 class TestDeterminantScaling:
