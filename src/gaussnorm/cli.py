@@ -133,11 +133,12 @@ def cmd_scaling(args) -> int:
         check_q(q, p)
         channel = spec.to_channel()
     family = sweep.family(spec.space() if channel is None else channel.space)
+    # both fits come before the first line, so a refused channel output prints nothing
     fit = scaling_exponent(family, p, betas)
+    dfit = None if channel is None else divergence_exponent(channel, family, q, p, betas)
     print(f"scaling p={p}: fitted = {_fmt(fit.slope)} expected = {_fmt(fit.expected)} "
           f"residual = {_fmt(fit.residual)}")
-    if channel is not None:
-        dfit = divergence_exponent(channel, family, q, p, betas)
+    if dfit is not None:
         print(f"divergence q={q} p={p}: fitted = {_fmt(dfit.slope)} "
               f"expected = {_fmt(dfit.expected)} verdict = {dfit.verdict}")
     return EXIT_OK

@@ -26,7 +26,9 @@ that has no Cholesky factor is refused whole.  At p in {1, 2, 3, 4} a stack's
 log Tr rho^p needs no spectrum: f_p(d) = p d^(p even) prod_t (d^2 + t^2) with
 t = cot(pi k/p)/2, and det(alpha + t Delta) = prod_j (d_j^2 + t^2), so a real
 Cholesky of alpha and at most one LU give it; that Cholesky and the complex one
-certify the stack, and a stack either fails on goes to the spectra.  One
+certify the stack, and a stack either fails on goes to the spectra.  The sweeps'
+stack kernels allocate each stack-sized temporary once: a call's peak is one real
+and two complex (B, 2s, 2s) stacks, and none is formed twice.  One
 state's spectrum takes the same form of log f_p a float at a time.  gibbs_state
 and the sweeps read one Gibbs spectrum, coth(beta e_j)/2.
 """
@@ -299,18 +301,21 @@ def _log_tr_rho_p_covs(covs: np.ndarray, space: SymplecticSpace, p: float) -> np
     _checked_spectra, which decides every refusal.
     """
     if p in _DET_SHIFTS:
-        check_finite(covs, "covariance matrix", float(abs(covs).max()))
+        # max(max, -min) is NaN or inf exactly where max |alpha_ij| is, with no |alpha| stack
+        check_finite(covs, "covariance matrix", float(max(covs.max(), -covs.min())))
+        log_f = np.full(len(covs), space.s * math.log(p))
         try:
             chol = np.linalg.cholesky(covs)
-            np.linalg.cholesky(covs + space._half_i_delta)
+            if p % 2 == 0:
+                log_f += np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+            del chol  # so that beside the stack only the complex certificate's pair is alive
+            half = covs + space._half_i_delta
+            np.linalg.cholesky(half)
         except np.linalg.LinAlgError:
             pass
         else:
-            log_f = np.full(len(covs), space.s * math.log(p))
-            if p % 2 == 0:
-                log_f += np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
             for t in _DET_SHIFTS[p]:
-                log_f += np.linalg.slogdet(covs + t * space.delta).logabsdet
+                log_f += np.linalg.slogdet(np.add(covs, t * space.delta, out=half.real)).logabsdet
             return -log_f
     return _log_tr_rho_p(_checked_spectra(covs, space), p)
 
@@ -359,8 +364,13 @@ def power_char_function(state: GaussianState, p: float, z) -> complex:
 
 def _basis_covs(basis: np.ndarray, x: np.ndarray, shift=0.0) -> np.ndarray:
     """basis diag(x_b, x_b) basis^T + shift, symmetrised, per row x_b of x (B, s): a (B, 2s, 2s) stack."""
-    covs = (basis * np.concatenate((x, x), axis=-1)[:, None, :]) @ basis.T + shift
-    return 0.5 * (covs + covs.swapaxes(-1, -2))
+    # two stack-sized buffers, bit for bit 0.5 * (c + c^T): the first then holds the symmetrised sum
+    buf = basis * np.concatenate((x, x), axis=-1)[:, None, :]
+    covs = buf @ basis.T
+    covs += shift
+    np.add(covs, covs.swapaxes(-1, -2), out=buf)
+    buf *= 0.5
+    return buf
 
 
 def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -48,6 +49,7 @@ from gaussnorm.errors import (
     UncertaintyViolatedError,
 )
 from gaussnorm.states import (
+    _basis_covs,
     _certify_uncertainty,
     _checked_spectra,
     _gibbs_covs,
@@ -834,6 +836,27 @@ class TestRealFoldedSweep:
         np.testing.assert_array_equal(spectra_in, _gibbs_spectra(family, BETAS))
         assert _max_rel(covs, _output_covs(channel, _gibbs_covs(family, BETAS))) <= 1e-13
 
+    @pytest.mark.parametrize("s", [1, 3, 16])
+    @pytest.mark.parametrize("member", [None, math.inf, math.nan])
+    @pytest.mark.parametrize("matrix_shift", [False, True])
+    def test_basis_covs_is_the_symmetrised_product(self, s, member, matrix_shift):
+        # bit for bit the expression it forms in place, 0.5 (c + c^T) with c = (S diag) S^T + shift,
+        # on finite stacks and on stacks with an inf or NaN member, under the sweeps' errstate
+        rng = np.random.default_rng(s)
+        basis = rng.standard_normal((2 * s, 2 * s))
+        x = np.exp(rng.uniform(-3.0, 3.0, (17, s)))
+        if member is not None:
+            x[5, 0] = member
+            x[11] = member
+        shift = random_spd(rng, 2 * s) if matrix_shift else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = (basis * np.concatenate((x, x), axis=-1)[:, None, :]) @ basis.T + shift
+            expected = 0.5 * (c + c.swapaxes(-1, -2))
+            got = _basis_covs(basis, x, shift)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert np.isfinite(got).all() == (member is None)
+
     @settings(max_examples=100, deadline=None)
     @given(**SWEEP_CASES, p=st.sampled_from([1.5, 2.0, 3.0]))
     def test_q_one_is_minus_the_scaling_law(self, seed, s, scale, negative, squeeze, p):
@@ -1014,6 +1037,40 @@ class TestDeterminantRoute:
                 refusal = _refusal(lambda: _log_tr_rho_p_covs(stack, space, p))
                 assert refusal == _refusal(lambda: _spectrum_route(stack, space, p))
             assert refusal[0] is expected[name], name
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_member_refused_by_name(self, p, bad):
+        # an off-diagonal NaN, +inf or -inf pair: max |alpha_ij| is not finite, and neither is
+        # max(max alpha_ij, -min alpha_ij).  The -inf pair at (0, 3) passes both Choleskys with
+        # NaN in the factor, so a finiteness test of max alpha_ij alone would return a NaN log Tr
+        space, covs = _squeezed_stack(7, 2, 1.0, 17)
+        covs[9, 0, 3] = covs[9, 3, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^covariance matrix must be finite$"):
+                _log_tr_rho_p_covs(covs, space, p)
+
+    def test_peak_allocation_within_three_stacks(self):
+        # at s = 16 on 17 betas, the peak of one estimator call is one real (B, 2s, 2s) stack (the
+        # outputs) and two complex ones (the certificate's input and its factor); the 32 KiB slack
+        # covers the (B, s) spectra and the (2s, 2s) matrices, which take 4 KiB here.  A real
+        # factor alive beside the complex pair adds a real stack, 136 KiB
+        _, family, channel = _sweep_case(11, 16, 1.0, False, 0.5)
+        real_stack = len(BETAS) * 32 * 32 * 8
+        bound = 5 * real_stack + 32 * 1024
+        calls = {f"ratio_sequence p={p}": (lambda p=p: ratio_sequence(channel, family, p, BETAS))
+                 for p in (1.0, 2.0, 3.0, 4.0)}
+        calls["divergence_exponent q=1"] = lambda: divergence_exponent(channel, family, 1.0, 2.0, BETAS)
+        for name, call in calls.items():
+            call()  # caches of the space and the family are built on first use
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, f"{name}: peak {peak} B > {bound} B"
 
     @settings(max_examples=50, deadline=None)
     @given(**SWEEP_CASES, p=st.sampled_from([2.0, 3.0, 4.0]))

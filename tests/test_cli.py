@@ -50,6 +50,18 @@ def write_config(path, spec, sweep=None):
     return str(path)
 
 
+def no_factor_config(tmp_path, out):
+    """K = diag(e^12, e^-12) R^T with mu = 0, which squeezes every Gibbs state of
+    eps = R diag(e^-12, e^12) R^T to an output with no Cholesky factor."""
+    c, sn = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -sn], [sn, c]])
+    k = np.diag([math.exp(12.0), math.exp(-12.0)]) @ rot.T
+    eps = rot @ np.diag([math.exp(-12.0), math.exp(12.0)]) @ rot.T
+    spec = ChannelSpec(s=1, K=k.ravel().tolist(), l=[0.0, 0.0], mu=[0.0] * 4)
+    return write_config(tmp_path / "no-factor.json", spec,
+                        SweepSpec(epsilon=eps.ravel().tolist(), output_path=str(out)))
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_identity(self):
         spec = attenuator_spec()
@@ -374,17 +386,9 @@ class TestCmdConverge:
         assert err == "error: betas must be strictly descending\n" and not out.exists()
 
     def test_output_without_factor_exit_one(self, tmp_path, capsys):
-        # K = diag(e^12, e^-12) R^T with mu = 0 squeezes every Gibbs state of
-        # eps = R diag(e^-12, e^12) R^T to an output with no Cholesky factor: refused by name,
-        # with numpy warnings raised as errors, and no CSV written
-        c, sn = math.cos(0.3), math.sin(0.3)
-        rot = np.array([[c, -sn], [sn, c]])
-        k = np.diag([math.exp(12.0), math.exp(-12.0)]) @ rot.T
-        eps = rot @ np.diag([math.exp(-12.0), math.exp(12.0)]) @ rot.T
+        # refused by name, with numpy warnings raised as errors, and no CSV written
         out = tmp_path / "never.csv"
-        spec = ChannelSpec(s=1, K=k.ravel().tolist(), l=[0.0, 0.0], mu=[0.0] * 4)
-        cfg = write_config(tmp_path / "squeeze.json", spec,
-                           SweepSpec(epsilon=eps.ravel().tolist(), output_path=str(out)))
+        cfg = no_factor_config(tmp_path, out)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["converge", cfg]) == 1
@@ -440,6 +444,17 @@ class TestCmdScaling:
         assert main(["scaling", cfg, "--p", "2", "--q", q]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: need 1 <= q < p, got q={float(q)}, p=2.0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("q", ["1", "1.5"])
+    def test_output_without_factor_refused_before_output(self, q, tmp_path, capsys):
+        # the divergence fit's refusal of the channel outputs comes before the scaling fit prints
+        cfg = no_factor_config(tmp_path, tmp_path / "never.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scaling", cfg, "--q", q]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: covariance matrix must be positive definite\n"
         assert captured.out == ""
 
     def test_non_cp_channel_refused_before_output(self, tmp_path, capsys):
