@@ -27,10 +27,11 @@ The dense Kraus family (:func:`attenuator_kraus`, :func:`apply_kraus`) is its
 reference, kept in the package only while ``perfbench`` traces both names.
 
 Every spectrum comes with a density check (finite, Hermitian, unit trace, no
-negative eigenvalue) over all blocks at once, and one batched Hermitian
-eigensolve serves the check and the caller; on 1x1 blocks it returns the
-diagonal itself.  Truncation error is controlled by recomputing the final
-scalar or small array at 2 * n_max (:func:`doubling_check`).
+negative eigenvalue) over all blocks at once.  1x1 blocks run the check and no
+eigensolve: their spectrum is their real diagonal.  A dense block runs one
+batched Hermitian eigensolve (eigh, or eigvalsh without vectors), which serves
+the check and the caller.  Truncation error is controlled by recomputing the
+final scalar or small array at 2 * n_max (:func:`doubling_check`).
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ class TruncatedOperator:
 def _diagonal(blocks: np.ndarray, k: int) -> np.ndarray:
     """Diagonal k (column - row), |k| below the block size, in Fock order: a writable view."""
     size = blocks.shape[-1]
+    if size == 1:  # basic indexing: a view whatever the stack's strides, at a tenth of einsum's cost
+        return blocks[:, 0, 0]
     lo, hi = max(-k, 0), max(k, 0)
     return np.einsum("ijj->ij", blocks[:, lo : size - hi, hi : size - lo]).reshape(-1)
 
@@ -237,10 +240,11 @@ def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
     """Eigenvalues (B, b) and, if asked, eigenvectors (B, b, b) of a checked density operator.
 
     Finite, Hermitian within 1e-12 (Frobenius over all blocks, relative), trace
-    within TAIL_BOUND of 1, eigenvalues >= -1e-12; every test fails on NaN, and
-    one batched decomposition serves both the check and the caller.  On a 1x1
-    block LAPACK returns the real part and the eigenvector 1 exactly, so 1x1
-    blocks give their real diagonal in Fock order; a larger block's are ascending.
+    within TAIL_BOUND of 1, eigenvalues >= -1e-12; every test fails on NaN.  1x1
+    blocks run no eigensolve: they give their real diagonal in Fock order and
+    eigenvectors 1, the bits LAPACK returns for a 1x1 Hermitian block.  A larger
+    block runs one batched eigh or eigvalsh, which serves both the check and the
+    caller, and its eigenvalues are ascending.
     """
     blocks = rho.blocks
     size = np.linalg.norm(blocks)
@@ -251,7 +255,10 @@ def _density_spectrum(rho: TruncatedOperator, vectors: bool = False):
     trace = rho.trace().real
     if not abs(trace - 1.0) <= TAIL_BOUND:
         raise NotDensityOperatorError(f"trace {trace!r} deviates from 1 beyond the tail bound")
-    lam, u = np.linalg.eigh(blocks) if vectors else (np.linalg.eigvalsh(blocks), None)
+    if blocks.shape[-1] == 1:  # what LAPACK returns for a 1x1 block, without the call
+        lam, u = blocks.real.reshape(-1, 1), np.ones_like(blocks) if vectors else None
+    else:
+        lam, u = np.linalg.eigh(blocks) if vectors else (np.linalg.eigvalsh(blocks), None)
     if not -HERM_TOL <= lam.min():
         raise NotDensityOperatorError(f"negative eigenvalue {float(lam.min()):.3e}")
     return lam, u

@@ -623,8 +623,8 @@ class TestCmdOracle:
         # state, whose one spectrum serves its trace row and its covariance density check, and
         # its one power rho^p, which serves the tr_rho_p row and the power char function; the char
         # rows read W only on rho's main diagonal and never form it.  Every state is stored as
-        # 1x1 photon-number blocks, so each eigensolve is sized by its block (the closed forms'
-        # are 2x2), none is larger than 1x1, and nothing scans the entries for a layout
+        # 1x1 photon-number blocks, whose spectrum is their diagonal: every eigensolve is the
+        # closed forms' (2x2), and nothing scans the entries for a layout
         assert calls["doubling_check"] == [40]
         assert calls["thermal_state_fock"] == [40, 80]
         assert calls["attenuate"] == [40, 80]
@@ -634,8 +634,8 @@ class TestCmdOracle:
         # read no off-diagonal of the 1x1 blocks
         assert calls["_weyl_diagonal"] == [41, 81]
         assert calls["_dot"] == [41, 41, 41, 81, 81, 81]
-        assert [n for n in calls["eigvalsh"] if n != 2] == [1, 1]
-        assert [n for n in calls["eigh"] if n != 2] == [1, 1]
+        assert [n for n in calls["eigvalsh"] if n != 2] == []
+        assert [n for n in calls["eigh"] if n != 2] == []
         assert calls["count_nonzero"] == []
         assert calls["nonzero"] == []
 

@@ -283,15 +283,15 @@ class TestDiagonalSpectrum:
             calls.append(m.shape)
             return eigh(m)
 
-        # the layout, set by the builder, decides: 1x1 blocks take 1x1 eigensolves, and a dense
-        # block a dense one, however small its off-diagonal entries
+        # the layout, set by the builder, decides: 1x1 blocks read their spectrum off the diagonal
+        # with no eigensolve, and a dense block takes a dense one, however small its off-diagonal entries
         monkeypatch.setattr(np.linalg, "eigh", counted)
         matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
         matrix_power_fock(TruncatedOperator(np.diagonal(matrix).reshape(-1, 1, 1)), 2.0)
-        assert calls == [(3, 1, 1)]
+        assert calls == []
         matrix[0, 1] = matrix[1, 0] = 1e-300
         matrix_power_fock(TruncatedOperator(matrix[None]), 2.0)
-        assert calls == [(3, 1, 1), (1, 3, 3)]
+        assert calls == [(1, 3, 3)]
 
 
 def assert_same_bits(a, b):
@@ -348,6 +348,23 @@ class TestLayouts:
             # out[m] = 0.2 sum_{i >= m} binom(i, m) / 2^i
             expected = [0.3875, 0.325, 0.2, 0.075, 0.0125]
             np.testing.assert_allclose(attenuate(0.5, rho).blocks.ravel(), expected, rtol=0, atol=1e-16)
+
+    def test_strided_stack_gives_the_contiguous_bits(self):
+        # 1x1 blocks' diagonal is a view of the stack whatever its strides: a strided stack reads as
+        # its contiguous copy, NaN between its rows included, and a write through it lands in the stack
+        big = np.full((82, 1, 1), math.nan, dtype=complex)
+        big[::2] = thermal_state_fock(1.0, 40).blocks
+        rho, copy = TruncatedOperator(big[::2]), TruncatedOperator(big[::2].copy())
+        assert not rho.blocks.flags.c_contiguous and np.shares_memory(rho.blocks, big)
+        for tau in (0.3, 1.0):
+            assert_same_bits(attenuate(tau, rho).blocks, attenuate(tau, copy).blocks)
+        assert_same_bits(rho.spectrum, copy.spectrum)
+        values = np.arange(1.0, 42.0) + 0.5j
+        fock._diagonal(rho.blocks, 0)[:] = values
+        assert_same_bits(big[::2].reshape(-1), values)
+        out = attenuate(0.5, copy)
+        fock._diagonal(out.blocks, 0)[:] = values
+        assert_same_bits(out.blocks.reshape(-1), values)
 
 
 class TestCharFunctionFock:
@@ -689,3 +706,60 @@ class TestPowerCharFunctionAgainstOracle:
         for z in ([1.0, 0.0], [0.5, -1.0], [-1.5, 0.7]):
             got = char_function_fock(squared, z)
             assert abs(got - power_char_function(state, 2.0, z)) <= 1e-8
+
+
+def thermal_tr_power(N, p):
+    """Tr rho^p of the thermal state of mean N, sum_k ((1 - r) r^k)^p = (1 - r)^p / (1 - r^p), in mpmath."""
+    r = mpmath.mpf(N) / (mpmath.mpf(N) + 1)
+    return (1 - r) ** p / (1 - r**p)
+
+
+class TestTailBrackets:
+    """Oracle rows built once at default_n_max(N) lie inside closed-form brackets of their exact values.
+
+    rho_n, the thermal diagonal cut at n, sits below rho with Tr(rho - rho_n) = r^(n+1), r = N/(N+1).
+    The attenuator Phi maps span{|0>, ..., |n>} into itself and is positive, so Phi(rho_n) <= Phi(rho)
+    with the same trace gap, and for 0 <= B <= A with ||A|| <= 1 and p >= 1,
+    Tr B^p <= Tr A^p <= Tr B^p + p Tr(A - B).  Exact values come from 40-digit mpmath; each bracket is
+    widened by the rounding bar ROUNDING_C (n+1) eps (the largest miss on this grid is 0.67 (n+1) eps).
+    """
+
+    ROUNDING_C = 4
+    GRID_N = (1e-3, 0.5, 1.0, 2.0, 5.0)
+    GRID_TAU = (0.1, 0.5, 0.9, 1.0)
+    GRID_P = (1.2, 1.5, 2.0, 3.0, 4.0)
+
+    def cut(self, N):
+        """The cutoff n, rho_n, r in mpmath (call under workdps) and the rounding bar."""
+        n = default_n_max(N)
+        r = mpmath.mpf(N) / (mpmath.mpf(N) + 1)
+        return n, thermal_state_fock(N, n), r, self.ROUNDING_C * (n + 1) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("N", GRID_N)
+    def test_output_power_inside_its_bracket(self, N):
+        with mpmath.workdps(40):
+            n, rho, r, bar = self.cut(N)
+            for tau in self.GRID_TAU:
+                out = attenuate(tau, rho)
+                for p in self.GRID_P:
+                    got, exact = mpmath.mpf(tr_power_fock(out, p)), thermal_tr_power(mpmath.mpf(tau) * N, p)
+                    assert got - bar <= exact <= got + p * r ** (n + 1) + bar, (tau, p, got, exact)
+
+    @pytest.mark.parametrize("N", GRID_N)
+    def test_input_power_inside_its_exact_tail(self, N):
+        # the neglected levels give sum_{k > n} p_k^p = (1 - r)^p r^((n+1) p) / (1 - r^p) exactly
+        with mpmath.workdps(40):
+            n, rho, r, bar = self.cut(N)
+            for p in self.GRID_P:
+                tail = (1 - r) ** p * r ** ((n + 1) * p) / (1 - r**p)
+                got, exact = mpmath.mpf(tr_power_fock(rho, p)), thermal_tr_power(N, p)
+                assert got - bar <= exact <= got + tail + bar, (p, got, exact)
+
+    @pytest.mark.parametrize("N", GRID_N)
+    def test_char_row_inside_the_lost_mass(self, N):
+        # |Tr((rho - rho_n) W(z))| <= Tr(rho - rho_n) = r^(n+1): ||W|| = 1 and the diagonal of W it reads is exact
+        with mpmath.workdps(40):
+            n, rho, r, bar = self.cut(N)
+            exact = mpmath.exp(-(mpmath.mpf(N) + 0.5) / 2)  # e^(-z^T alpha z / 2), alpha = (N + 1/2) I, z = (1, 0)
+            got = mpmath.mpc(char_function_fock(rho, (1.0, 0.0)))
+            assert abs(got - exact) <= r ** (n + 1) + bar, (got, exact)
