@@ -36,11 +36,7 @@ from .states import (
 )
 from .symplectic import (
     SymplecticSpace,
-    apply_spectral_function,
     check_psd_hermitian,
-    matrix_abs,
-    matrix_cot,
-    spectral_decomposition,
     standard_form,
     symplectic_spectrum,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "SweepSpec",
     "SymplecticSpace",
     "apply_channel",
-    "apply_spectral_function",
     "char_function",
     "check_psd_hermitian",
     "compose",
@@ -68,8 +63,6 @@ __all__ = [
     "gibbs_asymptotic",
     "gibbs_state",
     "load_config",
-    "matrix_abs",
-    "matrix_cot",
     "norm_pp",
     "parse_config",
     "power_char_function",
@@ -78,7 +71,6 @@ __all__ = [
     "scaling_exponent",
     "schatten_norm",
     "serialize_config",
-    "spectral_decomposition",
     "standard_form",
     "symplectic_spectrum",
     "tr_rho_p",

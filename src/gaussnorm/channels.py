@@ -148,8 +148,8 @@ def _output_covs(channel: GaussianChannel, covs: np.ndarray) -> np.ndarray:
     """K^T alpha K + mu for a covariance or a (B, 2s, 2s) stack of them; not validated."""
     if covs.shape[-1] != channel.space.dim:
         raise DimensionMismatchError("channel and state live on different spaces")
-    cov = channel.K.T @ covs @ channel.K + channel.mu
-    return 0.5 * (cov + cov.swapaxes(-1, -2))
+    cov = 0.5 * (channel.K.T @ covs @ channel.K + channel.mu)  # halved first: cov + cov^T can overflow
+    return cov + cov.swapaxes(-1, -2)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -329,5 +329,5 @@ def compose(first: GaussianChannel, second: GaussianChannel) -> GaussianChannel:
         raise DimensionMismatchError("channels live on different spaces")
     K = first.K @ second.K
     l = second.K.T @ first.l + second.l
-    mu = second.K.T @ first.mu @ second.K + second.mu
-    return validate_channel(K, l, 0.5 * (mu + mu.T), first.space)
+    mu = 0.5 * (second.K.T @ first.mu @ second.K + second.mu)  # halved first: mu + mu^T can overflow
+    return validate_channel(K, l, mu + mu.T, first.space)

@@ -204,8 +204,8 @@ def g_p(d, p: float):
     """
     _check_p(p)
     d, _, one_minus_rp = _power_terms(d, p)
-    # 1 + r^p = 2 - (1 - r^p), with no cancellation since r^p < 1
-    return (2.0 - one_minus_rp) / (2.0 * d * one_minus_rp)
+    # 1 + r^p = 2 - (1 - r^p), with no cancellation since r^p < 1; halved last, as 2d can overflow
+    return 0.5 * ((2.0 - one_minus_rp) / (d * one_minus_rp))
 
 
 def _checked_spectra(covs: np.ndarray, space: SymplecticSpace) -> np.ndarray:
@@ -349,8 +349,8 @@ def power_cov(state: GaussianState, p: float) -> np.ndarray:
     of the normalized p-th power state, from one eigensolve of its Williamson form."""
     chol, h = _williamson_form(state.cov, state.space, DomainError, "covariance matrix")
     lam, u = np.linalg.eigh(h)
-    m = chol @ ((u * g_p(abs(lam), p)) @ u.conj().T).real @ chol.T
-    return 0.5 * (m + m.T)
+    m = 0.5 * (chol @ ((u * g_p(abs(lam), p)) @ u.conj().T).real @ chol.T)  # halved first: m + m^T can overflow
+    return m + m.T
 
 
 def power_char_function(state: GaussianState, p: float, z) -> complex:
@@ -364,13 +364,12 @@ def power_char_function(state: GaussianState, p: float, z) -> complex:
 
 def _basis_covs(basis: np.ndarray, x: np.ndarray, shift=0.0) -> np.ndarray:
     """basis diag(x_b, x_b) basis^T + shift, symmetrised, per row x_b of x (B, s): a (B, 2s, 2s) stack."""
-    # two stack-sized buffers, bit for bit 0.5 * (c + c^T): the first then holds the symmetrised sum
+    # two stack-sized buffers, c/2 + c^T/2 (halved before the sum, which then cannot overflow) in the first
     buf = basis * np.concatenate((x, x), axis=-1)[:, None, :]
     covs = buf @ basis.T
     covs += shift
-    np.add(covs, covs.swapaxes(-1, -2), out=buf)
-    buf *= 0.5
-    return buf
+    covs *= 0.5
+    return np.add(covs, covs.swapaxes(-1, -2), out=buf)
 
 
 def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
@@ -405,11 +404,12 @@ def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
 
 
 def gibbs_asymptotic(family: GibbsFamily, beta: float) -> np.ndarray:
-    """High-temperature comparator (2 beta epsilon)^-1 for the Gibbs covariance."""
+    """High-temperature comparator (2 beta epsilon)^-1 = S S^T/(2 beta): S^T epsilon S = I on the
+    family's Williamson basis gives epsilon^-1 = S S^T; a comparator with a non-finite entry is refused."""
     if not 0.0 < beta < math.inf:
         raise DomainError(f"inverse temperature must be positive and finite, got {beta}")
-    try:
-        inv = np.linalg.inv(2.0 * beta * family.epsilon)
-    except np.linalg.LinAlgError as exc:
-        raise SingularEpsilonError("epsilon is singular") from exc
-    return 0.5 * (inv + inv.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0.5/beta = inf at beta = 1e-310, and inf * 0 = NaN
+        comparator = (0.5 / beta) * (family.basis @ family.basis.T)
+    if not np.isfinite(comparator).all():
+        raise NumericalOverflowError(f"Gibbs comparator (2 beta epsilon)^-1 is not finite at beta = {beta:.3e}")
+    return comparator

@@ -12,7 +12,8 @@ Conventions used throughout the package:
   for one matrix or a stack (..., 2s, 2s) of them in one batched call;
 * general matrix functions (matrix_abs, matrix_cot) go through a complex
   eigendecomposition kernel with a conditioning cap and a real-projection
-  guard; they are the independent reference for the Williamson path.
+  guard; no library path calls them and the package does not export them:
+  they are the tests' independent reference for the Williamson path.
 
 Symmetry, Hermiticity and PSD tolerances scale with max |x_ij|, which, unlike
 a norm summed over entries, cannot overflow for finite x; in a stack each

@@ -263,6 +263,28 @@ class TestApplyChannel:
             np.testing.assert_allclose(sequential.cov, composed.cov, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(sequential.mean, composed.mean, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_huge_state_through_identity(self, scale):
+        # K^T alpha K + mu is halved before its symmetric sum, which overflowed to inf
+        channel = identity_channel()
+        state = validate_state(np.zeros(2), scale * np.eye(2), standard_form(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_channel(channel, state)
+            oks, worst = upper_bound_check(channel, [state], 2.0)
+        np.testing.assert_array_equal(out.cov, state.cov)
+        np.testing.assert_allclose(out.spectrum, [scale], rtol=1e-15)
+        assert oks == [True] and worst >= 0.0
+
+    def test_compose_huge_noise(self):
+        # the composed mu = K2^T mu1 K2 + mu2 is halved before its symmetric sum
+        space = standard_form(1)
+        noisy = validate_channel(np.eye(2), np.zeros(2), 1.7e308 * np.eye(2), space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            composed = compose(identity_channel(), noisy)
+        np.testing.assert_array_equal(composed.mu, noisy.mu)
+
 
 class TestNormPP:
     def test_identity_any_p(self):
@@ -313,6 +335,11 @@ class TestNormPP:
 
 
 class TestRatioSequence:
+    def test_family_on_other_space_refused(self):
+        family = GibbsFamily(standard_form(2), np.eye(4))
+        with pytest.raises(DimensionMismatchError, match="^channel and family live on different spaces$"):
+            ratio_sequence(attenuator(0.5), family, 2.0, [1e-1, 1e-2])
+
     def test_identity_channel_all_ones(self):
         family = GibbsFamily(standard_form(1), np.eye(2))
         report = ratio_sequence(identity_channel(), family, 2.0, [1e-2, 1e-3, 1e-4])
@@ -534,6 +561,11 @@ class TestScalingExponent:
 
 
 class TestDivergenceExponent:
+    def test_family_on_other_space_refused(self):
+        family = GibbsFamily(standard_form(2), np.eye(4))
+        with pytest.raises(DimensionMismatchError, match="^channel and family live on different spaces$"):
+            divergence_exponent(attenuator(0.5), family, 1.0, 2.0, [1e-1, 1e-2, 1e-3])
+
     def test_attenuator_q1_p2(self):
         family = GibbsFamily(standard_form(1), np.eye(2))
         fit = divergence_exponent(attenuator(0.5), family, 1.0, 2.0, np.geomspace(1e-1, 1e-5, 17))

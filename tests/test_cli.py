@@ -274,6 +274,17 @@ class TestCmdNorm:
         assert main(["norm", cfg, "--p", "2"]) == 1
         assert "requires invertible K" in capsys.readouterr().err
 
+    def test_linear_algebra_failure_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a LinAlgError out of the library is one error line and exit 1, with nothing on stdout
+        def fail(a):
+            raise np.linalg.LinAlgError("planted failure")
+        monkeypatch.setattr(np.linalg, "slogdet", fail)
+        cfg = write_config(tmp_path / "att.json", attenuator_spec())
+        assert main(["norm", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: linear algebra failure: planted failure\n"
+
     def test_overflowing_determinant_quiet(self, tmp_path):
         # s = 200 amplifier: det K = 40^200 prints as inf, with no numpy warning on stderr,
         # and the norm 40^-100 comes from log|det K|

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 from gaussnorm import (
     GaussianState,
     GibbsFamily,
-    apply_spectral_function,
     char_function,
     f_p,
     g_p,
     gibbs_asymptotic,
     gibbs_state,
-    matrix_cot,
     power_char_function,
     power_cov,
     schatten_norm,
@@ -34,6 +32,7 @@ from gaussnorm.errors import (
     DimensionMismatchError,
     DomainError,
     NotSymmetricError,
+    NumericalOverflowError,
     SingularEpsilonError,
     UncertaintyViolatedError,
 )
@@ -55,7 +54,7 @@ from gaussnorm.states import (
     _power_terms,
     _sum_log_f_p,
 )
-from gaussnorm.symplectic import check_psd_pair
+from gaussnorm.symplectic import apply_spectral_function, check_psd_pair, matrix_cot
 
 
 def thermal_state(d, s=1):
@@ -538,8 +537,6 @@ class TestTrRhoP:
 
     def test_matches_determinant_form(self):
         # same value through det f_p(abs(Delta^-1 alpha)) instead of the spectrum product
-        from gaussnorm import apply_spectral_function
-
         rng = np.random.default_rng(29)
         for s in (1, 2, 3):
             space = standard_form(s)
@@ -694,6 +691,14 @@ class TestPowerCharFunction:
         expected = np.sort([d * g_p(d, p) for d in ds])
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
+    def test_huge_state_power_cov(self):
+        # g_p(d) halves after its division, where 2d overflowed and g_p read 0 at d = 1e308
+        state = validate_state(np.zeros(2), 1e308 * np.eye(2), standard_form(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = power_cov(state, 2.0)
+        np.testing.assert_allclose(got, 5e307 * np.eye(2), rtol=1e-14, atol=0.0)
+
 
 class TestGibbs:
     def test_identity_hamiltonian_single_mode(self):
@@ -733,6 +738,51 @@ class TestGibbs:
         np.testing.assert_allclose(gibbs_asymptotic(family, 0.5), np.eye(2), rtol=1e-14)
         family2 = GibbsFamily(standard_form(1), np.diag([2.0, 2.0]))
         np.testing.assert_allclose(gibbs_asymptotic(family2, 0.25), np.eye(2), rtol=1e-14)
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 16, 40])
+    def test_asymptotic_matches_inverse(self, s):
+        # S S^T / (2 beta) from the family's basis against a second factorization of epsilon
+        rng = np.random.default_rng(500 + s)
+        space = standard_form(s)
+        for _ in range(5):
+            eps = random_spd(rng, space.dim)
+            family = GibbsFamily(space, eps)
+            for beta in (1e-3, 1.0, 1e3):
+                got = gibbs_asymptotic(family, beta)
+                ref = np.linalg.inv(2.0 * beta * eps)
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+                np.testing.assert_array_equal(got, got.T)
+
+    def test_asymptotic_solves_nothing(self, monkeypatch):
+        # epsilon is factorized once, by the family: the comparator calls no np.linalg routine
+        family = GibbsFamily(standard_form(2), random_spd(np.random.default_rng(73), 4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gibbs_asymptotic called np.linalg")
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        assert np.isfinite(gibbs_asymptotic(family, 1e-3)).all()
+
+    @pytest.mark.parametrize("eps, beta", [
+        (np.diag([1e-300, 1e300]), 1e-10),  # inf and NaN entries from inv(2 beta eps)
+        (np.diag([1e-300, 1e300]), 1e-30),  # 2 beta eps underflowed: "epsilon is singular"
+        (np.eye(2), 1e-310),                # 0.5/beta is inf and inf * 0 is NaN
+    ])
+    def test_asymptotic_overflow_refused(self, eps, beta):
+        family = GibbsFamily(standard_form(1), eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError, match=f"not finite at beta = {beta:.3e}$"):
+                gibbs_asymptotic(family, beta)
+
+    def test_asymptotic_subnormal_comparator(self):
+        # inv(2 beta eps) overflowed 2 beta to inf and returned NaN; (2 beta)^-1 = 5e-309 is subnormal
+        family = GibbsFamily(standard_form(1), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gibbs_asymptotic(family, 1e308)
+        np.testing.assert_allclose(got, 5e-309 * np.eye(2), rtol=1e-14, atol=0.0)
 
     def test_bad_epsilon_rejected(self):
         space = standard_form(1)

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussnorm
 from gaussnorm import (
-    apply_spectral_function,
     check_psd_hermitian,
-    matrix_abs,
-    matrix_cot,
     standard_form,
     symplectic_spectrum,
 )
@@ -31,9 +29,13 @@ from gaussnorm.symplectic import (
     TOL_RECONSTRUCT,
     TOL_SPEC,
     TOL_SYM,
+    apply_spectral_function,
     check_finite,
     check_psd_pair,
     check_symmetric,
+    matrix_abs,
+    matrix_cot,
+    spectral_decomposition,
 )
 
 
@@ -116,6 +118,21 @@ class TestApplySpectralFunction:
         # a constant-imaginary scalar function makes the real projection invalid
         with pytest.raises(ImagResidualError):
             apply_spectral_function(np.eye(2), lambda x: 1j)
+
+
+def test_nonsymmetric_kernels_not_exported():
+    # no library path calls them: they are the tests' independent reference, in gaussnorm.symplectic
+    for name in ("spectral_decomposition", "apply_spectral_function", "matrix_abs", "matrix_cot"):
+        assert name not in gaussnorm.__all__ and not hasattr(gaussnorm, name)
+        assert callable(getattr(gaussnorm.symplectic, name))
+
+
+class TestSpectralDecomposition:
+    def test_wrong_decomposition_rejected(self, monkeypatch):
+        # an eigenbasis with condition 1 whose eigenvalues do not reconstruct A
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array([5.0, 7.0]), np.eye(2)))
+        with pytest.raises(NonDiagonalizableError, match="^reconstruction residual .* exceeds"):
+            spectral_decomposition(np.diag([2.0, 3.0]))
 
 
 class TestMatrixAbs:
