@@ -3,7 +3,8 @@
 A channel is the triple (K, l, mu) acting on Weyl operators as
 W(z) -> W(Kz) exp(i l^T z - z^T mu z / 2), complete-positivity being the pair
 of matrix inequalities mu +- (i/2)(Delta - K^T Delta K) >= 0.  States
-transform as alpha' = K^T alpha K + mu and m' = K^T m + l.
+transform as alpha' = K^T alpha K + mu and m' = K^T m + l, one output rule
+for apply_channel, upper_bound_check and compose.
 
 For invertible K the p->p norm is |det K|^(1/p - 1), attained in the
 beta -> 0 limit on Gibbs states; the estimators here certify that limit,
@@ -144,20 +145,20 @@ def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
     return GaussianChannel(space=space, K=K, l=l, mu=mu)
 
 
-def _output_covs(channel: GaussianChannel, covs: np.ndarray) -> np.ndarray:
-    """K^T alpha K + mu for a covariance or a (B, 2s, 2s) stack of them; not validated."""
+def _output_rule(channel: GaussianChannel, means: np.ndarray, covs: np.ndarray) -> tuple:
+    """(m^T K + l, K^T alpha K + mu) for a mean and covariance, or (B, 2s) rows and a (B, 2s, 2s) stack;
+    not validated: an output out of the double range holds inf or NaN, which the callers refuse by name."""
     if covs.shape[-1] != channel.space.dim:
         raise DimensionMismatchError("channel and state live on different spaces")
-    cov = 0.5 * (channel.K.T @ covs @ channel.K + channel.mu)  # halved first: cov + cov^T can overflow
-    return cov + cov.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = 0.5 * (channel.K.T @ covs @ channel.K + channel.mu)  # halved first: cov + cov^T can overflow
+        return means @ channel.K + channel.l, cov + cov.swapaxes(-1, -2)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
     """Transform a state: cov' = K^T cov K + mu, mean' = K^T mean + l."""
-    cov = _output_covs(channel, state.cov)
-    mean = channel.K.T @ state.mean + channel.l
     # output validity is guaranteed mathematically; validate_state asserts it numerically
-    return validate_state(mean, cov, channel.space)
+    return validate_state(*_output_rule(channel, state.mean, state.cov), channel.space)
 
 
 def _log_abs_det_K(channel: GaussianChannel) -> float:
@@ -262,12 +263,12 @@ def upper_bound_check(
         return [], math.inf
     if any(space.dim != channel.space.dim for space in {state.space for state in states}):
         raise DimensionMismatchError("channel and state live on different spaces")
-    means = np.array([state.mean for state in states]) @ channel.K + channel.l
-    check_finite(means, "mean", float(abs(means).max()))
     covs = np.array([state.cov for state in states])
+    means, covs_out = _output_rule(channel, np.array([state.mean for state in states]), covs)
+    check_finite(means, "mean", float(abs(means).max()))
     # the inputs without a cached spectrum ride in the outputs' stack and fill their caches
     todo = [i for i, state in enumerate(states) if "spectrum" not in vars(state)]
-    spectra = _checked_spectra(np.concatenate((_output_covs(channel, covs), covs[todo])), channel.space)
+    spectra = _checked_spectra(np.concatenate((covs_out, covs[todo])), channel.space)
     for i, spectrum in zip(todo, spectra[len(states):]):
         object.__setattr__(states[i], "spectrum", spectrum)  # fills the cached property
     log_in = _log_schatten_norm(np.array([state.spectrum for state in states]), p)
@@ -322,12 +323,9 @@ def divergence_exponent(channel: GaussianChannel, family: GibbsFamily, q: float,
 def compose(first: GaussianChannel, second: GaussianChannel) -> GaussianChannel:
     """Channel equal to applying ``first`` then ``second``.
 
-    Covariance composition gives K = K1 K2, l = K2^T l1 + l2,
-    mu = K2^T mu1 K2 + mu2.
+    Covariance composition gives K = K1 K2, and (l, mu) = (K2^T l1 + l2, K2^T mu1 K2 + mu2),
+    ``second``'s output rule applied to ``first``'s (l, mu).
     """
     if first.space.dim != second.space.dim:
         raise DimensionMismatchError("channels live on different spaces")
-    K = first.K @ second.K
-    l = second.K.T @ first.l + second.l
-    mu = 0.5 * (second.K.T @ first.mu @ second.K + second.mu)  # halved first: mu + mu^T can overflow
-    return validate_channel(K, l, mu + mu.T, first.space)
+    return validate_channel(first.K @ second.K, *_output_rule(second, first.l, first.mu), first.space)

@@ -1,9 +1,10 @@
 """Gaussian states, their characteristic functions and Schatten-power closed forms.
 
 A Gaussian density operator is determined by its mean vector m and covariance
-matrix alpha through Tr rho W(z) = exp(i m^T z - z^T alpha z / 2), with the
-uncertainty constraint alpha + (i/2) Delta >= 0.  Powers of a Gaussian state
-stay Gaussian up to normalization; the spectral functions
+matrix alpha through Tr rho W(z) = exp(i m^T z - z^T alpha z / 2) (one kernel
+for a state and its power), with the uncertainty constraint alpha + (i/2) Delta
+>= 0.  Powers of a Gaussian state stay Gaussian up to normalization; the spectral
+functions
 
     f_p(d) = (d + 1/2)^p - (d - 1/2)^p
     g_p(d) = [(d + 1/2)^p + (d - 1/2)^p] / (2 d [(d + 1/2)^p - (d - 1/2)^p])
@@ -18,8 +19,9 @@ x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H; the
 family keeps the real basis S = sqrt(2) [Re W_+, Im W_+].
 validate_state certifies the constraint with one complex Cholesky factor of
 alpha + (i/2) Delta, keeps the symmetric part it factored and solves no
-spectrum; a state computes its own on first use, unless upper_bound_check's
-stack has filled it.  Batches of covariances (sampled inputs, a beta grid)
+spectrum; a state solves its own on first use through symplectic_spectrum,
+unless upper_bound_check's stack has filled it or gibbs_state has set it.
+Batches of covariances (sampled inputs, a beta grid)
 are (B, 2s, 2s) stacks: one batched spectrum and verdict, or that Cholesky
 certificate, and one array evaluation of log f_p each; a stack with a member
 that has no Cholesky factor is refused whole.  At p in {1, 2, 3, 4} a stack's
@@ -30,11 +32,13 @@ certify the stack, and a stack either fails on goes to the spectra.  The sweeps'
 stack kernels allocate each stack-sized temporary once: a call's peak is one real
 and two complex (B, 2s, 2s) stacks, and none is formed twice.  One
 state's spectrum takes the same form of log f_p a float at a time.  gibbs_state
-and the sweeps read one Gibbs spectrum, coth(beta e_j)/2.
+and the sweeps read one Gibbs spectrum, coth(beta e_j)/2, from the family: a
+Gibbs state carries it exactly, and no Gibbs state is eigensolved.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,7 +56,6 @@ from .symplectic import (
     TOL_SPEC,
     SymplecticSpace,
     _williamson_form,
-    _williamson_spectrum,
     check_finite,
     check_psd_pair,
     check_symmetric,
@@ -75,8 +78,8 @@ class GaussianState:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Symplectic spectrum {d_j} of the covariance, solved on first use or by upper_bound_check."""
-        return _williamson_spectrum(self.cov, self.space)
+        """Symplectic spectrum {d_j}: solved on first use or by upper_bound_check, or set by gibbs_state."""
+        return symplectic_spectrum(self.cov, self.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +87,14 @@ class GibbsFamily:
     """Family of Gibbs states of the quadratic Hamiltonian R epsilon R^T.
 
     epsilon must be real symmetric positive definite; checked on construction,
-    where its Williamson basis is built once for every beta: ``eigenvalues``
-    lam = +-e_j ascending, and the real ``basis`` S = sqrt(2) [Re W_+, Im W_+]
+    where its Williamson basis is built once for every beta: the ``spectrum``
+    e_j of epsilon, ascending, and the real ``basis`` S = sqrt(2) [Re W_+, Im W_+]
     with S^T epsilon S = I, W_+ = L^-T U_+ the columns of the +e_j.
     """
 
     space: SymplecticSpace
     epsilon: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -105,13 +108,8 @@ class GibbsFamily:
         lam, u = np.linalg.eigh(h)
         w = np.linalg.solve(chol.T, u[:, self.space.s:])
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "spectrum", lam[self.space.s:])
         object.__setattr__(self, "basis", math.sqrt(2.0) * np.hstack((w.real, w.imag)))
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Symplectic spectrum {e_j} of epsilon, ascending: the positive eigenvalues."""
-        return self.eigenvalues[self.space.s:]
 
 
 def _check_p(p: float, allow_inf: bool = False) -> None:
@@ -273,10 +271,26 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     return GaussianState(space=space, mean=mean, cov=cov)
 
 
+def _char(mean: np.ndarray, cov: np.ndarray, z) -> complex:
+    """exp(i m^T z - z^T alpha z / 2) at z, 2s finite reals: 0j where exp(-z^T alpha z / 2) underflows."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape != mean.shape:
+        raise DimensionMismatchError(f"z must have {len(mean)} entries, got {len(z)}")
+    check_finite(z, "z", sum(z.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * z @ cov @ z
+        if half < math.inf and np.exp(-half) == 0.0:
+            return 0j
+        phase = 1j * mean @ z
+    if not (math.isfinite(half) and cmath.isfinite(phase)):
+        raise NumericalOverflowError(f"characteristic function exponent is not finite: "
+                                     f"m^T z = {phase.imag:.3e}, z^T alpha z / 2 = {half:.3e}")
+    return complex(np.exp(phase - half))
+
+
 def char_function(state: GaussianState, z) -> complex:
     """Quantum characteristic function exp(i m^T z - z^T alpha z / 2)."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    return complex(np.exp(1j * state.mean @ z - 0.5 * z @ state.cov @ z))
+    return _char(state.mean, state.cov, z)
 
 
 def _log_tr_rho_p(spectra: np.ndarray, p: float):
@@ -355,11 +369,7 @@ def power_cov(state: GaussianState, p: float) -> np.ndarray:
 
 def power_char_function(state: GaussianState, p: float, z) -> complex:
     """Tr rho^p W(z): the closed-form characteristic function of the unnormalized power."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    cov_p = power_cov(state, p)
-    return tr_rho_p(state, p) * complex(
-        np.exp(1j * state.mean @ z - 0.5 * z @ cov_p @ z)
-    )
+    return tr_rho_p(state, p) * _char(state.mean, power_cov(state, p), z)
 
 
 def _basis_covs(basis: np.ndarray, x: np.ndarray, shift=0.0) -> np.ndarray:
@@ -383,24 +393,26 @@ def _gibbs_spectra(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
     return ds
 
 
-def _gibbs_covs(family: GibbsFamily, betas: np.ndarray) -> np.ndarray:
-    """Gibbs covariances alpha = S diag(x, x) S^T, x = e d with d the _gibbs_spectra rows, as a
-    (B, 2s, 2s) stack, one per beta, on the family's real Williamson basis; not validated."""
+def _gibbs_covs(family: GibbsFamily, spectra: np.ndarray) -> np.ndarray:
+    """Gibbs covariances alpha = S diag(x, x) S^T, x = e d, one per row d of _gibbs_spectra, as a
+    (B, 2s, 2s) stack on the family's real Williamson basis; not validated."""
     # where e d overflows the stack holds inf or NaN, which the callers' checks refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        return _basis_covs(family.basis, family.spectrum * _gibbs_spectra(family, betas))
+        return _basis_covs(family.basis, family.spectrum * spectra)
 
 
 def gibbs_state(family: GibbsFamily, beta: float) -> GaussianState:
     """Gibbs state at inverse temperature beta: mean 0, alpha = (Delta/2) cot(beta eps Delta).
 
-    alpha = S diag(x, x) S^T, x_j = e_j coth(beta e_j)/2, on the family's real
-    Williamson basis, the one-beta case of _gibbs_covs; validate_state runs on it.
+    alpha = S diag(x, x) S^T, x_j = e_j d_j on the family's real Williamson basis (the one-beta case of
+    _gibbs_covs); validate_state runs on it, and its spectrum is the family's exact d_j = coth(beta e_j)/2.
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"inverse temperature must be positive and finite, got {beta}")
-    alpha = _gibbs_covs(family, np.array([beta]))[0]
-    return validate_state(np.zeros(family.space.dim), alpha, family.space)
+    spectra = _gibbs_spectra(family, np.array([beta]))
+    state = validate_state(np.zeros(family.space.dim), _gibbs_covs(family, spectra)[0], family.space)
+    object.__setattr__(state, "spectrum", spectra[0, ::-1])  # fills the cached property; the row descends
+    return state
 
 
 def gibbs_asymptotic(family: GibbsFamily, beta: float) -> np.ndarray:

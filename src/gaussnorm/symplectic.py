@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * [q, p] = i, vacuum covariance (1/2) I, symplectic eigenvalues d_j >= 1/2;
 * a symmetric positive definite x = L L^T (Cholesky), covariance or Gibbs
   Hamiltonian, has the Hermitian Williamson form i L^T Delta^-1 L with
-  eigenvalues +-d_j; spectra, Gibbs states and power states are read from it,
-  for one matrix or a stack (..., 2s, 2s) of them in one batched call;
+  eigenvalues +-d_j; spectra (symplectic_spectrum is the one entry point), Gibbs
+  states and power states are read from it, for one matrix or a batched stack;
 * general matrix functions (matrix_abs, matrix_cot) go through a complex
   eigendecomposition kernel with a conditioning cap and a real-projection
   guard; no library path calls them and the package does not export them:
@@ -167,18 +167,8 @@ def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: s
     return chol, -1j * (chol.swapaxes(-1, -2) @ space.delta @ chol)  # Delta^-1 = -Delta
 
 
-def _williamson_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
-    # symplectic spectra (..., s), ascending, of covariances (..., 2s, 2s) already known finite
-    # and symmetric (Cholesky reads the lower triangle alone); each +-d_j pair of the Williamson
-    # form's eigenvalues is averaged into one d_j, halved before the difference so that it
-    # cannot overflow; a failed Cholesky factorization of any matrix raises DomainError
-    w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
-    w *= 0.5
-    return w[..., space.s:] - w[..., space.s - 1::-1]
-
-
 def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
-    """Symplectic spectrum {d_j} of a positive definite covariance, ascending.
+    """Symplectic spectrum {d_j} of a positive definite covariance, ascending: the one spectrum kernel.
 
     ``alpha`` may be a stack (..., 2s, 2s); the spectra come back as (..., s).
     Refuses a wrong shape, and non-finite or asymmetric matrices, before the
@@ -189,7 +179,10 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
     if alpha.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
-    return _williamson_spectrum(alpha, space)
+    # each +-d_j pair of the Williamson form's eigenvalues averaged into one d_j, halved first: no overflow
+    w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
+    w *= 0.5
+    return w[..., space.s:] - w[..., space.s - 1::-1]
 
 
 def _cot(z: complex) -> complex:

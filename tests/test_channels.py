@@ -34,7 +34,7 @@ from gaussnorm.channels import (
     EPS,
     GaussianChannel,
     _loglog_fit,
-    _output_covs,
+    _output_rule,
     _sweep_outputs,
     cp_check,
 )
@@ -285,6 +285,25 @@ class TestApplyChannel:
             composed = compose(identity_channel(), noisy)
         np.testing.assert_array_equal(composed.mu, noisy.mu)
 
+    @pytest.mark.parametrize("mean, cov, message", [
+        ([1e200, 0.0], np.eye(2), "mean must be finite"),
+        ([0.0, 0.0], 1e10 * np.eye(2), "covariance matrix must be finite"),
+    ])
+    def test_overflowing_output_refused_by_name(self, mean, cov, message):
+        # K = 1e152 I with mu = 1e304 I is CP, and its output of this state leaves the double range:
+        # refused by name, with no numpy warning on the way; so is the channel composed with itself
+        space = standard_form(1)
+        channel = validate_channel(1e152 * np.eye(2), np.zeros(2), 1e304 * np.eye(2), space)
+        state = validate_state(mean, cov, space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                apply_channel(channel, state)
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                upper_bound_check(channel, [state], 2.0)
+            with pytest.raises(DomainError, match="^mu must be finite$"):
+                compose(channel, channel)
+
 
 class TestNormPP:
     def test_identity_any_p(self):
@@ -442,7 +461,9 @@ class TestRatioSequence:
         for beta, log_in, log_out, ratio in zip(
             betas, report.log_tr_in, report.log_tr_out, report.ratios
         ):
-            assert log_in == pytest.approx(math.log(tr_rho_p(gibbs_state(family, beta), 2.0)), rel=1e-13)
+            # the state carries the family's spectrum: worst 4.4e-16 over s in {1, 2, 4, 16},
+            # p in {1.5, 2, 3} and 17 betas
+            assert log_in == pytest.approx(math.log(tr_rho_p(gibbs_state(family, beta), 2.0)), rel=5e-16)
             assert np.exp(log_out - log_in) == ratio  # the exp ratio_sequence applies
 
     def test_log_tr_in_read_from_family(self):
@@ -671,9 +692,9 @@ class TestOncePerFamilyPipeline:
         eps = sym.T @ np.diag(np.repeat(e, 2)) @ sym
         family = GibbsFamily(space, 0.5 * (eps + eps.T))
         betas = np.geomspace(10.0, 1e-5, 13)
-        closed = np.sort(_gibbs_spectra(family, betas), axis=-1)
-        np.testing.assert_allclose(symplectic_spectrum(_gibbs_covs(family, betas), space),
-                                   closed, rtol=1e-12, atol=0.0)
+        spectra = _gibbs_spectra(family, betas)
+        np.testing.assert_allclose(symplectic_spectrum(_gibbs_covs(family, spectra), space),
+                                   np.sort(spectra, axis=-1), rtol=1e-12, atol=0.0)
 
     def test_upper_bound_check_one_stack(self, monkeypatch):
         space = standard_form(2)
@@ -747,7 +768,8 @@ class TestOncePerFamilyPipeline:
         for state, spectrum in zip(states, solved):
             assert state.spectrum.tobytes() == spectrum.tobytes()
         log_in = gaussnorm.states._log_schatten_norm(np.array(solved), p)
-        covs_out = _output_covs(channel, np.array([cov for _, cov in pairs]))
+        means_in, covs_in = (np.array(part) for part in zip(*pairs))
+        covs_out = _output_rule(channel, means_in, covs_in)[1]
         log_out = gaussnorm.states._log_schatten_norm(symplectic_spectrum(covs_out, space), p)
         ratios = np.exp(log_out - log_in - gaussnorm.channels._norm_exponent(p)
                         * gaussnorm.channels._log_abs_det_K(channel))
@@ -855,7 +877,7 @@ class TestRealFoldedSweep:
         x = 0.5 * lam / np.tanh(np.multiply.outer(BETAS, lam))
         ref = ((w * x[:, None, :]) @ w.conj().T).real
         assert family.basis.dtype == np.float64
-        assert _max_rel(_gibbs_covs(family, BETAS), ref) <= 1e-13
+        assert _max_rel(_gibbs_covs(family, _gibbs_spectra(family, BETAS)), ref) <= 1e-13
         gram = family.basis.T @ family.epsilon @ family.basis
         assert abs(gram - np.eye(2 * s)).max() <= 1e-13
 
@@ -866,7 +888,8 @@ class TestRealFoldedSweep:
         assert (np.linalg.det(channel.K) < 0.0) == negative
         spectra_in, covs = _sweep_outputs(channel, family, BETAS)
         np.testing.assert_array_equal(spectra_in, _gibbs_spectra(family, BETAS))
-        assert _max_rel(covs, _output_covs(channel, _gibbs_covs(family, BETAS))) <= 1e-13
+        gibbs_covs = _gibbs_covs(family, _gibbs_spectra(family, BETAS))
+        assert _max_rel(covs, _output_rule(channel, np.zeros(2 * s), gibbs_covs)[1]) <= 1e-13
 
     @pytest.mark.parametrize("s", [1, 3, 16])
     @pytest.mark.parametrize("member", [None, math.inf, math.nan])

@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -714,14 +716,43 @@ def thermal_tr_power(N, p):
     return (1 - r) ** p / (1 - r**p)
 
 
+def guard_cutoff(N):
+    """The smallest cutoff n >= 1 that thermal_state_fock admits: r^(n+1) < TAIL_BOUND, r = N/(N+1)."""
+    if N == 0.0:
+        return 1
+    r = N / (N + 1.0)
+    n = max(1, math.floor(math.log(TAIL_BOUND) / math.log(r)) - 2)
+    while r ** (n + 1) >= TAIL_BOUND:
+        n += 1
+    return n
+
+
+# N log-uniform over [1e-6, 5] or 0; position 0 is the smallest admissible cutoff, 1 is default_n_max(N)
+CUTOFF_CASES = dict(
+    N=st.one_of(st.just(0.0), st.floats(-6.0, math.log10(5.0)).map(lambda x: 10.0 ** x)),
+    tau=st.floats(1e-6, 1.0),
+    position=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+
+
 class TestTailBrackets:
-    """Oracle rows built once at default_n_max(N) lie inside closed-form brackets of their exact values.
+    """Oracle rows built once at a cutoff n lie inside closed-form brackets of their exact values.
 
     rho_n, the thermal diagonal cut at n, sits below rho with Tr(rho - rho_n) = r^(n+1), r = N/(N+1).
     The attenuator Phi maps span{|0>, ..., |n>} into itself and is positive, so Phi(rho_n) <= Phi(rho)
     with the same trace gap, and for 0 <= B <= A with ||A|| <= 1 and p >= 1,
-    Tr B^p <= Tr A^p <= Tr B^p + p Tr(A - B).  Exact values come from 40-digit mpmath; each bracket is
-    widened by the rounding bar ROUNDING_C (n+1) eps (the largest miss on this grid is 0.67 (n+1) eps).
+    Tr B^p <= Tr A^p <= Tr B^p + p Tr(A - B).  Exact values come from 40- or 60-digit mpmath; each
+    bracket is widened by the rounding bar ROUNDING_C (n+1) eps (the largest miss on the fixed grid is
+    0.67 (n+1) eps, and 0.91 (n+1) eps over 1,500 random cutoffs).
+
+    The moments' rows have a bracket of their own.  The output Phi(rho_n) is diagonal, q_0 ... q_n,
+    and its covariance entries read [sum_{k<n} (2k+1) q_k + n q_n]/2, since the truncated a a^dag is 0
+    at level n; the exact output is thermal with alpha = tau N + 1/2 = Tr Phi(rho)(2 a^dag a + 1)/2.
+    Phi's adjoint takes a^dag a to tau a^dag a, so the lost levels give Tr Phi(rho - rho_n)(2 a^dag a + 1)
+    = sum_{k>n} p_k (2 tau k + 1) = r^(n+1) (2 tau (n+1+N) + 1), and level n, fed by level n alone
+    (q_n = tau^n p_n), loses (n+1) q_n.  So the entries fall short by exactly
+    e_n = [r^(n+1) (2 tau (n+1+N) + 1) + (n+1) tau^n (1-r) r^n]/2, below the input's weighted tail
+    (n+1+N) r^n that default_n_max bounds; the off-diagonal entries and the mean are exactly 0.
     """
 
     ROUNDING_C = 4
@@ -763,3 +794,41 @@ class TestTailBrackets:
             exact = mpmath.exp(-(mpmath.mpf(N) + 0.5) / 2)  # e^(-z^T alpha z / 2), alpha = (N + 1/2) I, z = (1, 0)
             got = mpmath.mpc(char_function_fock(rho, (1.0, 0.0)))
             assert abs(got - exact) <= r ** (n + 1) + bar, (got, exact)
+
+    @staticmethod
+    def any_cut(N, position):
+        low = guard_cutoff(N)
+        return low + round(position * (default_n_max(N) - low))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(1.0, 4.0), **CUTOFF_CASES)
+    # at the smallest cutoff, n = 1, the error is 1.2 bars and the bracket 1.9e3 times it: a worst-case
+    # bracket is that loose there, so tightness is asserted only where rounding moves the error by a quarter
+    @example(N=1e-6, tau=0.975, p=4.0, position=0.0)
+    def test_output_power_bracket_at_any_cutoff(self, N, tau, p, position):
+        # the largest bracket / error seen where the error passes four bars is 4.0e2 (1,500 random draws)
+        n = self.any_cut(N, position)
+        got = tr_power_fock(attenuate(tau, thermal_state_fock(N, n)), p)
+        with mpmath.workdps(60):
+            r = mpmath.mpf(N) / (mpmath.mpf(N) + 1)
+            error = thermal_tr_power(mpmath.mpf(tau) * N, p) - mpmath.mpf(got)
+            bracket, bar = p * r ** (n + 1), self.ROUNDING_C * (n + 1) * np.finfo(float).eps
+            assert -bar <= error <= bracket + bar, (n, got, error)
+            if error > 4 * bar:
+                assert bracket <= 1e3 * error, (n, bracket, error)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**CUTOFF_CASES)
+    def test_output_moments_bracket_at_any_cutoff(self, N, tau, position):
+        # the covariance entries and the symplectic eigenvalue sqrt(det alpha_n) fall short by e_n itself
+        n = self.any_cut(N, position)
+        mean, cov = covariance_from_fock(attenuate(tau, thermal_state_fock(N, n)))
+        assert not mean.any() and cov[0, 1] == cov[1, 0] == 0.0 and cov[0, 0] == cov[1, 1]
+        with mpmath.workdps(60):
+            N_, t = mpmath.mpf(N), mpmath.mpf(tau)
+            r = N_ / (N_ + 1)
+            e_n = (r ** (n + 1) * (2 * t * (n + 1 + N_) + 1) + (n + 1) * t**n * (1 - r) * r**n) / 2
+            assert e_n <= (n + 1 + N_) * r**n
+            exact, bar = t * N_ + mpmath.mpf(0.5), self.ROUNDING_C * (n + 1) * np.finfo(float).eps * (N + 1)
+            for got in (cov[0, 0], math.sqrt(np.linalg.det(cov))):
+                assert abs(exact - mpmath.mpf(got) - e_n) <= bar, (n, got, e_n)

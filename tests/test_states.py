@@ -47,6 +47,8 @@ from sampling import (
 )
 from gaussnorm.states import (
     _checked_spectra,
+    _gibbs_covs,
+    _gibbs_spectra,
     _log_f_p,
     _log_schatten_norm,
     _log_tr_rho_p,
@@ -360,6 +362,29 @@ class TestCharFunction:
         state = random_state(rng, standard_form(int(rng.integers(1, 4))))
         z = 3.0 * rng.standard_normal(state.space.dim)
         assert abs(char_function(state, z)) <= 1.0 + 1e-12
+
+    def test_forms_out_of_range(self):
+        # mean (1e300, 0) at z = (1e10, 0): m^T z overflows, but exp(-z^T alpha z / 2) = exp(-5e19) is 0;
+        # the r = 345 squeezed vacuum rotated by 0.3: z^T alpha z along its squeezed axis is not finite
+        # in doubles, though |chi| is about 1 there
+        space = standard_form(1)
+        far = validate_state([1e300, 0.0], np.eye(2), space)
+        c, sn = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -sn], [sn, c]])
+        squeezed = validate_state([0.0, 0.0], rot @ np.diag([math.exp(690.0), math.exp(-690.0)]) @ rot.T / 2,
+                                  space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert repr(char_function(far, [1e10, 0.0])) == "0j"
+            assert repr(power_char_function(far, 2.0, [1e10, 0.0])) == "0j"
+            for chi in (lambda z: char_function(far, z), lambda z: power_char_function(far, 2.0, z)):
+                for bad in (math.nan, math.inf):
+                    with pytest.raises(DomainError, match="^z must be finite$"):
+                        chi([bad, 0.0])
+                with pytest.raises(DimensionMismatchError, match="^z must have 2 entries, got 3$"):
+                    chi([1.0, 0.0, 0.0])
+            with pytest.raises(NumericalOverflowError, match="^characteristic function exponent is not"):
+                char_function(squeezed, 1e10 * rot[:, 1])
 
 
 class TestSpectralFunctionScalars:
@@ -831,7 +856,8 @@ class TestGibbsFamilyPipeline:
             direct = 0.5 * (direct + direct.T)
             got = gibbs_state(family, beta)
             assert np.linalg.norm(got.cov - direct) <= 1e-12 * np.linalg.norm(direct)
-            np.testing.assert_allclose(got.spectrum, np.sort(0.5 / np.tanh(beta * e_dec)), rtol=1e-12)
+            # the family's row coth(beta e_j)/2 descends; the state's spectrum is that row, ascending
+            np.testing.assert_array_equal(got.spectrum, _gibbs_spectra(family, np.array([beta]))[0, ::-1])
 
     def test_decomposition_cached_per_family(self, monkeypatch):
         # one eigh per family, on construction; none per beta; W^H eps W = I
@@ -845,15 +871,36 @@ class TestGibbsFamilyPipeline:
         assert len(calls) == 1
         w = family.basis
         np.testing.assert_allclose(w.conj().T @ eps @ w, np.eye(4), atol=1e-13)
-        np.testing.assert_allclose(family.eigenvalues, np.concatenate([-family.spectrum[::-1],
-                                                                       family.spectrum]), rtol=1e-13)
 
     @pytest.mark.parametrize("r", [10.0, 12.0, 17.0])
     def test_axis_squeezed_epsilon(self, r):
         # cond(eps) = e^(4r) up to 3.4e29; the Williamson basis is exact on the axes
         eps = np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
-        state = gibbs_state(GibbsFamily(standard_form(1), eps), 1e-2)
+        family = GibbsFamily(standard_form(1), eps)
+        state = gibbs_state(family, 1e-2)
+        np.testing.assert_array_equal(state.spectrum, _gibbs_spectra(family, np.array([1e-2]))[0, ::-1])
         np.testing.assert_allclose(state.spectrum, [0.5 / math.tanh(1e-2)], rtol=1e-12)
+
+    def test_gibbs_state_solves_no_eigenproblem(self, monkeypatch):
+        # the state carries the family's spectrum: with every eigensolver refusing, its spectrum,
+        # tr_rho_p and schatten_norm are the ones a state built with them gives
+        rng = np.random.default_rng(73)
+        family = GibbsFamily(standard_form(4), williamson_epsilon(rng, rng.uniform(0.5, 2.0, 4)))
+        betas = (1.0, 1e-2, 1e-4)
+
+        def values(state):
+            return ([tr_rho_p(state, p) for p in (1.5, 2.0, 3.0)]
+                    + [schatten_norm(state, p) for p in (1.5, 2.0, 3.0, math.inf)])
+        before = [values(gibbs_state(family, beta)) for beta in betas]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gibbs state ran an eigensolve")
+        for name in ("eigvalsh", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for beta, want in zip(betas, before):
+            state = gibbs_state(family, beta)
+            np.testing.assert_array_equal(state.spectrum, _gibbs_spectra(family, np.array([beta]))[0, ::-1])
+            assert values(state) == want
 
     @pytest.mark.parametrize("s", [1, 4, 16, 40])
     def test_power_cov_matches_general_eigendecomposition(self, s):
@@ -874,3 +921,24 @@ class TestGibbsFamilyPipeline:
         state = validate_state(np.zeros(2), 1.5 * np.eye(2), standard_form(1))
         assert state.spectrum is state.spectrum
         np.testing.assert_allclose(state.spectrum, [1.5], rtol=1e-14)
+
+
+class TestGibbsPowerIdentity:
+    """The normalized p-th power of rho_beta is rho_(p beta): g_p, power_cov and the family basis checked
+    against each other, with no Fock code; Tr rho_beta^p = prod_j (2 sinh beta e_j)^p / (2 sinh p beta e_j)."""
+
+    @pytest.mark.parametrize("s", [1, 4, 16])
+    def test_power_state_is_gibbs_at_p_beta(self, s):
+        # worst seen: 1.8e-15 (covariance, Frobenius) and 3.5 s p eps (Tr rho^p, against 30-digit mpmath)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(500 + s)
+        family = GibbsFamily(standard_form(s), williamson_epsilon(rng, rng.uniform(0.5, 2.0, s)))
+        for p in (1.5, 2.0, 3.0):
+            for beta in (1.0, 1e-2, 1e-4):
+                state = gibbs_state(family, beta)
+                want = _gibbs_covs(family, _gibbs_spectra(family, np.array([p * beta])))[0]
+                assert np.linalg.norm(power_cov(state, p) - want) <= 1e-14 * np.linalg.norm(want), (p, beta)
+                with mpmath.workdps(30):
+                    closed = mpmath.fprod((2 * mpmath.sinh(beta * e)) ** p / (2 * mpmath.sinh(p * beta * e))
+                                          for e in map(mpmath.mpf, family.spectrum.tolist()))
+                assert abs(tr_rho_p(state, p) / float(closed) - 1.0) <= 8 * s * p * eps, (p, beta)
