@@ -9,6 +9,7 @@ Exit codes are a stable contract: 0 success, 1 domain or validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -114,12 +115,18 @@ def cmd_converge(args) -> int:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # one rename on success; a failed write or rename removes the temporary file
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gaussnorm-", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise ConfigError(f"cannot write report {path}: {exc}") from exc
 

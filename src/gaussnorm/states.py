@@ -16,7 +16,9 @@ with covariance (Delta/2) cot(beta eps Delta).
 Both covariances are read from the Williamson basis of a positive definite
 x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H; the
 -e_j columns of W = L^-T U are the conjugates of the +e_j columns, so a Gibbs
-family keeps the real basis S = sqrt(2) [Re W_+, Im W_+].
+family keeps the real basis S = sqrt(2) [Re W_+, Im W_+].  At one mode that form
+is det(L) (-i Delta): a state's spectrum is d = L_00 L_11 and its power
+covariance g_p(d) alpha, with no solve.
 validate_state certifies the constraint with one complex Cholesky factor of
 alpha + (i/2) Delta, keeps the symmetric part it factored and solves no
 spectrum; a state solves its own on first use through symplectic_spectrum,
@@ -360,7 +362,13 @@ def schatten_norm(state: GaussianState, p: float) -> float:
 
 def power_cov(state: GaussianState, p: float) -> np.ndarray:
     """Covariance alpha g_p(abs(Delta^-1 alpha)) = L Re(U diag(g_p(|lam|)) U^H) L^T
-    of the normalized p-th power state, from one eigensolve of its Williamson form."""
+    of the normalized p-th power state, from one eigensolve of its Williamson form.
+
+    At one mode the form is det(L) (-i Delta), so abs(Delta^-1 alpha) = d I and the
+    covariance is g_p(d) alpha, on the state's one spectrum: no factor and no eigensolve.
+    """
+    if state.space.s == 1:
+        return g_p(state.spectrum, p)[0] * state.cov
     chol, h = _williamson_form(state.cov, state.space, DomainError, "covariance matrix")
     lam, u = np.linalg.eigh(h)
     m = 0.5 * (chol @ ((u * g_p(abs(lam), p)) @ u.conj().T).real @ chol.T)  # halved first: m + m^T can overflow

@@ -10,6 +10,8 @@ Conventions used throughout the package:
   Hamiltonian, has the Hermitian Williamson form i L^T Delta^-1 L with
   eigenvalues +-d_j; spectra (symplectic_spectrum is the one entry point), Gibbs
   states and power states are read from it, for one matrix or a batched stack;
+  at one mode L^T Delta L = det(L) Delta exactly, so the form is det(L) (-i Delta)
+  and d = L_00 L_11 needs no solve;
 * general matrix functions (matrix_abs, matrix_cot) go through a complex
   eigendecomposition kernel with a conditioning cap and a real-projection
   guard; no library path calls them and the package does not export them:
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,12 +78,19 @@ class SymplecticSpace:
         return h
 
 
+_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def standard_form(s: int) -> SymplecticSpace:
-    """Build the standard s-mode symplectic space, ordering (q1, p1, q2, p2, ...)."""
-    if s < 1:
-        raise DomainError(f"mode count must be a positive integer, got {s}")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    delta = np.kron(np.eye(s), block)
+    """Build the standard s-mode symplectic space, ordering (q1, p1, q2, p2, ...).
+
+    s must be an integer >= 1 (numbers.Integral, not bool); anything else raises DomainError.
+    """
+    if not (isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 1):
+        raise DomainError(f"mode count must be a positive integer, got {s!r}")
+    # entry (2i + a, 2j + b) is I_ij block_ab: np.kron(np.eye(s), block) bit for bit, -0.0 entries
+    # of its zero blocks included, in one broadcast product
+    delta = (np.eye(s)[:, None, :, None] * _BLOCK[:, None, :]).reshape(2 * s, 2 * s)
     return SymplecticSpace(s=int(s), delta=delta)
 
 
@@ -156,14 +166,18 @@ def matrix_abs(a: np.ndarray) -> np.ndarray:
     return _imaginary_function(a, abs)
 
 
-def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: str) -> tuple:
-    # (L, H): x = L L^T (Cholesky) and Hermitian H = i L^T Delta^-1 L, with eigenvalues
-    # +-d_j, the symplectic spectrum of x, per matrix of a stack; a failed Cholesky of
-    # any matrix raises ``error`` naming ``what``
+def _cholesky(x: np.ndarray, error: type, what: str) -> np.ndarray:
+    # x = L L^T per matrix of a stack; a failed Cholesky of any matrix raises ``error`` naming ``what``
     try:
-        chol = np.linalg.cholesky(x)
+        return np.linalg.cholesky(x)
     except np.linalg.LinAlgError as exc:
         raise error(f"{what} must be positive definite") from exc
+
+
+def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: str) -> tuple:
+    # (L, H): x = L L^T (Cholesky) and Hermitian H = i L^T Delta^-1 L, with eigenvalues
+    # +-d_j, the symplectic spectrum of x, per matrix of a stack
+    chol = _cholesky(x, error, what)
     return chol, -1j * (chol.swapaxes(-1, -2) @ space.delta @ chol)  # Delta^-1 = -Delta
 
 
@@ -173,12 +187,17 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
     ``alpha`` may be a stack (..., 2s, 2s); the spectra come back as (..., s).
     Refuses a wrong shape, and non-finite or asymmetric matrices, before the
     Williamson kernel runs; a failed Cholesky factorization of any matrix
-    raises DomainError.
+    raises DomainError.  At one mode the Williamson form is det(L) (-i Delta),
+    so d = L_00 L_11 is read off the factor with no eigensolve.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
+    if space.s == 1:
+        # the diagonal l00 l10 - l10 l00 of L^T Delta L is exactly 0, its corners +-l00 l11
+        chol = _cholesky(alpha, DomainError, "covariance matrix")
+        return chol[..., :1, 0] * chol[..., 1:, 1]
     # each +-d_j pair of the Williamson form's eigenvalues averaged into one d_j, halved first: no overflow
     w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
     w *= 0.5

@@ -71,6 +71,18 @@ def random_covariance(
     return 0.5 * (alpha + alpha.T), ds
 
 
+def squeezed_one_mode(rng: np.random.Generator, log10_scale=(-150.0, 150.0), max_squeeze: float = 20.0) -> np.ndarray:
+    """One-mode c d R diag(e^r, e^-r) R^T, symmetrised: a random angle, d in [1/2, 50], |r| <= max_squeeze
+    and log10 c drawn in ``log10_scale``; at large squeezes rounding can leave it with no Cholesky factor."""
+    c = 10.0 ** rng.uniform(*log10_scale)
+    d = rng.uniform(0.5, 50.0)
+    r = rng.uniform(-max_squeeze, max_squeeze)
+    theta = rng.uniform(0.0, math.pi)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    alpha = (rot * (c * d * np.exp([r, -r]))) @ rot.T
+    return 0.5 * (alpha + alpha.T)
+
+
 def random_state(
     rng: np.random.Generator,
     space: SymplecticSpace,

@@ -407,6 +407,17 @@ class TestCmdConverge:
         assert captured.err == "error: covariance matrix must be positive definite\n"
         assert captured.out == "" and not out.exists()
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        # the report path is a directory: the rename fails after the full CSV is written beside it
+        out = tmp_path / "report"
+        out.mkdir()
+        cfg = write_config(tmp_path / "att.json", attenuator_spec(), SweepSpec(output_path=str(out)))
+        for _ in range(2):
+            assert main(["converge", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write report {out}: ") and err.count("error:") == 1
+        assert not list(tmp_path.glob(".gaussnorm-*")) and not any(out.iterdir())
+
     @pytest.mark.parametrize("epsilon, args, message", [
         (None, ["--p", "abc"], "cannot parse exponent 'abc'"),
         (None, ["--out", "{tmp}/missing/r.csv"], "cannot write report {tmp}/missing/r.csv"),

@@ -44,6 +44,7 @@ from sampling import (
     random_state,
     random_passive_symplectic,
     random_symplectic,
+    squeezed_one_mode,
 )
 from gaussnorm.states import (
     _checked_spectra,
@@ -56,7 +57,19 @@ from gaussnorm.states import (
     _power_terms,
     _sum_log_f_p,
 )
-from gaussnorm.symplectic import apply_spectral_function, check_psd_pair, matrix_cot
+from gaussnorm.symplectic import _williamson_form, apply_spectral_function, check_psd_pair, matrix_cot
+
+
+def williamson_power_cov(state, p):
+    """The general power covariance at any s: L Re(U diag(g_p(|lam|)) U^H) L^T on the Williamson form's eigh."""
+    chol, h = _williamson_form(state.cov, state.space, DomainError, "covariance matrix")
+    lam, u = np.linalg.eigh(h)
+    m = 0.5 * (chol @ ((u * g_p(abs(lam), p)) @ u.conj().T).real @ chol.T)
+    return m + m.T
+
+
+def refuse_solve(*args, **kwargs):
+    raise AssertionError("a one-mode power covariance ran a factorization or an eigensolve")
 
 
 def thermal_state(d, s=1):
@@ -723,6 +736,35 @@ class TestPowerCharFunction:
             warnings.simplefilter("error")
             got = power_cov(state, 2.0)
         np.testing.assert_allclose(got, 5e307 * np.eye(2), rtol=1e-14, atol=0.0)
+
+    def test_one_mode_power_cov_matches_williamson_eigh(self, monkeypatch):
+        # g_p(d) alpha against the general L Re(U g_p(|lam|) U^H) L^T to 1e-15 (relative Frobenius), with no
+        # factor and no eigensolve once the state's spectrum is cached; where one route refuses, so does the other
+        space = standard_form(1)
+        rng = np.random.default_rng(35)
+        compared = 0
+        for _ in range(200):
+            try:
+                state = validate_state(np.zeros(2), squeezed_one_mode(rng, log10_scale=(0.0, 150.0)), space)
+            except DomainError:
+                continue
+            for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+                try:
+                    want = williamson_power_cov(state, p)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as refused:
+                        power_cov(state, p)
+                    assert str(refused.value).split(", got")[0] == str(exc).split(", got")[0]
+                    continue
+                state.spectrum
+                with monkeypatch.context() as m:
+                    for name in ("cholesky", "eigh", "eigvalsh"):
+                        m.setattr(np.linalg, name, refuse_solve)
+                    got = power_cov(state, p)
+                top = abs(want).max()  # a Frobenius norm of entries near 1e160 overflows
+                assert np.linalg.norm((got - want) / top) <= 1e-15 * np.linalg.norm(want / top), p
+                compared += 1
+        assert compared >= 500
 
 
 class TestGibbs:

@@ -1,5 +1,6 @@
 """Symplectic space construction and the matrix-function kernels."""
 
+import math
 import operator
 import warnings
 
@@ -23,12 +24,13 @@ from gaussnorm.errors import (
     SpectralPoleError,
     SpectrumNotImaginaryError,
 )
-from sampling import random_channel, random_covariance, random_spd, random_symplectic
+from sampling import random_channel, random_covariance, random_spd, random_symplectic, squeezed_one_mode
 from gaussnorm.symplectic import (
     PSD_SLACK,
     TOL_RECONSTRUCT,
     TOL_SPEC,
     TOL_SYM,
+    _williamson_form,
     apply_spectral_function,
     check_finite,
     check_psd_pair,
@@ -40,6 +42,17 @@ from gaussnorm.symplectic import (
 
 
 BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def williamson_spectrum(alpha, space):
+    """The general spectrum route at any s: each +-d_j pair of eigvalsh(i L^T Delta^-1 L), halved and averaged."""
+    w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
+    w *= 0.5
+    return w[..., space.s:] - w[..., space.s - 1::-1]
+
+
+def refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("a one-mode covariance ran an eigensolve")
 
 
 class TestStandardForm:
@@ -61,6 +74,21 @@ class TestStandardForm:
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
             standard_form(0)
+
+    @pytest.mark.parametrize("s", [2.5, 2.0, math.nan, math.inf, True, "2", None])
+    def test_non_integer_mode_count_refused(self, s):
+        # an integer >= 1 and not a bool, as a config's mode count
+        with pytest.raises(DomainError, match=r"^mode count must be a positive integer, got "):
+            standard_form(s)
+
+    def test_numpy_integer_mode_count(self):
+        space = standard_form(np.int64(2))
+        assert type(space.s) is int and space.s == 2 and space.delta.shape == (4, 4)
+
+    def test_delta_is_kron_bit_for_bit(self):
+        # the -0.0 entries of np.kron's zero blocks included
+        for s in range(1, 65):
+            assert standard_form(s).delta.tobytes() == np.kron(np.eye(s), BLOCK).tobytes(), s
 
     @given(st.integers(min_value=1, max_value=8))
     def test_invariants_any_mode_count(self, s):
@@ -213,6 +241,43 @@ class TestSymplecticSpectrum:
         space = standard_form(1)
         for alpha in (-0.5 * np.eye(2), np.diag([1.0, -1.0]), np.diag([1e200, -1e200])):
             with pytest.raises(DomainError, match="positive definite"):
+                symplectic_spectrum(alpha, space)
+
+    def test_one_mode_matches_williamson_eigvalsh(self, monkeypatch):
+        # d = L_00 L_11 against the general route's pair-averaged eigvalsh of i L^T Delta^-1 L, to 2 ulp,
+        # for squeezes up to e^+-20 at scales 1e-150 to 1e150 and at the top of the double range
+        space = standard_form(1)
+        rng = np.random.default_rng(34)
+        covs = [squeezed_one_mode(rng) for _ in range(400)] + [1e308 * np.eye(2), 1.7e308 * np.eye(2)]
+        factored = []
+        for alpha in covs:
+            try:
+                want = williamson_spectrum(alpha, space)
+            except DomainError:
+                with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                    symplectic_spectrum(alpha, space)
+                continue
+            factored.append((alpha, want))
+        assert len(factored) >= 300
+        stack = np.array([alpha for alpha, _ in factored])
+        want = np.array([d for _, d in factored])
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
+        got = np.array([symplectic_spectrum(alpha, space) for alpha, _ in factored])
+        assert got.shape == want.shape == (len(factored), 1)
+        assert (abs(got - want) <= 2 * np.finfo(float).eps * want).all()
+        np.testing.assert_array_equal(symplectic_spectrum(stack, space), got)
+        np.testing.assert_array_equal(symplectic_spectrum(stack[:8].reshape(4, 2, 2, 2), space),
+                                      got[:8].reshape(4, 2, 1))
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_one_mode_refusal_texts(self, batch):
+        space = standard_form(1)
+        for alpha, message in ((np.diag([1.0, -1.0]), "covariance matrix must be positive definite"),
+                               (np.array([[1.0, 0.0], [0.0, -1e-300]]), "covariance matrix must be positive definite"),
+                               (np.array([[math.nan, 0.0], [0.0, 1.0]]), "covariance matrix must be finite")):
+            if batch:
+                alpha = np.array([np.eye(2), alpha])
+            with pytest.raises(DomainError, match=f"^{message}$"):
                 symplectic_spectrum(alpha, space)
 
 
