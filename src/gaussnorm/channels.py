@@ -45,7 +45,7 @@ from .states import (
     _log_tr_rho_p_covs,
     validate_state,
 )
-from .symplectic import PSD_SLACK, SymplecticSpace, check_finite, check_psd_hermitian, check_symmetric
+from .symplectic import PSD_SLACK, SymplecticSpace, check_finite, check_psd_hermitian, check_symmetric, real_array
 
 DIVERGENCE_SLOPE = 1e-3  # a divergence verdict needs a fitted slope below -DIVERGENCE_SLOPE
 EPS = float(np.finfo(float).eps)
@@ -126,10 +126,11 @@ def cp_check(K: np.ndarray, mu: np.ndarray, space: SymplecticSpace) -> tuple[boo
 
 
 def validate_channel(K, l, mu, space: SymplecticSpace) -> GaussianChannel:
-    """Check dimensions, finiteness, symmetry of mu, and complete positivity; build the channel."""
-    K = np.array(K, dtype=float)
-    l = np.array(l, dtype=float).reshape(-1)
-    mu = np.array(mu, dtype=float)
+    """Check that K, l and mu are real, dimensions, finiteness, symmetry of mu, and complete positivity;
+    build the channel."""
+    K = real_array(K, "K")
+    l = real_array(l, "l").reshape(-1)
+    mu = real_array(mu, "mu")
     n = space.dim
     if K.shape != (n, n) or mu.shape != (n, n) or l.shape != (n,):
         raise DimensionMismatchError(
@@ -257,7 +258,11 @@ def upper_bound_check(
     margins mean the bound held.  Ratios come from log norms and (1/p-1) log|det K|,
     so norms and the bound may leave the double range.  The inputs that carry no
     spectrum yet are solved with the outputs in one stack, which fills their caches.
+    A slack that is not finite or is <= -1 (a bound (1 + slack) times the norm <= 0) is
+    refused before anything is solved; one in (-1, 0) makes the bound stricter.
     """
+    if not (math.isfinite(slack) and slack > -1.0):
+        raise DomainError(f"slack must be finite and > -1, got {slack}")
     log_bound = _norm_exponent(p) * _log_abs_det_K(channel)
     if not states:
         return [], math.inf

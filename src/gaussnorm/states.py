@@ -18,7 +18,9 @@ x = L L^T, the eigenvectors U of i L^T Delta^-1 L = U diag(+-e_j) U^H; the
 -e_j columns of W = L^-T U are the conjugates of the +e_j columns, so a Gibbs
 family keeps the real basis S = sqrt(2) [Re W_+, Im W_+].  At one mode that form
 is det(L) (-i Delta): a state's spectrum is d = L_00 L_11 and its power
-covariance g_p(d) alpha, with no solve.
+covariance g_p(d) alpha, with no solve.  At two modes the spectrum is read off L
+and L^T Delta L in closed form, with no solve either; the power covariance, which
+needs the eigenvectors, keeps its eigh there.
 validate_state certifies the constraint with one complex Cholesky factor of
 alpha + (i/2) Delta, keeps the symmetric part it factored and solves no
 spectrum; a state solves its own on first use through symplectic_spectrum,
@@ -61,6 +63,7 @@ from .symplectic import (
     check_finite,
     check_psd_pair,
     check_symmetric,
+    real_array,
     symplectic_spectrum,
 )
 
@@ -100,7 +103,7 @@ class GibbsFamily:
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        eps = np.array(self.epsilon, dtype=float)
+        eps = real_array(self.epsilon, "epsilon")
         if eps.shape != (self.space.dim, self.space.dim):
             raise DimensionMismatchError(
                 f"epsilon shape {eps.shape} does not match 2s = {self.space.dim}"
@@ -253,12 +256,12 @@ def _certify_uncertainty(covs: np.ndarray, space: SymplecticSpace) -> None:
 def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
     """Validate (mean, cov) against the uncertainty constraint and build the state.
 
-    Refuses a non-finite mean, and a non-finite or asymmetric covariance.  The
+    Refuses a complex or non-finite mean, and a complex, non-finite or asymmetric covariance.  The
     state keeps the symmetric part of cov, which _certify_uncertainty judges
     and every later spectrum reads.
     """
-    mean = np.array(mean, dtype=float).reshape(-1)
-    cov = np.array(cov, dtype=float)
+    mean = real_array(mean, "mean").reshape(-1)
+    cov = real_array(cov, "covariance matrix")
     n = space.dim
     if mean.shape != (n,) or cov.shape != (n, n):
         raise DimensionMismatchError(
@@ -275,7 +278,7 @@ def validate_state(mean, cov, space: SymplecticSpace) -> GaussianState:
 
 def _char(mean: np.ndarray, cov: np.ndarray, z) -> complex:
     """exp(i m^T z - z^T alpha z / 2) at z, 2s finite reals: 0j where exp(-z^T alpha z / 2) underflows."""
-    z = np.asarray(z, dtype=float).reshape(-1)
+    z = real_array(z, "z").reshape(-1)
     if z.shape != mean.shape:
         raise DimensionMismatchError(f"z must have {len(mean)} entries, got {len(z)}")
     check_finite(z, "z", sum(z.tolist()))

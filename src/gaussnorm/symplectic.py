@@ -11,7 +11,9 @@ Conventions used throughout the package:
   eigenvalues +-d_j; spectra (symplectic_spectrum is the one entry point), Gibbs
   states and power states are read from it, for one matrix or a batched stack;
   at one mode L^T Delta L = det(L) Delta exactly, so the form is det(L) (-i Delta)
-  and d = L_00 L_11 needs no solve;
+  and d = L_00 L_11 needs no solve; at two modes the real antisymmetric A = L^T Delta L
+  gives d_2 in closed form and d_1 = det L / d_2, again with no solve; from three
+  modes on one batched eigvalsh of the form gives the spectra;
 * general matrix functions (matrix_abs, matrix_cot) go through a complex
   eigendecomposition kernel with a conditioning cap and a real-projection
   guard; no library path calls them and the package does not export them:
@@ -181,6 +183,24 @@ def _williamson_form(x: np.ndarray, space: SymplecticSpace, error: type, what: s
     return chol, -1j * (chol.swapaxes(-1, -2) @ space.delta @ chol)  # Delta^-1 = -Delta
 
 
+def _two_mode_spectrum(chol: np.ndarray, space: SymplecticSpace) -> np.ndarray:
+    """(d_1, d_2), ascending, of alpha = L L^T at two modes, read off L and A = L^T Delta L: no eigensolve.
+
+    A is real antisymmetric with eigenvalues +-i d_1, +-i d_2 and Pfaffian det L > 0.  With
+    x = (A_01, A_02, A_03) and y = (A_23, A_31, A_12), |x + y| = d_2 + d_1 and |x - y| = d_2 - d_1
+    (so(4) = so(3) + so(3)), each component one rounded sum, so d_2 = (|x + y| + |x - y|)/2, taken on
+    A/2 so that no sum overflows.  d_1 = det L / d_2 comes from the factor, never from a difference.
+    """
+    a = (chol.swapaxes(-1, -2) @ (0.5 * space.delta) @ chol).reshape(*chol.shape[:-2], 16)
+    x, y = a[..., 1:4], a[..., [11, 13, 6]]
+    u, v = x + y, x - y
+    d_max = (np.hypot(np.hypot(u[..., 0], u[..., 1]), u[..., 2])  # hypot chains: no overflow
+             + np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2]))
+    # L_00 L_11 is the first mode's reduced d >= 1/2: in this order nothing over- or underflows
+    d_min = chol[..., 0, 0] * chol[..., 1, 1] / d_max * (chol[..., 2, 2] * chol[..., 3, 3])
+    return np.stack((np.minimum(d_min, d_max), d_max), axis=-1)  # ascending where d_1 = d_2 too
+
+
 def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray:
     """Symplectic spectrum {d_j} of a positive definite covariance, ascending: the one spectrum kernel.
 
@@ -188,15 +208,19 @@ def symplectic_spectrum(alpha: np.ndarray, space: SymplecticSpace) -> np.ndarray
     Refuses a wrong shape, and non-finite or asymmetric matrices, before the
     Williamson kernel runs; a failed Cholesky factorization of any matrix
     raises DomainError.  At one mode the Williamson form is det(L) (-i Delta),
-    so d = L_00 L_11 is read off the factor with no eigensolve.
+    so d = L_00 L_11 is read off the factor with no eigensolve; at two modes
+    _two_mode_spectrum reads both d_j off L and L^T Delta L in closed form.  From
+    three modes on each +-d_j pair of the form's eigvalsh is averaged into one d_j.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected shape (..., {space.dim}, {space.dim}), got {alpha.shape}")
     check_symmetric(alpha, "covariance matrix")
-    if space.s == 1:
-        # the diagonal l00 l10 - l10 l00 of L^T Delta L is exactly 0, its corners +-l00 l11
+    if space.s <= 2:
         chol = _cholesky(alpha, DomainError, "covariance matrix")
+        if space.s == 2:
+            return _two_mode_spectrum(chol, space)
+        # the diagonal l00 l10 - l10 l00 of L^T Delta L is exactly 0, its corners +-l00 l11
         return chol[..., :1, 0] * chol[..., 1:, 1]
     # each +-d_j pair of the Williamson form's eigenvalues averaged into one d_j, halved first: no overflow
     w = np.linalg.eigvalsh(_williamson_form(alpha, space, DomainError, "covariance matrix")[1])
@@ -220,6 +244,17 @@ def matrix_cot(x: np.ndarray) -> np.ndarray:
     for ``gibbs_state``, which reads it from the family's Williamson basis.
     """
     return _imaginary_function(x, _cot)
+
+
+def real_array(x, what: str) -> np.ndarray:
+    """x as a new float array; a complex x, array or nested list, is refused with DomainError,
+    where a cast would keep its real part with only a ComplexWarning (or raise a raw TypeError)."""
+    x = np.array(x)
+    if x.dtype.char != "d":  # a float64 input pays one test
+        if x.dtype.kind == "c":
+            raise DomainError(f"{what} must be real")
+        x = x.astype(float)
+    return x
 
 
 def check_finite(x: np.ndarray, what: str, total: float) -> None:

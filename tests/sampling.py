@@ -25,7 +25,7 @@ from scipy.linalg import expm
 from gaussnorm.channels import GaussianChannel, validate_channel
 from gaussnorm.fock import TruncatedOperator
 from gaussnorm.states import GaussianState, validate_state
-from gaussnorm.symplectic import SymplecticSpace
+from gaussnorm.symplectic import SymplecticSpace, standard_form
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -80,6 +80,18 @@ def squeezed_one_mode(rng: np.random.Generator, log10_scale=(-150.0, 150.0), max
     theta = rng.uniform(0.0, math.pi)
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     alpha = (rot * (c * d * np.exp([r, -r]))) @ rot.T
+    return 0.5 * (alpha + alpha.T)
+
+
+def squeezed_two_mode(rng: np.random.Generator, d1: float, d2: float, max_squeeze: float,
+                      scale: float = 1.0) -> np.ndarray:
+    """Two-mode c O1 Z O2 diag(d1, d1, d2, d2) O2^T Z O1^T, symmetrised: passive O1, O2 and
+    Z = diag(e^(r1/2), e^(-r1/2), e^(r2/2), e^(-r2/2)) with |r_j| <= max_squeeze, so each mode is
+    squeezed by up to e^+-max_squeeze, as in squeezed_one_mode; c = ``scale``."""
+    space = standard_form(2)
+    z = np.exp(np.repeat(rng.uniform(-max_squeeze, max_squeeze, 2), 2) * [0.5, -0.5, 0.5, -0.5])
+    sym = (random_passive_symplectic(rng, space) * z) @ random_passive_symplectic(rng, space)
+    alpha = scale * ((sym * [d1, d1, d2, d2]) @ sym.T)
     return 0.5 * (alpha + alpha.T)
 
 

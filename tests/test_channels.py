@@ -117,6 +117,20 @@ class TestValidateChannel:
         assert ok
         assert lam == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("as_list", [False, True])
+    @pytest.mark.parametrize("name", ["K", "l", "mu"])
+    def test_complex_input_refused(self, name, as_list):
+        # a complex K, l or mu, ndarray or list, is refused by name: never cast with a ComplexWarning
+        args = {"K": np.eye(2), "l": np.zeros(2), "mu": np.eye(2)}
+        args[name] = args[name].astype(complex)
+        args[name].flat[1] += 0.2j
+        if as_list:
+            args[name] = args[name].tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} must be real$"):
+                validate_channel(args["K"], args["l"], args["mu"], standard_form(1))
+
     def test_insufficient_noise_rejected(self):
         space = standard_form(1)
         with pytest.raises(NotCPError) as err:
@@ -536,6 +550,26 @@ class TestUpperBoundCheck:
             with np.errstate(over="ignore"), pytest.raises(DomainError, match="^mean must be finite"):
                 call()
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf, -1.0, -2.0])
+    def test_nonsense_slack_refused(self, monkeypatch, slack):
+        # NaN read as a false violation, inf as a pass, and slack <= -1 failed every state: each is
+        # refused by name before any solve, with or without states
+        def refuse(*args, **kwargs):
+            raise AssertionError("upper_bound_check solved before refusing its slack")
+
+        channel, states = attenuator(0.5), [thermal_state(1.5)]
+        for name in ("slogdet", "matrix_rank", "cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for batch in (states, []):
+            with pytest.raises(DomainError, match=f"^slack must be finite and > -1, got {slack}$"):
+                upper_bound_check(channel, batch, 2.0, slack=slack)
+
+    def test_negative_slack_is_stricter(self):
+        # slack in (-1, 0) shrinks the bound: the identity channel's ratio 1 then fails it by -slack
+        states = [thermal_state(1.5), thermal_state(0.5)]
+        assert upper_bound_check(identity_channel(), states, 2.0, slack=-0.5) == ([False, False], -0.5)
+        assert upper_bound_check(identity_channel(), states, 2.0, slack=-1e-12)[0] == [False, False]
+
     def test_no_violations_random(self):
         rng = np.random.default_rng(103)
         for s in (1, 2):
@@ -823,13 +857,17 @@ class TestOncePerFamilyPipeline:
         channel = attenuator(0.5, s=2)
         betas = np.geomspace(1e-1, 1e-5, 17)
         calls = {name: _count_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "cholesky")}
+        spectra = _count_calls(monkeypatch, gaussnorm.symplectic, "symplectic_spectrum")
         divergence_exponent(channel, family, 1.0, 2.0, betas)
         # q = 1: ||Phi[rho_beta]||_1 = 1, and the real and complex batched Choleskys of the
         # determinant route certify the outputs
+        assert spectra["shapes"] == []
         assert calls["eigvalsh"]["shapes"] == []
         assert calls["cholesky"]["shapes"] == [(17, 4, 4), (17, 4, 4)]
         divergence_exponent(channel, family, 1.5, 2.0, betas)
-        assert calls["eigvalsh"]["shapes"] == [(17, 4, 4)]
+        # q = 1.5: the 17 output spectra in one stack, which at two modes runs no eigensolve
+        assert spectra["shapes"] == [(17, 4, 4)]
+        assert calls["eigvalsh"]["shapes"] == []
 
 
 def _sweep_case(seed, s, scale, negative, squeeze):

@@ -345,6 +345,29 @@ class TestValidateState:
             assert schatten_norm(state, 2.0) == pytest.approx(math.sqrt(0.5e-308), rel=1e-14)
 
 
+@pytest.mark.parametrize("as_list", [False, True])
+@pytest.mark.parametrize("name", ["mean", "covariance matrix", "epsilon", "z", "power z"])
+def test_complex_input_refused(name, as_list):
+    # a complex argument, ndarray or list, is refused by name: never cast to its real part with a
+    # ComplexWarning, never a raw TypeError
+    space = standard_form(1)
+    args = {"mean": [0.0, 0.0], "covariance matrix": np.eye(2), "epsilon": np.eye(2), "z": [0.1, 0.2]}
+    key = name.removeprefix("power ")
+    value = np.array(args[key], dtype=complex)
+    value.flat[1] += 0.2j
+    args[key] = value.tolist() if as_list else value
+    state = thermal_state(1.5)
+    call = {"mean": lambda: validate_state(args["mean"], args["covariance matrix"], space),
+            "covariance matrix": lambda: validate_state(args["mean"], args["covariance matrix"], space),
+            "epsilon": lambda: GibbsFamily(space, args["epsilon"]),
+            "z": lambda: char_function(state, args["z"]),
+            "power z": lambda: power_char_function(state, 2.0, args["z"])}[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{key} must be real$"):
+            call()
+
+
 class TestCharFunction:
     def test_vacuum_gaussian(self):
         state = thermal_state(0.5)

@@ -4,6 +4,7 @@ import math
 import operator
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,14 @@ from gaussnorm.errors import (
     SpectralPoleError,
     SpectrumNotImaginaryError,
 )
-from sampling import random_channel, random_covariance, random_spd, random_symplectic, squeezed_one_mode
+from sampling import (
+    random_channel,
+    random_covariance,
+    random_spd,
+    random_symplectic,
+    squeezed_one_mode,
+    squeezed_two_mode,
+)
 from gaussnorm.symplectic import (
     PSD_SLACK,
     TOL_RECONSTRUCT,
@@ -52,7 +60,60 @@ def williamson_spectrum(alpha, space):
 
 
 def refuse_eigensolve(*args, **kwargs):
-    raise AssertionError("a one-mode covariance ran an eigensolve")
+    raise AssertionError("a one- or two-mode covariance ran an eigensolve")
+
+
+EPS = np.finfo(float).eps
+
+
+def _two_mode_families(seed):
+    """Two-mode covariances by family: squeezed states (up to e^+-10, d_j log-uniform in [1/2, 1e12]),
+    product states diag(d1, d1, d2, d2) (vacuum (x) thermal both ways up to d = 1e12), vacuum (x) hot
+    states mixed on a beam splitter, near-degenerate pairs d_2 = d_1 (1 + 10^-k) and scales 1e+-150."""
+    rng = np.random.default_rng(seed)
+
+    def log_d():
+        return 10.0 ** rng.uniform(math.log10(0.5), 12.0)
+
+    def beam_split(d):
+        c, sn = math.cos(theta := rng.uniform(0.0, math.pi)), math.sin(theta)
+        b = np.kron([[c, sn], [-sn, c]], np.eye(2))
+        alpha = (b * [0.5, 0.5, d, d]) @ b.T
+        return 0.5 * (alpha + alpha.T)
+
+    return {
+        "squeezed": [squeezed_two_mode(rng, *sorted((log_d(), log_d())), 10.0) for _ in range(120)],
+        "product": [np.diag([a, a, b, b]) for d in np.geomspace(0.5, 1e12, 25)
+                    for a, b in ((0.5, d), (d, 0.5), (d, log_d()))],
+        "mixed": [beam_split(log_d()) for _ in range(40)],
+        "near": [squeezed_two_mode(rng, d, d * (1.0 + 10.0 ** rng.uniform(-15.0, -6.0)), 2.0)
+                 for d in rng.uniform(0.5, 100.0, 40)],
+        "scaled": [squeezed_two_mode(rng, log_d(), log_d(), 2.0, 10.0 ** rng.uniform(-150.0, 150.0))
+                   for _ in range(40)],
+    }
+
+
+def _term_scale(alpha):
+    # max (|L|^T |L|)_ij: the size of the products A = L^T Delta L is summed from, which bounds the rounding
+    # of A itself; it is max |A_ij| where nothing cancels, and up to the squeeze factor above it
+    chol = abs(np.linalg.cholesky(alpha))
+    return float((chol.T @ chol).max())
+
+
+def _mpmath_spectrum(alpha):
+    """The exact symplectic spectrum of the float alpha, from d_1^2 + d_2^2 = -Tr (Delta alpha)^2 / 2 and
+    d_1^2 d_2^2 = det alpha at 100 digits; None where the float alpha is not positive definite."""
+    with mpmath.workdps(100):
+        a = mpmath.matrix(alpha.tolist())
+        try:
+            mpmath.cholesky(a)
+        except ValueError:
+            return None
+        m = mpmath.matrix(standard_form(2).delta.tolist()) * a
+        total = -sum((m * m)[i, i] for i in range(4)) / 2
+        product = mpmath.det(a)
+        d2_sq = (total + mpmath.sqrt(max(total * total - 4 * product, 0))) / 2
+        return [mpmath.sqrt(product / d2_sq), mpmath.sqrt(d2_sq)]
 
 
 class TestStandardForm:
@@ -278,6 +339,109 @@ class TestSymplecticSpectrum:
             if batch:
                 alpha = np.array([np.eye(2), alpha])
             with pytest.raises(DomainError, match=f"^{message}$"):
+                symplectic_spectrum(alpha, space)
+
+    def test_two_mode_matches_williamson_eigvalsh(self, monkeypatch):
+        # (d_1, d_2) read off L and L^T Delta L against the general route's pair-averaged eigvalsh, to
+        # 8 eps times the size of the terms A is summed from: the two read different triangles of the
+        # rounded A, which is antisymmetric only to that size
+        space = standard_form(2)
+        factored = []
+        for family in _two_mode_families(35).values():
+            for alpha in family:
+                try:
+                    want = williamson_spectrum(alpha, space)
+                except DomainError:
+                    with pytest.raises(DomainError, match="^covariance matrix must be positive definite$"):
+                        symplectic_spectrum(alpha, space)
+                    continue
+                factored.append((alpha, want, _term_scale(alpha)))
+        assert len(factored) >= 300
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
+        for alpha, want, scale in factored:
+            got = symplectic_spectrum(alpha, space)
+            assert got.shape == (2,) and got[0] <= got[1]
+            assert abs(got - want).max() <= 8 * EPS * scale, (alpha, got, want)
+
+    def test_two_mode_against_mpmath(self):
+        # on the float alpha, family by family, the worst error is no larger than the general route's
+        # plus 2 eps times the term scale; members whose float alpha is not positive definite have no spectrum
+        space = standard_form(2)
+        for name, family in _two_mode_families(36).items():
+            worst = {"kernel": 0.0, "general": 0.0}
+            compared = 0
+            for alpha in family:
+                try:
+                    general = williamson_spectrum(alpha, space)
+                except DomainError:
+                    continue
+                exact = _mpmath_spectrum(alpha)
+                if exact is None:
+                    continue
+                compared += 1
+                unit = EPS * _term_scale(alpha)
+                for route, got in (("kernel", symplectic_spectrum(alpha, space)), ("general", general)):
+                    error = max(float(abs(mpmath.mpf(float(d)) - e)) for d, e in zip(got, exact))
+                    worst[route] = max(worst[route], error / unit)
+            assert compared >= 0.8 * len(family), name
+            assert worst["kernel"] <= worst["general"] + 2.0, (name, worst)
+
+    def test_two_mode_product_states_exact(self):
+        # diag(d1, d1, d2, d2) has spectrum (d1, d2) exactly; vacuum (x) thermal up to d = 1e12 included
+        space = standard_form(2)
+        for alpha in _two_mode_families(37)["product"]:
+            want = np.sort(np.diagonal(alpha)[::2])
+            got = symplectic_spectrum(alpha, space)
+            assert (abs(got - want) <= 2 * np.spacing(want)).all(), (want, got)
+
+    def test_two_mode_equal_pair_ascending(self):
+        space = standard_form(2)
+        for d in (0.5, 0.7, 3.0, 1e-150, 1e12, 1e150):
+            got = symplectic_spectrum(d * np.eye(4), space)
+            assert got[0] == got[1] and abs(got[1] - d) <= 2 * np.spacing(d)
+        rng = np.random.default_rng(38)
+        for d in rng.uniform(0.5, 50.0, 40):
+            # the same d twice, squeezed and mixed: rounding splits the pair, and d_min stays below d_max
+            twin = squeezed_two_mode(rng, d, d, 2.0)
+            got = symplectic_spectrum(twin, space)
+            assert got[0] <= got[1]
+            assert abs(got - williamson_spectrum(twin, space)).max() <= 8 * EPS * _term_scale(twin)
+
+    def test_two_mode_stacks(self, monkeypatch):
+        # one matrix and any stack give the same bits; an empty stack gives (0, 2)
+        space = standard_form(2)
+        covs = np.array([alpha for family in _two_mode_families(39).values() for alpha in family[:12]
+                         if np.linalg.eigvalsh(alpha)[0] > 0.0])
+        assert len(covs) >= 40
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_eigensolve)
+        single = np.array([symplectic_spectrum(alpha, space) for alpha in covs])
+        np.testing.assert_array_equal(symplectic_spectrum(covs, space), single)
+        np.testing.assert_array_equal(symplectic_spectrum(covs[:15].reshape(3, 5, 4, 4), space),
+                                      single[:15].reshape(3, 5, 2))
+        assert symplectic_spectrum(np.zeros((0, 4, 4)), space).shape == (0, 2)
+
+    def test_two_mode_top_of_double_range(self):
+        # A is halved before its sums: 1e308 I and 1.7e308 I keep a finite, equal pair
+        space = standard_form(2)
+        for c in (1e308, 1.7e308):
+            got = symplectic_spectrum(c * np.eye(4), space)
+            assert np.isfinite(got).all() and got[0] == got[1]
+            assert abs(got[1] - c) <= 2 * np.spacing(c)
+            np.testing.assert_array_equal(symplectic_spectrum(np.array([c * np.eye(4)] * 2), space), [got, got])
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_two_mode_refusal_texts(self, batch):
+        space = standard_form(2)
+        asymmetric = np.eye(4)
+        asymmetric[0, 3] = 0.5
+        for alpha, error, message in (
+                (np.diag([1.0, 1.0, 1.0, -1.0]), DomainError, "covariance matrix must be positive definite"),
+                (np.diag([1.0, 1.0, 1.0, -1e-300]), DomainError, "covariance matrix must be positive definite"),
+                (np.diag([1.0, math.nan, 1.0, 1.0]), DomainError, "covariance matrix must be finite"),
+                (asymmetric, NotSymmetricError, "covariance matrix is not symmetric within tolerance")):
+            if batch:
+                alpha = np.array([np.eye(4), alpha])
+            with pytest.raises(error, match=f"^{message}$"):
                 symplectic_spectrum(alpha, space)
 
 
